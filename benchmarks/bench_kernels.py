@@ -8,6 +8,11 @@ Two workloads mirror the package's hot loops:
 * congruence closures over generator action tables of the kind quotients
   and tensor products produce.
 
+Each compiled result is compared in full with the pure one (every
+diagonal, every closure partition); a mismatch raises.  The fallbacks
+column counts compiled SNF calls that raised ``OverflowError`` and were
+retried with the bignum twin.
+
 Run:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
 
@@ -50,22 +55,35 @@ def closure_workload(rng, count=300):
 
 
 def time_snf(impl, mats):
+    """Time ``snf_diagonal`` on every matrix.
+
+    Returns (seconds, diagonals, fallbacks): an ``OverflowError`` from the
+    compiled kernel is retried with the pure twin and counted.
+    """
     t0 = time.perf_counter()
-    acc = 0
+    out = []
+    fallbacks = 0
     for m in mats:
         try:
-            acc += len(impl.snf_diagonal(m))
+            out.append(impl.snf_diagonal(m))
         except OverflowError:
-            acc += len(snf_py.snf_diagonal(m))
-    return time.perf_counter() - t0, acc
+            fallbacks += 1
+            out.append(snf_py.snf_diagonal(m))
+    return time.perf_counter() - t0, out, fallbacks
+
+
+def _partition(reps):
+    """A closure result as block labels numbered by first occurrence."""
+    first = {}
+    return [first.setdefault(r, len(first)) for r in reps]
 
 
 def time_closure(impl, jobs):
+    """Time ``closure`` on every job; returns (seconds, partitions, 0)."""
     t0 = time.perf_counter()
-    acc = 0
-    for n, gens, pairs in jobs:
-        acc += len(set(impl.closure(n, gens, pairs)))
-    return time.perf_counter() - t0, acc
+    out = [impl.closure(n, gens, pairs) for n, gens, pairs in jobs]
+    elapsed = time.perf_counter() - t0
+    return elapsed, [_partition(reps) for reps in out], 0
 
 
 def main():
@@ -79,29 +97,36 @@ def main():
     jobs = closure_workload(rng)
 
     rows = []
-    for label, impl, fast in (
-        ("smith reduction", snf_py, _snf_cy if HAVE_COMPILED else None),
-        ("congruence closure", closure_py, _closure_cy if HAVE_COMPILED else None),
+    for label, impl, fast, timer, data in (
+        ("smith reduction", snf_py, _snf_cy if HAVE_COMPILED else None,
+         time_snf, mats),
+        ("congruence closure", closure_py, _closure_cy if HAVE_COMPILED else None,
+         time_closure, jobs),
     ):
-        timer = time_snf if label.startswith("smith") else time_closure
-        data = mats if label.startswith("smith") else jobs
         pure = min(timer(impl, data)[0] for _ in range(args.repeat))
-        if fast is not None:
-            t_fast, check_fast = timer(fast, data)
-            for _ in range(args.repeat - 1):
-                t_fast = min(t_fast, timer(fast, data)[0])
-            _, check_pure = timer(impl, data)
-            assert check_fast == check_pure, "backends disagree"
-            rows.append((label, pure, t_fast, pure / t_fast))
-        else:
-            rows.append((label, pure, None, None))
-
-    print(f"{'workload':22} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>9}")
-    for label, pure, fast, ratio in rows:
         if fast is None:
-            print(f"{label:22} {pure:10.3f} {'-':>13} {'-':>9}")
+            rows.append((label, pure, None, None, None))
+            continue
+        runs = [timer(fast, data) for _ in range(args.repeat)]
+        t_fast = min(run[0] for run in runs)
+        _, got, fallbacks = runs[0]
+        _, want, _ = timer(impl, data)
+        bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+        if bad:
+            raise RuntimeError(
+                f"{label}: backends disagree on {len(bad)} of {len(data)} "
+                f"inputs, first at index {bad[0]}"
+            )
+        rows.append((label, pure, t_fast, pure / t_fast, fallbacks))
+
+    print(f"{'workload':22} {'pure (s)':>10} {'compiled (s)':>13} {'speedup':>9}"
+          f" {'fallbacks':>10}")
+    for label, pure, fast, ratio, fallbacks in rows:
+        if fast is None:
+            print(f"{label:22} {pure:10.3f} {'-':>13} {'-':>9} {'-':>10}")
         else:
-            print(f"{label:22} {pure:10.3f} {fast:13.3f} {ratio:8.1f}x")
+            print(f"{label:22} {pure:10.3f} {fast:13.3f} {ratio:8.1f}x"
+                  f" {fallbacks:10d}")
     if not HAVE_COMPILED:
         print("compiled kernels not built; showing pure timings only")
 

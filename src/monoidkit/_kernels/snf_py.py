@@ -1,10 +1,16 @@
 """Smith normal form over the integers, pure-Python reference kernel.
 
 Matrices are lists of row lists of Python ints (exact bignum arithmetic).
-Elimination uses extended-gcd 2x2 unimodular blocks, which keeps
-intermediate growth tame.  The compiled twin (``_snf_cy``) mirrors this
-algorithm in 64-bit arithmetic and raises ``OverflowError`` when entries
-threaten the safe range; callers fall back to this module in that case.
+One elimination loop, ``_reduce``, serves both entry points: it reduces
+the top-left block of a work matrix in place, so ``snf_with_transforms``
+records U and V by carrying an identity block to the right of and below
+the input, and ``snf_diagonal`` reduces the bare input.  Elimination uses
+extended-gcd 2x2 unimodular blocks, which keeps intermediate growth tame;
+divisibility d1 | d2 | ... is restored by folding a column into its left
+neighbour and re-reducing the 2x2 block.  The compiled twin
+(``_snf_cy``) follows the same elimination in 64-bit arithmetic and raises
+``OverflowError`` when entries threaten the safe range; callers fall back
+to this module in that case.
 """
 
 from __future__ import annotations
@@ -24,62 +30,49 @@ def _xgcd(a, b):
     return x, y, g
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _reduce(A, m, n):
+    """Smith-reduce the top-left m x n block of ``A`` in place.
 
-
-def snf_with_transforms(mat):
-    """Return (U, D, V) with U*mat*V = D in Smith normal form.
-
-    U and V are unimodular; D is diagonal with d1 | d2 | ... and all
-    diagonal entries nonnegative.
+    Row operations act on whole rows t < m and column operations on the
+    columns j < n of every row, so entries right of the block accumulate
+    the row transform and rows below it the column transform.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    D = [list(map(int, row)) for row in mat]
-    U = _identity(m)
-    V = _identity(n)
 
     def clear_col_entry(t, i):
-        # zero D[i][t] with a unimodular op on rows t and i
-        a, b = D[t][t], D[i][t]
+        # zero A[i][t] with a unimodular op on rows t and i
+        a, b = A[t][t], A[i][t]
         if b == 0:
             return
         if a != 0 and b % a == 0:
             q = b // a
-            D[i] = [x - q * y for x, y in zip(D[i], D[t])]
-            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+            A[i] = [x - q * y for x, y in zip(A[i], A[t])]
             return
         x, y, g = _xgcd(a, b)
         ag, bg = a // g, b // g
-        Dt, Di = D[t], D[i]
-        D[t] = [x * p + y * q_ for p, q_ in zip(Dt, Di)]
-        D[i] = [-bg * p + ag * q_ for p, q_ in zip(Dt, Di)]
-        Ut, Ui = U[t], U[i]
-        U[t] = [x * p + y * q_ for p, q_ in zip(Ut, Ui)]
-        U[i] = [-bg * p + ag * q_ for p, q_ in zip(Ut, Ui)]
+        At, Ai = A[t], A[i]
+        A[t] = [x * p + y * q_ for p, q_ in zip(At, Ai)]
+        A[i] = [-bg * p + ag * q_ for p, q_ in zip(At, Ai)]
 
     def clear_row_entry(t, j):
-        a, b = D[t][t], D[t][j]
+        # zero A[t][j] with a unimodular op on columns t and j
+        a, b = A[t][t], A[t][j]
         if b == 0:
             return
         if a != 0 and b % a == 0:
             q = b // a
-            for row in D:
-                row[j] -= q * row[t]
-            for row in V:
+            for row in A:
                 row[j] -= q * row[t]
             return
         x, y, g = _xgcd(a, b)
         ag, bg = a // g, b // g
-        for row in D:
+        for row in A:
             p, q_ = row[t], row[j]
             row[t] = x * p + y * q_
             row[j] = -bg * p + ag * q_
-        for row in V:
-            p, q_ = row[t], row[j]
-            row[t] = x * p + y * q_
-            row[j] = -bg * p + ag * q_
+
+    def make_nonnegative(i):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
 
     size = min(m, n)
     t = 0
@@ -88,7 +81,7 @@ def snf_with_transforms(mat):
         piv = None
         best = None
         for i in range(t, m):
-            row = D[i]
+            row = A[i]
             for j in range(t, n):
                 v = row[j]
                 if v != 0 and (best is None or abs(v) < best):
@@ -101,12 +94,9 @@ def snf_with_transforms(mat):
         if piv is None:
             break
         if piv[0] != t:
-            D[t], D[piv[0]] = D[piv[0]], D[t]
-            U[t], U[piv[0]] = U[piv[0]], U[t]
+            A[t], A[piv[0]] = A[piv[0]], A[t]
         if piv[1] != t:
-            for row in D:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-            for row in V:
+            for row in A:
                 row[t], row[piv[1]] = row[piv[1]], row[t]
 
         while True:
@@ -114,131 +104,62 @@ def snf_with_transforms(mat):
                 clear_col_entry(t, i)
             for j in range(t + 1, n):
                 clear_row_entry(t, j)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                D[t][j] == 0 for j in range(t + 1, n)
+            if all(A[i][t] == 0 for i in range(t + 1, m)) and all(
+                A[t][j] == 0 for j in range(t + 1, n)
             ):
                 break
         t += 1
 
     for i in range(size):
-        if D[i][i] < 0:
-            D[i] = [-x for x in D[i]]
-            U[i] = [-x for x in U[i]]
+        make_nonnegative(i)
 
     # enforce divisibility d_i | d_{i+1}
     i = 0
     while i < size - 1:
-        a, b = D[i][i], D[i + 1][i + 1]
+        a, b = A[i][i], A[i + 1][i + 1]
         if a != 0 and b % a != 0:
             # fold position (i+1) into column i, re-reduce the 2x2 block
-            for row in D:
+            for row in A:
                 row[i] += row[i + 1]
-            for row in V:
-                row[i] += row[i + 1]
-            while D[i + 1][i] != 0 or D[i][i + 1] != 0:
+            while A[i + 1][i] != 0 or A[i][i + 1] != 0:
                 clear_col_entry(i, i + 1)
                 clear_row_entry(i, i + 1)
-            if D[i][i] < 0:
-                D[i] = [-x for x in D[i]]
-                U[i] = [-x for x in U[i]]
-            if D[i + 1][i + 1] < 0:
-                D[i + 1] = [-x for x in D[i + 1]]
-                U[i + 1] = [-x for x in U[i + 1]]
+            make_nonnegative(i)
+            make_nonnegative(i + 1)
             i = max(i - 1, 0)
         else:
             i += 1
-    return U, D, V
+
+
+def snf_with_transforms(mat):
+    """Return (U, D, V) with U*mat*V = D in Smith normal form.
+
+    U and V are unimodular; D is diagonal with d1 | d2 | ... and all
+    diagonal entries nonnegative.  The work matrix is [mat | I_m] over
+    [I_n]; after reduction its blocks are [D | U] over [V].
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    A = [list(map(int, row)) + [0] * m for row in mat]
+    A += [[0] * n for _ in range(n)]
+    for i in range(m):
+        A[i][n + i] = 1
+    for j in range(n):
+        A[m + j][j] = 1
+    _reduce(A, m, n)
+    U = [row[n:] for row in A[:m]]
+    D = [row[:n] for row in A[:m]]
+    return U, D, A[m:]
 
 
 def snf_diagonal(mat):
-    """Invariant factors without transform bookkeeping."""
+    """Invariant factors (the nonzero diagonal of the SNF), d1 | d2 | ..."""
     m = len(mat)
     n = len(mat[0]) if m else 0
-    if m == 0 or n == 0:
-        return []
     D = [list(map(int, row)) for row in mat]
-
-    def clear_col(t, i):
-        a, b = D[t][t], D[i][t]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            D[i] = [x - q * y for x, y in zip(D[i], D[t])]
-            return
-        x, y, g = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        Dt, Di = D[t], D[i]
-        D[t] = [x * p + y * q_ for p, q_ in zip(Dt, Di)]
-        D[i] = [-bg * p + ag * q_ for p, q_ in zip(Dt, Di)]
-
-    def clear_row(t, j):
-        a, b = D[t][t], D[t][j]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
-            for row in D:
-                row[j] -= q * row[t]
-            return
-        x, y, g = _xgcd(a, b)
-        ag, bg = a // g, b // g
-        for row in D:
-            p, q_ = row[t], row[j]
-            row[t] = x * p + y * q_
-            row[j] = -bg * p + ag * q_
-
-    size = min(m, n)
-    t = 0
-    while t < size:
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = D[i]
-            for j in range(t, n):
-                v = row[j]
-                if v != 0 and (best is None or abs(v) < best):
-                    best = abs(v)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            break
-        if piv[0] != t:
-            D[t], D[piv[0]] = D[piv[0]], D[t]
-        if piv[1] != t:
-            for row in D:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            for i in range(t + 1, m):
-                clear_col(t, i)
-            for j in range(t + 1, n):
-                clear_row(t, j)
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                D[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-        t += 1
-
-    from math import gcd
-
-    diag = [abs(D[i][i]) for i in range(size) if D[i][i] != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                diag[i] = g
-                diag[i + 1] = a // g * b
-                changed = True
-    return diag
+    _reduce(D, m, n)
+    return [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
 
 
 def integer_rank(mat):
-    if not mat or not mat[0]:
-        return 0
     return len(snf_diagonal(mat))

@@ -28,20 +28,6 @@ def matmul(a, b):
     return out
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def zeros(m, n):
-    return [[0] * n for _ in range(m)]
-
-
 def snf(mat):
     """(U, D, V) with U*mat*V = D, Smith normal form."""
     return _kernels.snf_with_transforms(mat)
@@ -90,14 +76,6 @@ def solve(mat, vec):
     return [sum(V[i][k] * y[k] for k in range(n)) for i in range(n)]
 
 
-def in_lattice(gens_cols, vec):
-    """Is vec an integer combination of the given columns?"""
-    if not gens_cols:
-        return not any(vec)
-    mat = [[col[i] for col in gens_cols] for i in range(len(gens_cols[0]))]
-    return solve(mat, vec) is not None
-
-
 def preimage_lattice(f_mat, lat_cols):
     """Basis (columns) of {x : f_mat*x lies in the lattice spanned by lat_cols}.
 
@@ -125,11 +103,3 @@ def lattice_basis(cols, dim):
     # columns of mat*V with nonzero image form a basis
     mv = matmul(mat, V)
     return [[mv[i][j] for i in range(dim)] for j in range(r)]
-
-
-def hermite_solve_all(mat, vec):
-    """General integer solution (particular, kernel basis) of mat*x = vec."""
-    part = solve(mat, vec)
-    if part is None:
-        return None
-    return part, kernel_basis(mat)

@@ -129,38 +129,24 @@ class HomologyGroup:
 
 
 def smith_homology(c, n):
-    """H_n = ker d_n / im d_{n+1} via two Smith reductions."""
-    d_n = c.differential(n)
-    d_up = c.differential(n + 1)
+    """H_n = Z^(rank C_n - rank d_n - rank d_{n+1}) + torsion(SNF d_{n+1}).
+
+    ker d_n is a direct summand of C_n (C_n / ker d_n embeds in the free
+    C_{n-1}), so the invariant factors of d_{n+1} as a map into C_n are
+    those of the image in ker d_n: no kernel basis is needed.  Raises
+    ``NotAComplex`` unless d_n d_{n+1} = 0, since complexes are not
+    required to have passed ``IntegerChainComplex.check``.
+    """
     rank_n = c.ranks[n] if 0 <= n < len(c.ranks) else 0
     if rank_n == 0:
         return HomologyGroup(0, ())
-
-    if d_n and any(any(r) for r in d_n):
-        kernel = intlin.kernel_basis(d_n)
-    else:
-        kernel = [[1 if i == j else 0 for i in range(rank_n)] for j in range(rank_n)]
-    k = len(kernel)
-    if k == 0:
-        return HomologyGroup(0, ())
-    # express the image of d_{n+1} in the kernel basis
-    if not d_up or not any(any(r) for r in d_up):
-        return HomologyGroup(k, ())
-    b_mat = [[kernel[j][i] for j in range(k)] for i in range(rank_n)]
-    coords = []
-    for col in range(len(d_up[0])):
-        vec = [d_up[i][col] for i in range(rank_n)]
-        sol = intlin.solve(b_mat, vec)
-        if sol is None:
-            raise NotAComplex("image does not land in the kernel")
-        coords.append(sol)
-    rel = [[coords[j][i] for j in range(len(coords))] for i in range(k)]
-    # presentation Z^k / column span of rel
-    rel_rows = [list(col) for col in coords]
-    diag = intlin.invariant_factors(rel_rows) if rel_rows else []
-    betti = k - len(diag)
-    torsion = tuple(d for d in diag if d > 1)
-    return HomologyGroup(betti, torsion)
+    d_n = c.differential(n)
+    d_up = c.differential(n + 1)
+    if any(any(row) for row in intlin.matmul(d_n, d_up)):
+        raise NotAComplex(f"d_{n} d_{n + 1} != 0")
+    diag = intlin.invariant_factors(d_up)
+    betti = rank_n - intlin.rank(d_n) - len(diag)
+    return HomologyGroup(betti, tuple(d for d in diag if d > 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 import itertools
+from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
 from monoidkit import torreal as tr
 from monoidkit.abgroup import AbelianGroup
-from monoidkit.errors import HypothesisViolated
+from monoidkit.errors import HypothesisViolated, NotAComplex
 
 
 def test_realization_rank_and_nilpotent_action():
@@ -64,6 +67,93 @@ def test_smith_homology_permutation_invariance():
     c2 = tr.IntegerChainComplex([3, 2], [[[0, 1], [2, 0], [-2, -1]]])
     for n in (0, 1):
         assert tr.smith_homology(c1, n).as_group() == tr.smith_homology(c2, n).as_group()
+
+
+BIG = (1 << 31) + 11  # past the compiled kernel's 64-bit entry guard
+
+
+@st.composite
+def unimodular_pairs(draw, n):
+    """(P, P^-1) for a random product of elementary integer operations."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    q = [row[:] for row in p]
+    if not n:
+        return p, q
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(ops, max_size=3 * n)):
+        if i == j:  # negate basis vector i
+            p[i] = [-a for a in p[i]]
+            for row in q:
+                row[i] = -row[i]
+        else:  # P <- (I + c e_ij) P and P^-1 <- P^-1 (I - c e_ij)
+            p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+            for row in q:
+                row[j] -= c * row[i]
+    return p, q
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _diagonal_torsion(factors):
+    """Invariant factors > 1 of diag(factors), from determinantal divisors."""
+    out, prev = [], 1
+    for i in range(1, len(factors) + 1):
+        delta = 0
+        for sub in itertools.combinations(factors, i):
+            delta = gcd(delta, prod(sub))
+        out.append(delta // prev)
+        prev = delta
+    return tuple(e for e in out if e > 1)
+
+
+@st.composite
+def known_complexes(draw):
+    """C2 -> C1 -> C0 as a direct sum of pieces Z and Z --d--> Z, with every
+    degree's basis hidden by a unimodular change.  Returns the complex and
+    the known (betti, torsion) of H0, H1, H2."""
+    free = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    factor = st.one_of(st.integers(1, 12), st.integers(BIG, 1 << 40))
+    pieces = {n: draw(st.lists(factor, max_size=3)) for n in (1, 2)}
+
+    def layout(n):  # [targets of d_{n+1}] [free part] [sources of d_n]
+        return len(pieces.get(n + 1, [])), free[n], len(pieces.get(n, []))
+
+    ranks = [sum(layout(n)) for n in range(3)]
+    changes = [draw(unimodular_pairs(r)) for r in ranks]
+    diffs = []
+    for n in (1, 2):
+        block = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        offset = sum(layout(n)[:2])
+        for j, d in enumerate(pieces[n]):
+            block[j][offset + j] = d
+        diffs.append(_matmul(_matmul(changes[n - 1][0], block), changes[n][1]))
+    known = [(free[n], _diagonal_torsion(pieces.get(n + 1, []))) for n in range(3)]
+    return tr.IntegerChainComplex(ranks, diffs), known
+
+
+@given(known_complexes())
+@settings(max_examples=200, deadline=None)
+def test_smith_homology_known_torsion(case):
+    c, known = case
+    for n, (betti, torsion) in enumerate(known):
+        h = tr.smith_homology(c, n)
+        assert (h.betti, tuple(h.torsion)) == (betti, torsion), n
+    assert tr.smith_homology(c, 3).as_group().is_trivial
+
+
+@pytest.mark.parametrize(
+    "ranks, diffs",
+    [
+        ([1, 1, 1], [[[1]], [[2]]]),  # ker d1 = 0 but im d2 != 0
+        ([1, 2, 1], [[[1, 0]], [[1], [1]]]),  # im d2 leaves ker d1 = Z e2
+    ],
+)
+def test_smith_homology_rejects_non_complex(ranks, diffs):
+    c = tr.IntegerChainComplex(ranks, diffs)
+    with pytest.raises(NotAComplex):
+        tr.smith_homology(c, 1)
 
 
 def test_chain_of_constant_simplicial():
