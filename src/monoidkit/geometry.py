@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import intlin
 from .abgroup import GroupPresentation, quotient_group
@@ -37,39 +36,6 @@ def in_subgroup(basis_cols, vec):
     return intlin.solve(mat, list(vec)) is not None
 
 
-def _rational_span_solve(gens, vec):
-    """Is vec in the rational span of the generators?"""
-    if not gens:
-        return not any(vec)
-    rows = len(gens[0])
-    aug = [[Fraction(g[i]) for g in gens] for i in range(rows)]
-    b = [Fraction(v) for v in vec]
-    # gaussian elimination
-    cols = len(gens)
-    piv_rows = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
-        b[r] = b[r] / inv
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-                b[i] = b[i] - f * b[r]
-        piv_rows.append(r)
-        r += 1
-    for i in range(rows):
-        if all(v == 0 for v in aug[i]) and b[i] != 0:
-            return False
-    return True
-
-
 def _primitive(vec):
     from math import gcd
 
@@ -88,37 +54,29 @@ def facet_normals(gens, rank):
     generator pairs nonnegatively and some generator pairs positively.
     """
     gens = [tuple(g) for g in gens]
-    if not gens or all(not any(g) for g in gens):
-        return []
     dim = _span_dimension(gens, rank)
     if dim == 0:
         return []
+    orth = _span_orthogonal_complement(gens, rank)
     normals = set()
-    # candidate hyperplanes: spans of (dim-1)-subsets of generators
-    for combo in itertools.combinations(gens, dim - 1) if dim > 1 else [()]:
-        # normal candidates: integer kernel of [combo rows; orth-complement]
-        rows = [list(c) for c in combo]
-        # restrict to the span: add constraints for vectors orthogonal to it
-        orth = _span_orthogonal_complement(gens, rank)
-        mat = rows + orth
-        if not mat:
-            mat = [[0] * rank]
-        kernel = intlin.kernel_basis(mat)
-        for cand in kernel:
+    # candidate hyperplanes: spans of (dim-1)-subsets of generators, kept
+    # inside the generator span by the orthogonal-complement rows
+    for combo in itertools.combinations(gens, dim - 1):
+        mat = [list(c) for c in combo] + orth
+        for cand in intlin.kernel_basis(mat or [[0] * rank]):
             w = _primitive(cand)
-            if not any(w):
-                continue
             vals = [sum(a * b for a, b in zip(w, g)) for g in gens]
-            if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
-                zero_count = _span_dimension([g for g, v in zip(gens, vals) if v == 0], rank)
-                if zero_count == dim - 1:
-                    normals.add(w)
-            w_neg = tuple(-v for v in w)
-            vals_neg = [-v for v in vals]
-            if all(v >= 0 for v in vals_neg) and any(v > 0 for v in vals_neg):
-                zero_count = _span_dimension([g for g, v in zip(gens, vals) if v == 0], rank)
-                if zero_count == dim - 1:
-                    normals.add(w_neg)
+            if not any(vals):
+                continue
+            if all(v >= 0 for v in vals):
+                sign = 1
+            elif all(v <= 0 for v in vals):
+                sign = -1
+            else:
+                continue
+            zeros = [g for g, v in zip(gens, vals) if v == 0]
+            if _span_dimension(zeros, rank) == dim - 1:
+                normals.add(tuple(sign * x for x in w))
     return sorted(normals)
 
 
@@ -138,11 +96,16 @@ def _span_orthogonal_complement(gens, rank):
     return [list(k) for k in intlin.kernel_basis(mat)]
 
 
+def in_rational_span(gens, rank, vec):
+    """Adjoining vec to the generators does not raise the rank."""
+    return _span_dimension([*gens, vec], rank) == _span_dimension(gens, rank)
+
+
 def in_cone(gens, rank, vec, normals=None):
     """Exact membership of a lattice vector in the rational cone."""
     if normals is None:
         normals = facet_normals(gens, rank)
-    if not _rational_span_solve([list(g) for g in gens], list(vec)):
+    if not in_rational_span(gens, rank, vec):
         return False
     return all(sum(a * b for a, b in zip(w, vec)) >= 0 for w in normals)
 
@@ -272,15 +235,10 @@ def minimal_primes_pc(aff):
         return [frozenset(range(len(aff.generators)))]
     fs = faces(aff)
     gens = aff.generators
-    normals = facet_normals(gens, aff.rank)
 
     def face_contains(face_idx_set, vec):
-        # vec lies on the face spanned by those generators
-        sub = [gens[i] for i in face_idx_set]
-        if not _rational_span_solve([list(g) for g in sub] or [[0] * aff.rank], list(vec)):
-            return False
-        # and within the cone of the face
-        return in_cone(sub or [tuple([0] * aff.rank)], aff.rank, vec)
+        # vec lies in the cone spanned by the face's generators
+        return in_cone([gens[i] for i in face_idx_set], aff.rank, vec)
 
     avoiding = [
         f
@@ -415,7 +373,7 @@ def intersect_localizations_check(aff):
             continue
         if not in_subgroup(basis, v):
             continue
-        if not _rational_span_solve([list(g) for g in aff.generators], list(v)):
+        if not in_rational_span(aff.generators, aff.rank, v):
             continue
         in_all_halfspaces = all(
             sum(a * b for a, b in zip(w, v)) >= 0 for w in normals

@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -222,48 +223,39 @@ class AffineMonoid:
         if self.unit_tags is not None and len(self.unit_tags) != len(self.generators):
             raise ValidationError("unit_tags must align with generators")
         self.monomial_ideal = [tuple(int(x) for x in v) for v in self.monomial_ideal]
+        self._level_sets = {}
 
     @property
     def is_pc_quotient(self):
         return bool(self.monomial_ideal)
 
     def bounded_elements(self, bound=None):
-        """All N-combinations of the generators with coefficient sum <= bound."""
+        """Every sum of at most ``bound`` generators, as a frozenset.
+
+        Built level by level: a vector joins at level d only if no earlier
+        level holds it, so each member is found at its shortest length.
+        Cached per bound, since the generators never change.
+        """
         bound = bound or self.degree_bound
-        seen = {tuple([0] * self.rank)}
-        frontier = [(tuple([0] * self.rank), 0)]
-        while frontier:
-            v, d = frontier.pop()
-            if d >= bound:
-                continue
-            for g in self.generators:
-                w = tuple(a + b for a, b in zip(v, g))
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append((w, d + 1))
-        return sorted(seen)
+        found = self._level_sets.get(bound)
+        if found is None:
+            zero = (0,) * self.rank
+            seen, level = {zero}, [zero]
+            for _ in range(bound):
+                new = []
+                for v in level:
+                    for g in self.generators:
+                        w = tuple(map(operator.add, v, g))
+                        if w not in seen:
+                            seen.add(w)
+                            new.append(w)
+                level = new
+            found = self._level_sets[bound] = frozenset(seen)
+        return found
 
     def contains(self, vec, bound=None):
-        """Bounded membership: is vec an N-combination of the generators?"""
-        bound = bound or self.degree_bound
-        vec = tuple(int(x) for x in vec)
-        target = vec
-
-        gens = self.generators
-
-        def search(v, depth, start):
-            if all(x == 0 for x in v):
-                return True
-            if depth >= bound:
-                return False
-            for idx in range(start, len(gens)):
-                g = gens[idx]
-                w = tuple(a - b for a, b in zip(v, g))
-                if search(w, depth + 1, idx):
-                    return True
-            return False
-
-        return search(target, 0, 0)
+        """Bounded membership: is vec a sum of at most ``bound`` generators?"""
+        return tuple(int(x) for x in vec) in self.bounded_elements(bound)
 
     def __repr__(self):
         return f"AffineMonoid({self.name!r}, rank={self.rank}, gens={self.generators})"
