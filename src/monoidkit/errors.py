@@ -77,5 +77,9 @@ class NotNormal(MonoidKitError):
     pass
 
 
+class OracleMismatch(MonoidKitError):
+    """A result disagreed with the independent check run against it."""
+
+
 class MissingExpectation(MonoidKitError):
     """Corpus case without a usable expectation sidecar."""

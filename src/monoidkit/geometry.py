@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import intlin
 from .abgroup import GroupPresentation, quotient_group
-from .errors import NotNormal, ValidationError
+from .errors import NotNormal, OracleMismatch, ValidationError
 from .monoids import AffineMonoid
 
 
@@ -202,7 +202,8 @@ def normalize_affine(aff):
         unit_orders=list(aff.unit_orders),
         degree_bound=aff.degree_bound,
     )
-    assert is_normal(out), "saturation output failed its own normality check"
+    if not is_normal(out):
+        raise OracleMismatch(f"saturation {out.generators} failed its own normality check")
     return out
 
 
@@ -343,7 +344,6 @@ def dv_check(aff, normal, scale=1, window=5):
     if uni is None:
         return DVReport(False, None, None)
     # bounded factorization: every localized element is unit * power
-    basis = lattice_basis_of(gens, aff.rank)
     for v in saturation_points_in_box(aff):
         if not loc_contains(v):
             continue
@@ -441,10 +441,8 @@ def seminormalize_cancellative(aff):
     the chart; computed from box generators of the exact membership."""
     if aff.is_pc_quotient:
         raise ValidationError("cancellative charts only")
-    pts = [
-        v for v in saturation_points_in_box(aff) if seminormal_membership(aff, v)
-    ]
-    gens = sorted(set(pts) | set(aff.generators))
+    exact = {v: seminormal_membership(aff, v) for v in saturation_points_in_box(aff)}
+    gens = sorted({v for v, member in exact.items() if member} | set(aff.generators))
     out = AffineMonoid(
         f"{aff.name}_sn",
         aff.rank,
@@ -453,8 +451,11 @@ def seminormalize_cancellative(aff):
         degree_bound=aff.degree_bound,
     )
     # verification window: the generated monoid matches exact membership
-    for v in saturation_points_in_box(aff):
-        assert out.contains(v) == seminormal_membership(aff, v), v
+    for v, member in exact.items():
+        if out.contains(v) != member:
+            raise OracleMismatch(
+                f"seminormalization of {aff.name} disagrees with exact membership at {v}"
+            )
     return out
 
 

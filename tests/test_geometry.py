@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from monoidkit import geometry as gm
 from monoidkit.abgroup import AbelianGroup
-from monoidkit.errors import NotNormal
+from monoidkit.errors import NotNormal, OracleMismatch
 from monoidkit.monoids import AffineMonoid
 
 
@@ -104,6 +108,44 @@ def test_seminormal_membership_oracle_agrees():
             exact = gm.seminormal_membership(aff, v)
             powers = gm.seminormal_membership_powers(aff, v)
             assert exact == powers, (aff.name, v)
+
+
+def test_seminormalization_check_catches_a_wrong_oracle(monkeypatch):
+    exact = gm.seminormal_membership
+    monkeypatch.setattr(gm, "seminormal_membership", lambda aff, v: not exact(aff, v))
+    with pytest.raises(OracleMismatch):
+        gm.seminormalize_cancellative(numeric([(2,), (3,)]))
+
+
+def test_normalization_check_catches_a_wrong_oracle(monkeypatch):
+    monkeypatch.setattr(gm, "is_normal", lambda aff: False)
+    with pytest.raises(OracleMismatch):
+        gm.normalize_affine(numeric([(2,), (3,)]))
+
+
+ORACLE_LIES_UNDER_O = """
+from monoidkit import geometry as gm
+from monoidkit.errors import OracleMismatch
+from monoidkit.monoids import AffineMonoid
+
+exact = gm.seminormal_membership
+gm.seminormal_membership = lambda aff, v: not exact(aff, v)
+try:
+    gm.seminormalize_cancellative(AffineMonoid("A", 1, [(2,), (3,)]))
+except OracleMismatch:
+    print("raised, __debug__ =", __debug__)
+"""
+
+
+def test_oracle_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gm.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", ORACLE_LIES_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised, __debug__ = False"
 
 
 def test_units_preserved_by_seminormalization():

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monoidkit import monoids as mk
 from monoidkit.errors import BoundExceeded, ZeroInS, ZeroNotPrime
@@ -324,3 +328,56 @@ def test_monogenic_basics():
     assert mk.units(m) == [0]
     assert mk.idempotents(m) == [None, 0]
     assert mk.nilpotents(m) == [None]
+
+
+# -- bounded affine membership ------------------------------------------------
+
+
+def sums_up_to(gens, bound):
+    """Brute force: sum(c_i g_i) over coefficient vectors with sum(c) <= bound."""
+    rank = len(gens[0])
+    return {
+        tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(rank))
+        for coeffs in itertools.product(range(bound + 1), repeat=len(gens))
+        if sum(coeffs) <= bound
+    }
+
+
+@st.composite
+def small_charts(draw):
+    """Rank 1-2, 2-4 generators with entries in -2..3 (zero and dependent
+    generators included), bound 2-5."""
+    rank = draw(st.integers(1, 2))
+    entry = st.integers(-2, 3)
+    gens = draw(st.lists(st.tuples(*[entry] * rank), min_size=2, max_size=4))
+    return gens, draw(st.integers(2, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_charts())
+def test_bounded_membership_matches_brute_force(chart):
+    gens, bound = chart
+    rank = len(gens[0])
+    aff = mk.AffineMonoid("A", rank, gens)
+    want = sums_up_to(gens, bound)
+    assert set(aff.bounded_elements(bound)) == want
+    assert set(aff.bounded_elements(bound - 1)) == sums_up_to(gens, bound - 1)
+    window = range(-2 * bound - 1, 3 * bound + 2)
+    for v in itertools.product(window, repeat=rank):
+        assert aff.contains(v, bound) == (v in want), v
+
+
+@pytest.mark.parametrize(
+    "gens, bound, member",
+    [
+        ([(-2,), (0,), (-2,), (1,)], 5, (-10,)),
+        ([(-2, 2), (-1, 1), (1, 2), (-1, 0)], 3, (-6, 6)),
+    ],
+)
+def test_bounded_membership_keeps_late_members(gens, bound, member):
+    # a member first reached along a long path must not be lost when a
+    # shorter path reaches it later
+    aff = mk.AffineMonoid("A", len(member), gens)
+    assert member in aff.bounded_elements(bound)
+    assert aff.contains(member, bound)
+    assert set(aff.bounded_elements(bound)) == sums_up_to(gens, bound)
