@@ -620,16 +620,20 @@ def _require_normal_charts(scheme):
 
 
 def class_group(scheme, drop_points=()):
-    """Cokernel of the divisor matrix on the height-one points."""
+    """Cokernel of the divisor matrix on the height-one points.
+
+    The rows are the divisors of a basis of the lattice the charts'
+    generators span, where every valuation is an exact integer.
+    """
     _require_normal_charts(scheme)
     points = [
         p for p in height_one_points(scheme) if p.label not in drop_points
     ]
-    d = scheme.lattice_rank
-    rows = []
-    for i in range(d):
-        e = tuple(1 if j == i else 0 for j in range(d))
-        rows.append([p.valuation(e) for p in points])
+    gens = [g for chart in scheme.charts for g in chart.generators]
+    rows = [
+        [p.valuation(b) for p in points]
+        for b in lattice_basis_of(gens, scheme.lattice_rank)
+    ]
     pres = GroupPresentation(
         len(points), rows, generator_labels=[p.label for p in points]
     )

@@ -215,6 +215,14 @@ def test_class_group_affine_space_trivial():
         assert gm.class_group(x).invariants().is_trivial
 
 
+def test_class_group_on_sublattice_charts():
+    # the generators span 2Z^2, so the divisors come from a basis of 2Z^2
+    plane = gm.affine_scheme(numeric([(2, 0), (0, 2)]))
+    assert gm.class_group(plane).invariants() == AbelianGroup(0)
+    quadric = gm.affine_scheme(numeric([(2, 0), (2, 2), (2, 4)]))
+    assert gm.class_group(quadric).invariants() == AbelianGroup(0, (2,))
+
+
 def test_class_group_requires_normal():
     x = gm.affine_scheme(numeric([(2,), (3,)]))
     with pytest.raises(NotNormal):
