@@ -66,14 +66,9 @@ def facet_normals(gens, rank):
         for cand in intlin.kernel_basis(mat or [[0] * rank]):
             w = _primitive(cand)
             vals = [sum(a * b for a, b in zip(w, g)) for g in gens]
-            if not any(vals):
-                continue
-            if all(v >= 0 for v in vals):
-                sign = 1
-            elif all(v <= 0 for v in vals):
-                sign = -1
-            else:
-                continue
+            if not any(vals) or min(vals) < 0 < max(vals):
+                continue  # w vanishes on the cone or cuts through it
+            sign = 1 if min(vals) >= 0 else -1
             zeros = [g for g, v in zip(gens, vals) if v == 0]
             if _span_dimension(zeros, rank) == dim - 1:
                 normals.add(tuple(sign * x for x in w))
@@ -97,7 +92,8 @@ def _span_orthogonal_complement(gens, rank):
 
 
 def in_rational_span(gens, rank, vec):
-    """Adjoining vec to the generators does not raise the rank."""
+    """Is vec in the rational span of the generators (adjoining it keeps
+    the rank)?"""
     return _span_dimension([*gens, vec], rank) == _span_dimension(gens, rank)
 
 
