@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Scaling sweep of the chart geometry: box scans against the cached cone.
+
+A rank-2 and a rank-3 chart are scaled by k = 1..N.  Scaling grows the
+zonotope box like k^rank, while the saturation keeps its shape, so the
+sweep shows what each box point costs.  For every scaled chart it prints
+the number of box points, the wall time of ``seminormalize_cancellative``
+plus ``normalize_affine`` on a fresh chart, and how many ``facet_normals``
+and ``intlin.rank`` calls those two made.
+
+Every span, cone, lattice and seminormal membership answer at every box
+point is then recomputed the direct way: a rank comparison, freshly
+computed facet normals, and one ``intlin.solve`` per lattice.  A mismatch
+with the cached cone raises ``RuntimeError``.
+
+Run:  python3 benchmarks/bench_geometry.py [--max-scale N] [--repeat R]
+"""
+
+import argparse
+import contextlib
+import time
+
+from monoidkit import geometry as gm
+from monoidkit import intlin
+from monoidkit.monoids import AffineMonoid
+
+CHARTS = (
+    ("xy2", [(1, 0), (0, 2), (1, 1)]),
+    ("cusp x N^2", [(2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)]),
+)
+
+
+def _dot(w, v):
+    return sum(a * b for a, b in zip(w, v))
+
+
+@contextlib.contextmanager
+def counting(*targets):
+    """Count calls of each (module, function name) while inside."""
+    counts = {name: 0 for _, name in targets}
+    saved = [(mod, name, getattr(mod, name)) for mod, name in targets]
+    for mod, name, fn in saved:
+        def wrapped(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        setattr(mod, name, wrapped)
+    try:
+        yield counts
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+
+
+def box(aff):
+    lo, hi = gm._zonotope_box(aff.generators, aff.rank)
+    return list(gm._box_points(lo, hi))
+
+
+def check_memberships(aff):
+    """Compare the cached cone's answers with the direct ones at every box
+    point; raise ``RuntimeError`` on the first difference."""
+    gens, rank = [list(g) for g in aff.generators], aff.rank
+    cone = gm.chart_cone(aff)
+    normals = gm.facet_normals(gens, rank)
+    basis = gm.lattice_basis_of(gens, rank)
+    span_rank = intlin.rank(gens)
+    for v in box(aff):
+        in_span = intlin.rank(gens + [list(v)]) == span_rank
+        in_cone = in_span and all(_dot(w, v) >= 0 for w in normals)
+        in_lattice = gm.in_subgroup(basis, v)
+        seminormal = False
+        if in_cone and in_lattice:
+            on_face = [
+                g for g in gens
+                if all(_dot(w, g) == 0 for w in normals if _dot(w, v) == 0)
+            ]
+            face_basis = gm.lattice_basis_of(on_face, rank) if on_face else []
+            seminormal = gm.in_subgroup(face_basis, v)
+        for what, want, got in (
+            ("span", in_span, cone.in_span(v)),
+            ("cone", in_cone, cone.in_cone(v)),
+            ("lattice", in_lattice, v in cone.lattice),
+            ("seminormal", seminormal, gm.seminormal_membership(aff, v)),
+        ):
+            if want != got:
+                raise RuntimeError(
+                    f"{aff.name}: {what} membership of {v} is {got} from the "
+                    f"cached cone, {want} directly"
+                )
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--max-scale", type=int, default=4)
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+
+    print(f"{'chart':12} {'scale':>5} {'box pts':>8} {'time (ms)':>10}"
+          f" {'facet_normals':>14} {'intlin.rank':>12}")
+    for label, base in CHARTS:
+        rank = len(base[0])
+        for k in range(1, args.max_scale + 1):
+            gens = [tuple(k * x for x in g) for g in base]
+            best = None
+            for _ in range(args.repeat):
+                aff = AffineMonoid(f"{label}*{k}", rank, gens)
+                with counting((gm, "facet_normals"), (intlin, "rank")) as counts:
+                    t0 = time.perf_counter()
+                    gm.seminormalize_cancellative(aff)
+                    gm.normalize_affine(aff)
+                    elapsed = time.perf_counter() - t0
+                best = elapsed if best is None else min(best, elapsed)
+            check_memberships(aff)
+            print(f"{label:12} {k:5d} {len(box(aff)):8d} {1000 * best:10.2f}"
+                  f" {counts['facet_normals']:14d} {counts['rank']:12d}")
+
+
+if __name__ == "__main__":
+    main()

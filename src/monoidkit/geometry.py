@@ -47,17 +47,23 @@ def _primitive(vec):
     return tuple(v // g for v in vec)
 
 
-def facet_normals(gens, rank):
+def _dot(w, vec):
+    return sum(a * b for a, b in zip(w, vec))
+
+
+def facet_normals(gens, rank, orth=None):
     """Primitive inner normals of the facets of the generator cone.
 
     Normals are taken inside the rational span of the generators; every
     generator pairs nonnegatively and some generator pairs positively.
+    ``orth`` is the span's orthogonal complement, when the caller has it.
     """
     gens = [tuple(g) for g in gens]
-    dim = _span_dimension(gens, rank)
+    if orth is None:
+        orth = _span_orthogonal_complement(gens, rank)
+    dim = rank - len(orth)
     if dim == 0:
         return []
-    orth = _span_orthogonal_complement(gens, rank)
     normals = set()
     # candidate hyperplanes: spans of (dim-1)-subsets of generators, kept
     # inside the generator span by the orthogonal-complement rows
@@ -65,7 +71,7 @@ def facet_normals(gens, rank):
         mat = [list(c) for c in combo] + orth
         for cand in intlin.kernel_basis(mat or [[0] * rank]):
             w = _primitive(cand)
-            vals = [sum(a * b for a, b in zip(w, g)) for g in gens]
+            vals = [_dot(w, g) for g in gens]
             if not any(vals) or min(vals) < 0 < max(vals):
                 continue  # w vanishes on the cone or cuts through it
             sign = 1 if min(vals) >= 0 else -1
@@ -91,19 +97,81 @@ def _span_orthogonal_complement(gens, rank):
     return [list(k) for k in intlin.kernel_basis(mat)]
 
 
-def in_rational_span(gens, rank, vec):
-    """Is vec in the rational span of the generators (adjoining it keeps
-    the rank)?"""
-    return _span_dimension([*gens, vec], rank) == _span_dimension(gens, rank)
+class Sublattice:
+    """The subgroup of Z^rank spanned by some vectors.
+
+    One Smith form U*B*V = D of the basis B decides membership: B*x = v
+    has an integer solution iff (U*v)_i is divisible by D_ii for every
+    basis column i and vanishes past them.
+    """
+
+    def __init__(self, gens, rank):
+        self.basis = lattice_basis_of(gens, rank)
+        if self.basis:
+            u, d, _ = intlin.snf([[c[i] for c in self.basis] for i in range(rank)])
+            self._rows = u
+            self._factors = [d[i][i] for i in range(len(self.basis))]
+        else:
+            self._rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+            self._factors = []
+
+    def __contains__(self, vec):
+        for row, d in itertools.zip_longest(self._rows, self._factors, fillvalue=0):
+            c = _dot(row, vec)
+            if (c % d if d else c):
+                return False
+        return True
 
 
-def in_cone(gens, rank, vec, normals=None):
-    """Exact membership of a lattice vector in the rational cone."""
-    if normals is None:
-        normals = facet_normals(gens, rank)
-    if not in_rational_span(gens, rank, vec):
-        return False
-    return all(sum(a * b for a, b in zip(w, vec)) >= 0 for w in normals)
+class ChartCone:
+    """A chart's generator cone and lattice, computed once from its
+    generators: the span's orthogonal complement, the facet normals, the
+    chart lattice, and the lattice of each face as it is asked for."""
+
+    def __init__(self, gens, rank):
+        self.gens = gens
+        self.rank = rank
+        self.complement = _span_orthogonal_complement(gens, rank)
+        self.normals = facet_normals(gens, rank, self.complement)
+        self.lattice = Sublattice(gens, rank)
+        self._face_lattices = {}
+
+    def in_span(self, vec):
+        """Is vec in the rational span of the generators?"""
+        return not any(_dot(w, vec) for w in self.complement)
+
+    def in_cone(self, vec):
+        """Is vec in the rational cone of the generators?"""
+        return self.in_span(vec) and all(_dot(w, vec) >= 0 for w in self.normals)
+
+    def in_face(self, gen_indices, vec):
+        """Is vec in the face whose generators are ``gen_indices``?  The
+        face is the cone cut by every normal vanishing on them."""
+        return self.in_cone(vec) and all(
+            _dot(w, vec) == 0
+            for w in self.normals
+            if all(_dot(w, self.gens[i]) == 0 for i in gen_indices)
+        )
+
+    def face_lattice(self, face):
+        """Lattice of the generators on which the normals indexed by
+        ``face`` all vanish."""
+        lat = self._face_lattices.get(face)
+        if lat is None:
+            on_face = [
+                g for g in self.gens
+                if all(_dot(self.normals[i], g) == 0 for i in face)
+            ]
+            lat = self._face_lattices[face] = Sublattice(on_face, self.rank)
+        return lat
+
+
+def chart_cone(aff):
+    """The chart's cone record, built on first use and kept on the chart
+    (its generators never change)."""
+    if aff._cone is None:
+        aff._cone = ChartCone(aff.generators, aff.rank)
+    return aff._cone
 
 
 def _zonotope_box(gens, rank):
@@ -119,18 +187,12 @@ def _box_points(lo, hi):
 
 def saturation_points_in_box(aff):
     """Lattice points of the saturation inside the fundamental zonotope box."""
-    gens = aff.generators
-    rank = aff.rank
-    normals = facet_normals(gens, rank)
-    basis = lattice_basis_of(gens, rank)
-    lo, hi = _zonotope_box(gens, rank)
-    out = []
-    for v in _box_points(lo, hi):
-        if not any(v):
-            continue
-        if in_cone(gens, rank, v, normals) and in_subgroup(basis, v):
-            out.append(tuple(v))
-    return sorted(out)
+    cone = chart_cone(aff)
+    lo, hi = _zonotope_box(aff.generators, aff.rank)
+    return sorted(
+        v for v in _box_points(lo, hi)
+        if any(v) and cone.in_cone(v) and v in cone.lattice
+    )
 
 
 def hilbert_basis(aff):
@@ -210,17 +272,14 @@ def normalize_affine(aff):
 def faces(aff):
     """Faces of the generator cone, as generator index subsets."""
     gens = aff.generators
-    normals = facet_normals(gens, aff.rank)
+    normals = chart_cone(aff).normals
     seen = {}
     for r in range(len(normals) + 1):
         for combo in itertools.combinations(range(len(normals)), r):
             on_face = frozenset(
                 i
                 for i, g in enumerate(gens)
-                if all(
-                    sum(a * b for a, b in zip(normals[t], g)) == 0
-                    for t in combo
-                )
+                if all(_dot(normals[t], g) == 0 for t in combo)
             )
             seen.setdefault(on_face, combo)
     return sorted(seen.keys(), key=lambda s: (len(s), sorted(s)))
@@ -230,17 +289,11 @@ def minimal_primes_pc(aff):
     """Maximal faces avoiding every monomial-ideal generator."""
     if not aff.is_pc_quotient:
         return [frozenset(range(len(aff.generators)))]
-    fs = faces(aff)
-    gens = aff.generators
-
-    def face_contains(face_idx_set, vec):
-        # vec lies in the cone spanned by the face's generators
-        return in_cone([gens[i] for i in face_idx_set], aff.rank, vec)
-
+    cone = chart_cone(aff)
     avoiding = [
         f
-        for f in fs
-        if all(not face_contains(f, v) for v in aff.monomial_ideal)
+        for f in faces(aff)
+        if not any(cone.in_face(f, v) for v in aff.monomial_ideal)
     ]
     maximal = [
         f
@@ -282,13 +335,12 @@ def global_sections_contains(components, tuples_vec):
 
 def chart_valuations(aff):
     """(normal, scale) pairs: v(m) = <normal, m> / scale on the chart lattice."""
-    normals = facet_normals(aff.generators, aff.rank)
-    basis = lattice_basis_of(aff.generators, aff.rank)
+    cone = chart_cone(aff)
     out = []
     from math import gcd
 
-    for w in normals:
-        vals = [sum(a * b for a, b in zip(w, col)) for col in basis]
+    for w in cone.normals:
+        vals = [_dot(w, col) for col in cone.lattice.basis]
         g = 0
         for v in vals:
             g = gcd(g, abs(v))
@@ -310,9 +362,7 @@ def dv_check(aff, normal, scale=1, window=5):
     checks the unit-times-power factorization on a degree window.
     """
     gens = aff.generators
-    face_gens = [
-        g for g in gens if sum(a * b for a, b in zip(normal, g)) == 0
-    ]
+    face_gens = [g for g in gens if _dot(normal, g) == 0]
 
     def loc_contains(vec):
         # vec = s + z with s in S and z in the group on the face
@@ -329,18 +379,19 @@ def dv_check(aff, normal, scale=1, window=5):
         return False
 
     def value(vec):
-        return sum(a * b for a, b in zip(normal, vec)) // scale
+        return _dot(normal, vec) // scale
 
     # find a uniformizer: bounded scan over the saturation box
+    box = saturation_points_in_box(aff)
     uni = None
-    for v in saturation_points_in_box(aff):
+    for v in box:
         if value(v) == 1 and loc_contains(v):
             uni = v
             break
     if uni is None:
         return DVReport(False, None, None)
     # bounded factorization: every localized element is unit * power
-    for v in saturation_points_in_box(aff):
+    for v in box:
         if not loc_contains(v):
             continue
         k = value(v)
@@ -360,22 +411,13 @@ class IntersectionReport:
 def intersect_localizations_check(aff):
     """Bounded window: membership in the chart equals nonnegativity at
     every facet valuation (the hallmark of normal charts)."""
-    normals = facet_normals(aff.generators, aff.rank)
-    basis = lattice_basis_of(aff.generators, aff.rank)
+    cone = chart_cone(aff)
     lo, hi = _zonotope_box(aff.generators, aff.rank)
     witnesses = []
     for v in _box_points(lo, hi):
-        if not any(v):
+        if not any(v) or v not in cone.lattice or not cone.in_span(v):
             continue
-        if not in_subgroup(basis, v):
-            continue
-        if not in_rational_span(aff.generators, aff.rank, v):
-            continue
-        in_all_halfspaces = all(
-            sum(a * b for a, b in zip(w, v)) >= 0 for w in normals
-        )
-        member = aff.contains(v)
-        if in_all_halfspaces != member:
+        if cone.in_cone(v) != aff.contains(v):
             witnesses.append(tuple(v))
     return IntersectionReport(not witnesses, sorted(witnesses))
 
@@ -384,33 +426,17 @@ def intersect_localizations_check(aff):
 # seminormalization
 
 
-def _face_of_point(aff, vec, normals):
-    return tuple(
-        i
-        for i, w in enumerate(normals)
-        if sum(a * b for a, b in zip(w, vec)) == 0
-    )
+def _face_of_point(vec, normals):
+    return tuple(i for i, w in enumerate(normals) if _dot(w, vec) == 0)
 
 
 def seminormal_membership(aff, vec):
     """Exact: vec belongs to the seminormalization iff it lies in the
     subgroup generated by the chart elements on its own face."""
-    normals = facet_normals(aff.generators, aff.rank)
-    basis = lattice_basis_of(aff.generators, aff.rank)
-    if not in_cone(aff.generators, aff.rank, vec, normals):
+    cone = chart_cone(aff)
+    if not (cone.in_cone(vec) and vec in cone.lattice):
         return False
-    if not in_subgroup(basis, vec):
-        return False
-    t = _face_of_point(aff, vec, normals)
-    face_gens = [
-        g
-        for g in aff.generators
-        if all(
-            sum(a * b for a, b in zip(normals[i], g)) == 0 for i in t
-        )
-    ]
-    face_basis = lattice_basis_of(face_gens, aff.rank) if face_gens else []
-    return in_subgroup(face_basis, vec)
+    return vec in cone.face_lattice(_face_of_point(vec, cone.normals))
 
 
 def seminormal_membership_powers(aff, vec, kmax=None):
@@ -458,15 +484,12 @@ def seminormalize_cancellative(aff):
 def unit_lattice_of_chart(aff):
     """Basis (columns) of the unit sublattice: lineality of the cone
     intersected with the chart lattice."""
-    normals = facet_normals(aff.generators, aff.rank)
-    basis = lattice_basis_of(aff.generators, aff.rank)
+    cone = chart_cone(aff)
+    basis = cone.lattice.basis
     if not basis:
         return []
     k = len(basis)
-    rows = [
-        [sum(w[i] * basis[j][i] for i in range(aff.rank)) for j in range(k)]
-        for w in normals
-    ]
+    rows = [[_dot(w, col) for col in basis] for w in cone.normals]
     if not rows:
         coeff_kernel = [
             [1 if i == j else 0 for i in range(k)] for j in range(k)
@@ -580,7 +603,7 @@ class HeightOnePoint:
     chart_indices: tuple
 
     def valuation(self, vec):
-        return sum(a * b for a, b in zip(self.normal, vec)) // self.scale
+        return _dot(self.normal, vec) // self.scale
 
 
 def height_one_points(scheme):

@@ -224,6 +224,7 @@ class AffineMonoid:
             raise ValidationError("unit_tags must align with generators")
         self.monomial_ideal = [tuple(int(x) for x in v) for v in self.monomial_ideal]
         self._level_sets = {}
+        self._cone = None  # geometry.chart_cone builds it on first use
 
     @property
     def is_pc_quotient(self):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import asets as ak
 from . import spectra as sp
 from .abgroup import AbelianGroup, GroupPresentation
-from .errors import NotNilpotent
+from .errors import NotNilpotent, OracleMismatch
 from .monoids import FiniteMonoid, ZERO, idempotents, quotient as monoid_quotient, units
 from .monoids import localize
 
@@ -155,7 +155,10 @@ def decompose_projective(x):
     dec = ProjectiveDecomposition(m, sorted(found))
     rebuilt = ak.wedge([cyclic_on_idempotent(m, e) for e in dec.idempotent_multiset]) \
         if dec.idempotent_multiset else ak.sub_aset(ak.aset_from_monoid(m), [0])
-    assert ak.is_isomorphic(x, rebuilt), "decomposition does not rebuild the input"
+    if not ak.is_isomorphic(x, rebuilt):
+        raise OracleMismatch(
+            f"idempotent multiset {dec.names()} does not rebuild {x.name}"
+        )
     return dec
 
 
@@ -223,7 +226,11 @@ def projectives_isomorphic(p_aset, q_aset):
     by_rank = rank_vector(p_aset) == rank_vector(q_aset)
     by_multiset = dp.idempotent_multiset == dq.idempotent_multiset
     by_search = ak.is_isomorphic(p_aset, q_aset)
-    assert by_rank == by_multiset == by_search
+    if not by_rank == by_multiset == by_search:
+        raise OracleMismatch(
+            f"{p_aset.name} vs {q_aset.name}: rank vectors say {by_rank}, "
+            f"idempotent multisets {by_multiset}, isomorphism search {by_search}"
+        )
     return by_rank
 
 
@@ -391,7 +398,11 @@ def k1_bruteforce(m, copies):
     # sanity: the group order matches |units|^n * n!
     order = len(elements)
     expect = (len(units(m)) ** copies) * _factorial(copies)
-    assert order == expect, (order, expect)
+    if order != expect:
+        raise OracleMismatch(
+            f"Aut of {copies} copies of {m.name} has order {order}, "
+            f"|units|^n * n! = {expect}"
+        )
     return abelianization_invariants(elements, compose)
 
 

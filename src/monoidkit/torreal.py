@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import _kernels, asets as ak, homological as hm, intlin
 from .abgroup import AbelianGroup
-from .errors import HypothesisViolated, NotAComplex
+from .errors import HypothesisViolated, NotAComplex, OracleMismatch
 from .monoids import MonogenicMonoid
 
 
@@ -283,7 +283,10 @@ def tor1_monogenic(x, k):
     components = len(set(reps))
     graph = len(edges) - n + components
     report = TorRankReport(formula, graph)
-    assert report.agree, (formula, graph)
+    if not report.agree:
+        raise OracleMismatch(
+            f"Tor_1 rank of t^{k}: formula gives {formula}, graph cycle rank {graph}"
+        )
     return report
 
 

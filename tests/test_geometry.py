@@ -1,10 +1,14 @@
+import itertools
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from monoidkit import geometry as gm
+from monoidkit import intlin
 from monoidkit.abgroup import AbelianGroup
 from monoidkit.errors import NotNormal, OracleMismatch
 from monoidkit.monoids import AffineMonoid
@@ -124,16 +128,29 @@ def test_normalization_check_catches_a_wrong_oracle(monkeypatch):
 
 
 ORACLE_LIES_UNDER_O = """
-from monoidkit import geometry as gm
+import types
+
+from monoidkit import asets as ak, geometry as gm, monoids as mk, projk as pk, torreal as tr
 from monoidkit.errors import OracleMismatch
-from monoidkit.monoids import AffineMonoid
+
+
+def caught(module, run):
+    try:
+        run()
+    except OracleMismatch:
+        print(module, "raised")
+
 
 exact = gm.seminormal_membership
 gm.seminormal_membership = lambda aff, v: not exact(aff, v)
-try:
-    gm.seminormalize_cancellative(AffineMonoid("A", 1, [(2,), (3,)]))
-except OracleMismatch:
-    print("raised, __debug__ =", __debug__)
+caught("geometry", lambda: gm.seminormalize_cancellative(mk.AffineMonoid("A", 1, [(2,), (3,)])))
+# every point its own component: the graph's cycle rank loses the kernel
+tr._kernels = types.SimpleNamespace(connected_components=lambda n, edges: list(range(n)))
+caught("torreal", lambda: tr.tor1_monogenic(ak.aset_from_theta([0, 2, 0]), 1))
+# a second unit doubles the expected automorphism group order
+pk.units = lambda m: [1, 1]
+caught("projk", lambda: pk.k1_bruteforce(mk.build_from_presentation([], [], name="F1"), 1))
+print("__debug__ =", __debug__)
 """
 
 
@@ -145,7 +162,9 @@ def test_oracle_checks_survive_python_O():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised, __debug__ = False"
+    assert proc.stdout.split("\n")[:-1] == [
+        "geometry raised", "torreal raised", "projk raised", "__debug__ = False",
+    ]
 
 
 def test_units_preserved_by_seminormalization():
@@ -315,3 +334,128 @@ def test_cartier_of_affine():
     cart = gm.cartier_group(x)
     # generic units modulo chart units: the full lattice here
     assert cart == AbelianGroup(2)
+
+
+# -- the cached cone against direct rank/solve answers -------------------------
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+class DirectChart:
+    """Membership answered without the cached cone: span by a rank
+    comparison, lattice by one solve per vector, cone by Caratheodory
+    (v is a nonnegative combination of some basis of the span chosen
+    among the generators, with coefficients from Cramer's rule)."""
+
+    def __init__(self, gens, rank):
+        self.gens = [list(g) for g in gens]
+        self.rank = rank
+        self.dim = intlin.rank(self.gens) if gens else 0
+        self.simplices = []
+        for basis in itertools.combinations(gens, self.dim):
+            for rows in itertools.combinations(range(rank), self.dim):
+                square = [[b[r] for b in basis] for r in rows]
+                det = _det(square)
+                if det:
+                    self.simplices.append((rows, square, det))
+                    break
+
+    def in_span(self, v):
+        if not self.gens:
+            return not any(v)
+        return intlin.rank(self.gens + [list(v)]) == self.dim
+
+    def in_lattice(self, v):
+        if not self.gens:
+            return not any(v)
+        mat = [[g[i] for g in self.gens] for i in range(self.rank)]
+        return intlin.solve(mat, list(v)) is not None
+
+    def in_cone(self, v):
+        if not self.in_span(v):
+            return False
+        for rows, square, det in self.simplices:
+            vr = [v[r] for r in rows]
+            if all(
+                det * _det([row[:j] + [x] + row[j + 1:] for row, x in zip(square, vr)]) >= 0
+                for j in range(self.dim)
+            ):
+                return True
+        return False
+
+
+@st.composite
+def cone_charts(draw):
+    rank = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * rank)
+    gens = draw(st.lists(vec, min_size=0, max_size=5))
+    sums = st.lists(st.integers(0, max(len(gens) - 1, 0)), min_size=1, max_size=3)
+    ideal = [
+        tuple(sum(gens[i][k] for i in idx) if gens else 0 for k in range(rank))
+        for idx in draw(st.lists(sums, min_size=1, max_size=2))
+    ]
+    return rank, gens, ideal
+
+
+@settings(max_examples=60, deadline=None)
+@given(cone_charts())
+@example((2, [(1, 1), (2, 2)], [(1, 1)]))  # lower-dimensional cone
+@example((2, [(2, 0), (0, 1)], [(2, 1)]))  # faces with different lattices
+@example((2, [(2, 0), (0, 2), (0, 0)], [(2, 2)]))  # sublattice, zero generator
+@example((3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1)], [(0, 1, 1)]))  # unit direction
+@example((1, [], [(0,)]))
+def test_cached_cone_matches_direct_answers(chart):
+    rank, gens, ideal = chart
+    aff = AffineMonoid("C", rank, gens)
+    cone = gm.chart_cone(aff)
+    assert gm.chart_cone(aff) is cone
+    assert cone.normals == gm.facet_normals(gens, rank)
+    direct = DirectChart(gens, rank)
+    fs = gm.faces(aff)
+    face_charts = {f: DirectChart([gens[i] for i in sorted(f)], rank) for f in fs}
+    for f, sub in face_charts.items():
+        # a face holds every generator in its own cone
+        assert all(i in f for i, g in enumerate(gens) if sub.in_cone(g)), f
+    lo, hi = gm._zonotope_box(gens, rank)
+    for v in gm._box_points(lo, hi):
+        assert cone.in_span(v) == direct.in_span(v), v
+        assert (v in cone.lattice) == direct.in_lattice(v), v
+        in_cone = direct.in_cone(v)
+        assert cone.in_cone(v) == in_cone, v
+        holders = [f for f, sub in face_charts.items() if in_cone and sub.in_cone(v)]
+        for f in fs:
+            assert cone.in_face(f, v) == (f in holders), (f, v)
+        if not in_cone:
+            continue
+        # the smallest face holding v is the face of v
+        own = min(holders, key=len)
+        on_face = face_charts[own].in_lattice(v)
+        t = gm._face_of_point(v, cone.normals)
+        assert (v in cone.face_lattice(t)) == on_face, v
+        assert gm.seminormal_membership(aff, v) == (direct.in_lattice(v) and on_face), v
+
+    pc = AffineMonoid("P", rank, gens, monomial_ideal=ideal)
+    avoiding = [
+        f for f in fs
+        if not any(face_charts[f].in_cone(v) for v in ideal)
+    ]
+    want = sorted((f for f in avoiding if not any(f < g for g in avoiding)), key=sorted)
+    assert gm.faces(pc) == fs
+    assert gm.minimal_primes_pc(pc) == want
+
+    # the count does not depend on the bound; bound 1 keeps the
+    # verification window to the seminormalization's own generators
+    fresh = AffineMonoid("S", rank, gens, degree_bound=1)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        normals = gm.facet_normals
+        mp.setattr(gm, "facet_normals", lambda *a: calls.append(a) or normals(*a))
+        gm.seminormalize_cancellative(fresh)
+    assert len(calls) == 1
