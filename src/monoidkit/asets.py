@@ -18,6 +18,7 @@ from .errors import (
     BoundExceeded,
     NotAES,
     NotASubset,
+    OracleMismatch,
     UnsupportedBackend,
     ValidationError,
     ZeroInS,
@@ -365,7 +366,7 @@ def quotient_by_subset(x, subset, name=None):
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, cokernels
+# kernels and images
 
 
 def kernel_aset(f):
@@ -374,11 +375,6 @@ def kernel_aset(f):
 
 def image_aset(f):
     return sub_aset(f.target, sorted(set(f.mapping)), name=f"im({f.source.name})")
-
-
-def cokernel_aset(f):
-    q, proj = quotient_by_subset(f.target, sorted(set(f.mapping)))
-    return q, proj
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +513,6 @@ def aset_generators(x):
     for p in x.nonzero():
         if p not in covered:
             gens.append(p)
-            for t in _element_tables(x):
-                covered.add(t[p])
             covered |= _orbit(x, p)
     return gens
 
@@ -537,85 +531,74 @@ def _orbit(x, p):
     return out
 
 
-def _element_tables(x):
-    if isinstance(x.base, MonogenicMonoid):
-        tables = []
-        t = list(range(len(x.carrier)))
-        for _ in range(len(x.carrier)):
-            t = [x.theta[p] for p in t]
-            tables.append(t)
-        return tables
-    return [x.action[a] for a in x.base.indices()]
+def _equivariant_maps(x, y, candidates=None, deadline=None):
+    """Every based equivariant map X -> Y, as carrier lists, depth first.
 
-
-def hom_enumerate(x, y, deadline=None):
-    """All based equivariant maps, canonically sorted."""
+    A map is fixed by its values on ``aset_generators(x)``; generator ``g``
+    takes its value from ``candidates(g)`` (all of Y when None), in that
+    order.  Each partial map is closed under the generator tables only.
+    That is equivariance for every monoid element on validated inputs:
+    every nonzero element of a finite base is a generator word (the
+    ``NonGenerating`` check), the zero element sends everything to the
+    basepoint, and the monogenic base has the single table theta.
+    """
     gens = aset_generators(x)
-    x_tables = _element_tables(x)
-    y_tables = _element_tables(y)
-    n = len(x.carrier)
-    results = []
+    tables = list(zip(x.gen_tables(), y.gen_tables()))
+    everything = range(len(y.carrier))
 
-    def propagate(mapping, gen, img):
-        """Assign f(gen) = img and close under the action; None on clash."""
+    def extend(mapping, p, img):
+        """Copy with f(p) = img, closed under the tables; None on a clash."""
         mapping = list(mapping)
-        if mapping[gen] not in (None, img):
-            return None
-        mapping[gen] = img
-        for t_x, t_y in zip(x_tables, y_tables):
-            src = t_x[gen]
-            dst = t_y[img]
-            if mapping[src] is None:
-                mapping[src] = dst
-            elif mapping[src] != dst:
-                return None
-        return mapping
-
-    def close(mapping):
-        # iterate until stable: equivariance for every element action
-        changed = True
-        while changed:
-            changed = False
-            for t_x, t_y in zip(x_tables, y_tables):
-                for p in range(n):
-                    if mapping[p] is None:
-                        continue
-                    src = t_x[p]
-                    dst = t_y[mapping[p]]
-                    if mapping[src] is None:
-                        mapping[src] = dst
-                        changed = True
-                    elif mapping[src] != dst:
-                        return None
+        mapping[p] = img
+        frontier = [p]
+        while frontier:
+            q = frontier.pop()
+            for t_x, t_y in tables:
+                src, dst = t_x[q], t_y[mapping[q]]
+                if mapping[src] is None:
+                    mapping[src] = dst
+                    frontier.append(src)
+                elif mapping[src] != dst:
+                    return None
         return mapping
 
     def rec(k, mapping):
         if deadline is not None and time.monotonic() > deadline:
             raise BoundExceeded("hom enumeration deadline exceeded")
         if k == len(gens):
-            if all(v is not None for v in mapping):
-                results.append(list(mapping))
+            yield mapping
             return
         g = gens[k]
         if mapping[g] is not None:
-            rec(k + 1, mapping)
+            yield from rec(k + 1, mapping)
             return
-        for img in range(len(y.carrier)):
-            nxt = propagate(mapping, g, img)
-            if nxt is None:
-                continue
-            nxt = close(nxt)
-            if nxt is None:
-                continue
-            rec(k + 1, nxt)
+        for img in everything if candidates is None else candidates(g):
+            nxt = extend(mapping, g, img)
+            if nxt is not None:
+                yield from rec(k + 1, nxt)
 
-    start = [None] * n
-    start[0] = 0
-    start = close(start)
+    start = extend([None] * len(x.carrier), 0, 0)
     if start is not None:
-        rec(0, start)
-    uniq = sorted(set(tuple(r) for r in results))
-    return [ASetMorphism(x, y, list(r)) for r in uniq]
+        yield from rec(0, start)
+
+
+def hom_enumerate(x, y, deadline=None):
+    """All based equivariant maps, canonically sorted."""
+    maps = sorted(set(map(tuple, _equivariant_maps(x, y, deadline=deadline))))
+    return [ASetMorphism(x, y, list(r)) for r in maps]
+
+
+def section(f):
+    """A morphism s with f . s = id, or None when f has no section.
+
+    Each generator of the target takes its value in its own fiber under
+    ``f``; since ``f`` is equivariant, f . s then fixes every point.
+    """
+    fibers = [[] for _ in f.target.carrier]
+    for i, v in enumerate(f.mapping):
+        fibers[v].append(i)
+    s = next(_equivariant_maps(f.target, f.source, candidates=fibers.__getitem__), None)
+    return None if s is None else ASetMorphism(f.target, f.source, s)
 
 
 def hom_aset(x, y):
@@ -884,7 +867,11 @@ def _loc_representatives(m, loc, hom, s):
             li = loc.table[img_a][inv_t]
             out.setdefault(li, (a, t))
     missing = [li for li in loc.indices() if li not in out]
-    assert not missing, f"unreached localized elements {missing}"
+    if missing:
+        raise OracleMismatch(
+            f"no fraction a/s reaches the localized elements "
+            f"{[loc.elements[li] for li in missing]}"
+        )
     return out
 
 
@@ -903,15 +890,6 @@ def ann_aset(x):
         for a in m.indices()
         if all(x.act(a, p) == 0 for p in range(len(x.carrier)))
     )
-
-
-def ideal_times_aset(x, ideal_elements):
-    """The A-subset I.X."""
-    out = {0}
-    for a in ideal_elements:
-        for p in range(len(x.carrier)):
-            out.add(x.act(a, p))
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,21 +1063,19 @@ def split_check(g, f):
     """Does 0 -> X -> Y -> Z -> 0 split?  Reports all four witnesses."""
     validate_aes(g, f)
     x, y, z = g.source, g.target, f.target
-    sections = [
-        s for s in hom_enumerate(z, y) if f.compose(s).mapping == list(range(len(z.carrier)))
-    ]
+    sec = section(f)
     retractions = [
         r for r in hom_enumerate(y, x) if r.compose(g).mapping == list(range(len(x.carrier)))
     ]
     wedge_iso = is_isomorphic(y, wedge([x, z]))
-    has_section = bool(sections)
+    has_section = sec is not None
     has_adm_retr = any(r.is_admissible() for r in retractions)
-    assert has_section == wedge_iso == has_adm_retr, (
-        "splitting criteria disagree",
-        has_section,
-        wedge_iso,
-        has_adm_retr,
-    )
+    if not has_section == wedge_iso == has_adm_retr:
+        raise OracleMismatch(
+            f"splitting criteria disagree: section "
+            f"{sec.mapping if has_section else None}, Y = X v Z {wedge_iso}, "
+            f"admissible retraction {has_adm_retr}"
+        )
     return SplitReport(
         splits=has_section,
         has_section=has_section,

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import asets as ak
-from .errors import ValidationError
+from .errors import OracleMismatch, ValidationError
 from .monoids import FiniteMonoid, ZERO
 
 
@@ -132,7 +132,11 @@ def ext_enumerate(x, y):
         ext = _materialize(m, x, y, z, phi)
         # round trip: the action on torsion pairs recovers phi
         for (a, p), v in ext.phi_table.items():
-            assert phi(z.pair_index[(a, p)]) == v
+            w = phi(z.pair_index[(a, p)])
+            if w != v:
+                raise OracleMismatch(
+                    f"extension acts on torsion pair {(a, p)} by {v}, phi by {w}"
+                )
         out.append(ext)
     return out
 
@@ -326,11 +330,13 @@ def squarezero_enumerate(m, x):
     ):
         f = {pr: v for pr, v in zip(pairs, combo) if v}
         table = squarezero_table(m, x, f)
-        if table.is_associative():
-            assert is_cocycle(m, x, f), "associative but not a cocycle"
+        associative = table.is_associative()
+        if associative != is_cocycle(m, x, f):
+            raise OracleMismatch(
+                f"cochain {f}: associative {associative}, cocycle {not associative}"
+            )
+        if associative:
             results.append((f, table))
-        else:
-            assert not is_cocycle(m, x, f), "cocycle but not associative"
     return results
 
 

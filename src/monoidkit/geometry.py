@@ -195,26 +195,6 @@ def saturation_points_in_box(aff):
     )
 
 
-def hilbert_basis(aff):
-    """Generators of the saturation of a pointed cone (no unit directions):
-    the box points irreducible inside the saturation."""
-    pts = saturation_points_in_box(aff)
-    pset = set(pts)
-    basis = []
-    for v in pts:
-        reducible = False
-        for u in pts:
-            if u == v:
-                continue
-            w = tuple(a - b for a, b in zip(v, u))
-            if w in pset:
-                reducible = True
-                break
-        if not reducible:
-            basis.append(v)
-    return sorted(basis)
-
-
 def saturation_generators(aff):
     """Generating set of the saturation, units included.
 

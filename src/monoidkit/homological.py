@@ -19,6 +19,7 @@ from .errors import (
     CapExceeded,
     NotAComplex,
     NotReduced,
+    OracleMismatch,
     TruncationTooLow,
     ValidationError,
 )
@@ -221,30 +222,20 @@ def _congruence_generators(x, eps_mapping):
     verified to reproduce the full fiber partition.
     """
     n = len(x.carrier)
-    full = ak.congruence_closure_naive(
-        x, _fiber_pairs(eps_mapping, n, include_diagonal=False)
-    ).reps
+    fiber_pairs = _fiber_pairs(eps_mapping, n, include_diagonal=False)
+    full = ak.congruence_closure_naive(x, fiber_pairs).reps
 
     chosen = []
     reps = list(range(n))
-
-    def find(p):
-        while reps[p] != p:
-            reps[p] = reps[reps[p]]
-            p = reps[p]
-        return p
-
-    candidates = sorted(
-        (p, q)
-        for p, q in _fiber_pairs(eps_mapping, n, include_diagonal=False)
-        if p != q
-    )
-    for p, q in candidates:
-        if find(p) != find(q):
+    for p, q in sorted(fiber_pairs):
+        if reps[p] != reps[q]:
             chosen.append((p, q))
-            cong = ak.congruence_closure(x, chosen)
-            reps = list(cong.reps)
-    assert reps == list(full), "generator search failed to close the congruence"
+            reps = ak.congruence_closure(x, chosen).reps
+    if reps != full:
+        raise OracleMismatch(
+            f"generators {chosen} close to {reps}, the fibers of {eps_mapping} "
+            f"to {full}"
+        )
     return chosen
 
 

@@ -646,29 +646,6 @@ def congruence_from_pairs(m, pairs):
     return MonoidCongruence(m, reps)
 
 
-def congruence_from_classes(m, classes):
-    idx_classes = [
-        sorted(c if isinstance(c, int) else m.index_of(c) for c in cls)
-        for cls in classes
-    ]
-    pairs = []
-    for cls in idx_classes:
-        pairs.extend((cls[0], other) for other in cls[1:])
-    cong = congruence_from_pairs(m, pairs)
-    given = {}
-    for cls in idx_classes:
-        for x in cls:
-            given[x] = cls[0]
-    n = len(m.elements)
-    for x in range(n):
-        given.setdefault(x, x)
-    for x in range(n):
-        for y in range(x + 1, n):
-            if (given[x] == given[y]) != (cong.reps[x] == cong.reps[y]):
-                raise NotACongruence("given partition is not multiplication-stable")
-    return cong
-
-
 def quotient(m, by):
     """Quotient by a congruence or by an ideal (elements sent to zero).
 

@@ -50,63 +50,7 @@ def counit(x):
 
 def counit_section(x):
     """A section of the counit, or None; existence characterizes projectives."""
-    ev = counit(x)
-    free = ev.source
-    fibers = {p: [] for p in range(len(x.carrier))}
-    for i, v in enumerate(ev.mapping):
-        fibers[v].append(i)
-    gens = ak.aset_generators(x)
-    n = len(x.carrier)
-    x_tables = ak._element_tables(x)
-    f_tables = ak._element_tables(free)
-
-    def close(mapping):
-        changed = True
-        while changed:
-            changed = False
-            for t_x, t_f in zip(x_tables, f_tables):
-                for p in range(n):
-                    if mapping[p] is None:
-                        continue
-                    src, dst = t_x[p], t_f[mapping[p]]
-                    if mapping[src] is None:
-                        mapping[src] = dst
-                        changed = True
-                    elif mapping[src] != dst:
-                        return None
-        for p in range(n):
-            if mapping[p] is not None and ev.mapping[mapping[p]] != p:
-                return None
-        return mapping
-
-    def rec(k, mapping):
-        if k == len(gens):
-            if all(v is not None for v in mapping):
-                return list(mapping)
-            return None
-        g = gens[k]
-        if mapping[g] is not None:
-            return rec(k + 1, mapping)
-        for img in fibers[g]:
-            nxt = list(mapping)
-            nxt[g] = img
-            nxt = close(nxt)
-            if nxt is None:
-                continue
-            out = rec(k + 1, nxt)
-            if out is not None:
-                return out
-        return None
-
-    start = [None] * n
-    start[0] = 0
-    start = close(start)
-    if start is None:
-        return None
-    sec = rec(0, start)
-    if sec is None:
-        return None
-    return ak.ASetMorphism(x, free, sec)
+    return ak.section(counit(x))
 
 
 def wedge_components(x):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ImproperIdeal
+from .errors import ImproperIdeal, OracleMismatch
 from .monoids import FiniteMonoid, ZERO, quotient as monoid_quotient
 
 
@@ -65,12 +65,6 @@ def minimal_ideal_generators(m, elements):
             covered |= {m.table[a][x] for a in m.indices()}
             covered.add(x)
     return gens
-
-
-def is_ideal(m, elements):
-    if ZERO not in elements:
-        return False
-    return all(m.table[a][x] in elements for x in elements for a in m.indices())
 
 
 def all_ideals(m):
@@ -163,7 +157,6 @@ def mspec(m):
             if is_prime(m, ideal):
                 primes.append(ideal)
     primes.sort(key=lambda i: (len(i.elements), i.sorted_elements()))
-    assert len(primes) <= 2 ** len(gens)
     return primes
 
 
@@ -228,7 +221,9 @@ def nilradical(m):
         inter &= p.elements
     from .monoids import nilpotents
 
-    assert sorted(inter) == nilpotents(m)
+    nil = nilpotents(m)
+    if sorted(inter) != nil:
+        raise OracleMismatch(f"primes intersect to {sorted(inter)}, nilpotents are {nil}")
     return Ideal(m, frozenset(inter))
 
 
@@ -237,16 +232,6 @@ def _intersect(ideals):
     for i in ideals[1:]:
         els &= i.elements
     return els
-
-
-def is_irreducible(m, ideal, lattice=None):
-    """No pair of strictly larger ideals intersects to this one."""
-    lattice = lattice if lattice is not None else all_ideals(m)
-    above = [i for i in lattice if ideal.elements < i.elements]
-    for a, b in itertools.combinations(above, 2):
-        if a.elements & b.elements == ideal.elements:
-            return False
-    return True
 
 
 def primary_decomposition(m, ideal):
@@ -286,8 +271,12 @@ def primary_decomposition(m, ideal):
                 break
     components = _dedupe(components)
     for c in components:
-        assert is_primary(m, c), f"component {c} is not primary"
-    assert _intersect(components) == ideal.elements
+        if not is_primary(m, c):
+            raise OracleMismatch(f"component {c} of {ideal} is not primary")
+    if _intersect(components) != ideal.elements:
+        raise OracleMismatch(
+            f"components {[str(c) for c in components]} do not intersect to {ideal}"
+        )
     components.sort(key=lambda i: (len(i.elements), i.sorted_elements()))
     return components
 
@@ -321,11 +310,11 @@ def associated_primes(m, ideal):
     via_components = {
         radical(m, c).elements for c in primary_decomposition(m, ideal)
     }
-    assert via_radquot == via_quot == via_components, (
-        via_radquot,
-        via_quot,
-        via_components,
-    )
+    if not via_radquot == via_quot == via_components:
+        raise OracleMismatch(
+            f"associated primes of {ideal} disagree: rad(I:a) {via_radquot}, "
+            f"prime (I:a) {via_quot}, radicals of components {via_components}"
+        )
     return sorted(
         (Ideal(m, e) for e in via_radquot),
         key=lambda i: (len(i.elements), i.sorted_elements()),
@@ -381,7 +370,9 @@ def tensor_ideal_decomposition(a, b, ab, k_ideal):
                 if x == ZERO or y == ZERO:
                     continue
                 union.add(rev[(x, y)])
-    assert union | {0} == set(k_els) | {0}, "box union mismatch"
+    if union | {0} != set(k_els) | {0}:
+        raise OracleMismatch(f"boxes cover {sorted(union)}, the ideal is {sorted(k_els)}")
     i_sets = [i.elements for i, _ in out]
-    assert len(i_sets) == len(set(i_sets)), "first components must be distinct"
+    if len(i_sets) != len(set(i_sets)):
+        raise OracleMismatch(f"first components repeat: {[sorted(i) for i in i_sets]}")
     return out

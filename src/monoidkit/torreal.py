@@ -22,27 +22,27 @@ from .monoids import MonogenicMonoid
 # realization
 
 
-def realize_matrix(f):
-    """0/1 matrix of a morphism on the nonzero basis (columns = source)."""
-    rows = len(f.target.carrier) - 1
-    cols = len(f.source.carrier) - 1
+def _zero_one_matrix(mapping, rows, cols):
+    """0/1 matrix of a based map on the nonzero bases (columns = source)."""
     mat = [[0] * cols for _ in range(rows)]
     for j in range(1, cols + 1):
-        v = f.mapping[j]
+        v = mapping[j]
         if v != 0:
             mat[v - 1][j - 1] = 1
     return mat
+
+
+def realize_matrix(f):
+    """0/1 matrix of a morphism on the nonzero basis (columns = source)."""
+    return _zero_one_matrix(
+        f.mapping, len(f.target.carrier) - 1, len(f.source.carrier) - 1
+    )
 
 
 def realize_action_matrix(x, a):
     """Matrix of the action of monoid element ``a`` on the realization."""
     n = len(x.carrier) - 1
-    mat = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        v = x.act(a, j)
-        if v != 0:
-            mat[v - 1][j - 1] = 1
-    return mat
+    return _zero_one_matrix([x.act(a, p) for p in range(n + 1)], n, n)
 
 
 def z_realization(x):
@@ -54,22 +54,13 @@ def z_realization(x):
     labels = list(x.carrier[1:])
     base = x.base
     if isinstance(base, MonogenicMonoid):
-        gens = {base.generator_name: realize_matrix_from_map(x.theta, rank)}
+        gens = {base.generator_name: realize_action_matrix(x, 1)}
     else:
         gens = {
             base.elements[g]: realize_action_matrix(x, g)
             for g in base.generators
         }
     return rank, labels, gens
-
-
-def realize_matrix_from_map(mapping, rank):
-    mat = [[0] * rank for _ in range(rank)]
-    for j in range(1, rank + 1):
-        v = mapping[j]
-        if v != 0:
-            mat[v - 1][j - 1] = 1
-    return mat
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from test_acceptance import corpus_monoids
 
 from monoidkit import asets as ak
 from monoidkit import monoids as mk
@@ -175,6 +176,51 @@ def test_hom_to_zero():
     z = pointed_set(1)
     homs = ak.hom_enumerate(x, z)
     assert len(homs) == 1 and homs[0].mapping == [0, 0, 0]
+
+
+def small_aset_classes(max_carrier):
+    """Per base: the A-set classes of carrier <= max_carrier over each corpus
+    finite monoid with at most 5 elements, then every monogenic theta."""
+    out = [
+        [x for c in range(1, max_carrier + 1) for x in ak.enumerate_asets(m, c)]
+        for m in corpus_monoids(max_size=5)
+    ]
+    out.append([
+        ak.aset_from_theta((0,) + tail)
+        for c in range(1, max_carrier + 1)
+        for tail in itertools.product(range(c), repeat=c - 1)
+    ])
+    return out
+
+
+def test_hom_enumerate_matches_brute_force():
+    # every based map that validates, in lexicographic order
+    for classes in small_aset_classes(3):
+        for x, y in itertools.product(classes, repeat=2):
+            brute = [
+                list(m)
+                for m in itertools.product(
+                    [0], *[range(len(y.carrier))] * (len(x.carrier) - 1)
+                )
+                if ak.ASetMorphism(x, y, m).validate().ok
+            ]
+            assert [h.mapping for h in ak.hom_enumerate(x, y)] == brute, (x, y)
+
+
+def test_section_exists_exactly_when_some_hom_is_one():
+    for classes in small_aset_classes(4):
+        for x in classes:
+            for sub in ak.enumerate_asubsets(x):
+                _, f = ak.quotient_by_subset(x, sub)
+                ident = list(range(len(f.target.carrier)))
+                some = any(
+                    f.compose(h).mapping == ident
+                    for h in ak.hom_enumerate(f.target, f.source)
+                )
+                s = ak.section(f)
+                assert (s is not None) == some, (x, sub)
+                if s is not None:
+                    assert s.validate().ok and f.compose(s).mapping == ident, (x, sub)
 
 
 def test_wedge_smash_tensor_over_f1():

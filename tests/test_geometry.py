@@ -1,3 +1,5 @@
+import ast
+import glob
 import itertools
 import os
 import subprocess
@@ -130,7 +132,8 @@ def test_normalization_check_catches_a_wrong_oracle(monkeypatch):
 ORACLE_LIES_UNDER_O = """
 import types
 
-from monoidkit import asets as ak, geometry as gm, monoids as mk, projk as pk, torreal as tr
+from monoidkit import asets as ak, geometry as gm, monoids as mk, projk as pk
+from monoidkit import spectra as sp, torreal as tr
 from monoidkit.errors import OracleMismatch
 
 
@@ -150,6 +153,16 @@ caught("torreal", lambda: tr.tor1_monogenic(ak.aset_from_theta([0, 2, 0]), 1))
 # a second unit doubles the expected automorphism group order
 pk.units = lambda m: [1, 1]
 caught("projk", lambda: pk.k1_bruteforce(mk.build_from_presentation([], [], name="F1"), 1))
+# a section that never exists, for 0 -> A -> A v A -> A -> 0 that splits
+line2 = mk.build_from_presentation(["x"], [("x^2", "0")], name="line2")
+a = ak.aset_from_monoid(line2)
+w = ak.wedge([a, a])
+project = ak.ASetMorphism(w, a, [0, 0, 0, 1, 2])
+ak.section = lambda f: None
+caught("asets", lambda: ak.split_check(ak.wedge_inclusions(w)[0], project))
+# no component is primary
+sp.is_primary = lambda m, ideal: False
+caught("spectra", lambda: sp.primary_decomposition(line2, [0]))
 print("__debug__ =", __debug__)
 """
 
@@ -163,8 +176,24 @@ def test_oracle_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
-        "geometry raised", "torreal raised", "projk raised", "__debug__ = False",
+        "geometry raised", "torreal raised", "projk raised", "asets raised",
+        "spectra raised", "__debug__ = False",
     ]
+
+
+def test_library_has_no_bare_assert():
+    # a bare assert vanishes under python -O; oracle checks raise OracleMismatch
+    src = os.path.dirname(os.path.abspath(gm.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "**", "*.py"), recursive=True)):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += [
+            f"{os.path.basename(path)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
 
 
 def test_units_preserved_by_seminormalization():
