@@ -10,7 +10,6 @@ kernel: merge seed pairs, then keep merging generator translates.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 
 from . import _kernels
@@ -531,7 +530,7 @@ def _orbit(x, p):
     return out
 
 
-def _equivariant_maps(x, y, candidates=None, deadline=None):
+def _equivariant_maps(x, y, candidates=None):
     """Every based equivariant map X -> Y, as carrier lists, depth first.
 
     A map is fixed by its values on ``aset_generators(x)``; generator ``g``
@@ -563,8 +562,6 @@ def _equivariant_maps(x, y, candidates=None, deadline=None):
         return mapping
 
     def rec(k, mapping):
-        if deadline is not None and time.monotonic() > deadline:
-            raise BoundExceeded("hom enumeration deadline exceeded")
         if k == len(gens):
             yield mapping
             return
@@ -582,9 +579,9 @@ def _equivariant_maps(x, y, candidates=None, deadline=None):
         yield from rec(0, start)
 
 
-def hom_enumerate(x, y, deadline=None):
+def hom_enumerate(x, y):
     """All based equivariant maps, canonically sorted."""
-    maps = sorted(set(map(tuple, _equivariant_maps(x, y, deadline=deadline))))
+    maps = sorted(set(map(tuple, _equivariant_maps(x, y))))
     return [ASetMorphism(x, y, list(r)) for r in maps]
 
 
@@ -1064,8 +1061,13 @@ def split_check(g, f):
     validate_aes(g, f)
     x, y, z = g.source, g.target, f.target
     sec = section(f)
+    identity = list(range(len(x.carrier)))
+    # r . g = id pins each generator of Y in g's image to its preimage
+    preimage = {v: [p] for p, v in enumerate(g.mapping)}
     retractions = [
-        r for r in hom_enumerate(y, x) if r.compose(g).mapping == list(range(len(x.carrier)))
+        ASetMorphism(y, x, r)
+        for r in _equivariant_maps(y, x, lambda q: preimage.get(q, identity))
+        if [r[v] for v in g.mapping] == identity
     ]
     wedge_iso = is_isomorphic(y, wedge([x, z]))
     has_section = sec is not None

@@ -90,10 +90,6 @@ class FiniteMonoid:
     def __repr__(self):
         return f"FiniteMonoid({self.name!r}, {len(self.elements)} elements)"
 
-    def gen_action_tables(self):
-        """Left-multiplication tables of the generators (used by closures)."""
-        return [self.table[g] for g in self.generators]
-
     def submonoid_closure(self, seed):
         """Indices of the submonoid generated by ``seed`` (with 1)."""
         seen = {self.one}

@@ -65,11 +65,22 @@ def z_realization(x):
 
 @dataclass
 class IntegerChainComplex:
-    """Free modules with differentials; d[n]: degree n -> degree n-1."""
+    """Free modules with differentials; d[n]: degree n -> degree n-1.
+
+    Construction raises ``NotAComplex`` unless every d_{n-1} d_n = 0.  The
+    differentials are fixed once built, and each is reduced at most once.
+    """
 
     ranks: list
     diff: list  # diff[n-1] = matrix of d_n
     basis_labels: list | None = None
+
+    def __post_init__(self):
+        for n in range(2, len(self.ranks)):
+            prod = intlin.matmul(self.differential(n - 1), self.differential(n))
+            if any(any(row) for row in prod):
+                raise NotAComplex(f"d_{n-1} d_{n} != 0")
+        self._factors = {}
 
     def differential(self, n):
         if 1 <= n < len(self.ranks):
@@ -78,11 +89,11 @@ class IntegerChainComplex:
         cols = self.ranks[n] if 0 <= n < len(self.ranks) else 0
         return [[0] * cols for _ in range(rows)]
 
-    def check(self):
-        for n in range(2, len(self.ranks)):
-            prod = intlin.matmul(self.differential(n - 1), self.differential(n))
-            if any(any(row) for row in prod):
-                raise NotAComplex(f"d_{n-1} d_{n} != 0")
+    def invariant_factors(self, n):
+        """Invariant factors of d_n, computed on first request and kept."""
+        if n not in self._factors:
+            self._factors[n] = tuple(intlin.invariant_factors(self.differential(n)))
+        return self._factors[n]
 
 
 def chain_of_simplicial(sset):
@@ -102,9 +113,7 @@ def chain_of_simplicial(sset):
                 for c in range(cols):
                     mr[c] += sign * fr[c]
         diffs.append(mat)
-    c = IntegerChainComplex(ranks, diffs, labels)
-    c.check()
-    return c
+    return IntegerChainComplex(ranks, diffs, labels)
 
 
 @dataclass
@@ -124,19 +133,13 @@ def smith_homology(c, n):
 
     ker d_n is a direct summand of C_n (C_n / ker d_n embeds in the free
     C_{n-1}), so the invariant factors of d_{n+1} as a map into C_n are
-    those of the image in ker d_n: no kernel basis is needed.  Raises
-    ``NotAComplex`` unless d_n d_{n+1} = 0, since complexes are not
-    required to have passed ``IntegerChainComplex.check``.
+    those of the image in ker d_n: no kernel basis is needed.
     """
     rank_n = c.ranks[n] if 0 <= n < len(c.ranks) else 0
     if rank_n == 0:
         return HomologyGroup(0, ())
-    d_n = c.differential(n)
-    d_up = c.differential(n + 1)
-    if any(any(row) for row in intlin.matmul(d_n, d_up)):
-        raise NotAComplex(f"d_{n} d_{n + 1} != 0")
-    diag = intlin.invariant_factors(d_up)
-    betti = rank_n - intlin.rank(d_n) - len(diag)
+    diag = c.invariant_factors(n + 1)
+    betti = rank_n - len(c.invariant_factors(n)) - len(diag)
     return HomologyGroup(betti, tuple(d for d in diag if d > 1))
 
 
@@ -235,9 +238,7 @@ def tor_complex_direct(x, exp, trunc=4):
                             if m_act[r][cidx]:
                                 mat[tb * nx + r][b * nx + cidx] += sign * m_act[r][cidx]
         diffs.append(mat)
-    c = IntegerChainComplex(ranks, diffs)
-    c.check()
-    return c
+    return IntegerChainComplex(ranks, diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,25 @@ def test_section_exists_exactly_when_some_hom_is_one():
                     assert s.validate().ok and f.compose(s).mapping == ident, (x, sub)
 
 
+def test_split_check_retractions_match_hom_filter():
+    # every sub-A-set of every monogenic action table with carrier <= 5
+    for c in range(1, 6):
+        for tail in itertools.product(range(c), repeat=c - 1):
+            y = ak.aset_from_theta((0,) + tail)
+            for sub in ak.enumerate_asubsets(y):
+                g = ak.inclusion_morphism(ak.sub_aset(y, sub), sub, y)
+                _, f = ak.quotient_by_subset(y, sub)
+                ident = list(range(len(g.source.carrier)))
+                retractions = [
+                    r for r in ak.hom_enumerate(y, g.source) if r.compose(g).mapping == ident
+                ]
+                rep = ak.split_check(g, f)
+                assert rep.has_retraction == bool(retractions), (tail, sub)
+                assert rep.has_admissible_retraction == any(
+                    r.is_admissible() for r in retractions
+                ), (tail, sub)
+
+
 def test_wedge_smash_tensor_over_f1():
     x, y = pointed_set(3), pointed_set(4)
     w = ak.wedge([x, y])

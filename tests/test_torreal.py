@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoidkit import _kernels
 from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
@@ -151,9 +152,42 @@ def test_smith_homology_known_torsion(case):
     ],
 )
 def test_smith_homology_rejects_non_complex(ranks, diffs):
-    c = tr.IntegerChainComplex(ranks, diffs)
+    # d.d = 0 is checked once, when the complex is built
     with pytest.raises(NotAComplex):
-        tr.smith_homology(c, 1)
+        tr.IntegerChainComplex(ranks, diffs)
+
+
+def test_homology_reduces_each_differential_once(monkeypatch):
+    # Z^2 -d2-> Z^3 -d1-> Z^2 with H0 = Z, H1 = Z/2 + Z/6, H2 = 0
+    torsion = tr.IntegerChainComplex(
+        [2, 3, 2], [[[0, 0, 1], [0, 0, 0]], [[2, 0], [0, 6], [0, 0]]]
+    )
+    chain, _ = tr.tor_complex(ak.aset_from_theta([0, 2, 0, 1]), 1, trunc=4)
+    calls = {"snf_diagonal": 0, "integer_rank": 0}
+
+    def counting(name):
+        fn = getattr(_kernels, name)
+
+        def wrapper(mat):
+            calls[name] += 1
+            return fn(mat)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, counting(name))
+    for c in (torsion, chain):
+        degrees = range(len(c.ranks) + 1)
+        calls["snf_diagonal"] = 0
+        groups = [tr.smith_homology(c, n) for n in degrees]
+        # d_0 .. d_len(ranks) at most once each; asking again reduces nothing
+        first = calls["snf_diagonal"]
+        assert first <= len(c.ranks) + 1
+        assert [tr.smith_homology(c, n) for n in degrees] == groups
+        assert calls["snf_diagonal"] == first
+    assert calls["integer_rank"] == 0
+    groups = [tr.smith_homology(torsion, n) for n in range(4)]
+    assert [(h.betti, h.torsion) for h in groups] == [(1, ()), (0, (2, 6)), (0, ()), (0, ())]
 
 
 def test_chain_of_constant_simplicial():
