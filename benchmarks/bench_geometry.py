@@ -5,13 +5,16 @@ A rank-2 and a rank-3 chart are scaled by k = 1..N.  Scaling grows the
 zonotope box like k^rank, while the saturation keeps its shape, so the
 sweep shows what each box point costs.  For every scaled chart it prints
 the number of box points, the wall time of ``seminormalize_cancellative``
-plus ``normalize_affine`` on a fresh chart, and how many ``facet_normals``
-and ``intlin.rank`` calls those two made.
+plus ``normalize_affine`` on a fresh chart, how many ``facet_normals``
+and ``intlin.rank`` calls those two made, and how many level sets
+(``AffineMonoid.bounded_elements`` caches) they filled.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly
-computed facet normals, and one ``intlin.solve`` per lattice.  A mismatch
-with the cached cone raises ``RuntimeError``.
+computed facet normals, and one ``intlin.solve`` per lattice.  The
+normalization's generators are compared with a greedy reference that
+drops each candidate a trial chart on the others can write.  A mismatch
+raises ``RuntimeError``.
 
 Run:  python3 benchmarks/bench_geometry.py [--max-scale N] [--repeat R]
 """
@@ -50,6 +53,39 @@ def counting(*targets):
     finally:
         for mod, name, fn in saved:
             setattr(mod, name, fn)
+
+
+@contextlib.contextmanager
+def counting_level_sets():
+    """Count the level sets ``AffineMonoid.bounded_elements`` fills."""
+    filled = [0]
+    original = AffineMonoid.bounded_elements
+
+    def wrapped(self, bound=None):
+        before = len(self._level_sets)
+        out = original(self, bound)
+        filled[0] += len(self._level_sets) - before
+        return out
+
+    AffineMonoid.bounded_elements = wrapped
+    try:
+        yield filled
+    finally:
+        AffineMonoid.bounded_elements = original
+
+
+def greedy_generators(aff):
+    """Drop the saturation's candidates greedily, largest first, whenever a
+    trial chart on the others writes them within the chart's bound."""
+    cand = gm.saturation_generators(aff)
+    keep = list(cand)
+    for g in sorted(cand, key=lambda v: (-sum(abs(x) for x in v), v)):
+        rest = [h for h in keep if h != g]
+        if rest and AffineMonoid(
+            "trial", aff.rank, rest, degree_bound=aff.degree_bound
+        ).contains(g):
+            keep = rest
+    return sorted(keep)
 
 
 def box(aff):
@@ -97,7 +133,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'chart':12} {'scale':>5} {'box pts':>8} {'time (ms)':>10}"
-          f" {'facet_normals':>14} {'intlin.rank':>12}")
+          f" {'facet_normals':>14} {'intlin.rank':>12} {'level sets':>11}")
     for label, base in CHARTS:
         rank = len(base[0])
         for k in range(1, args.max_scale + 1):
@@ -105,15 +141,21 @@ def main():
             best = None
             for _ in range(args.repeat):
                 aff = AffineMonoid(f"{label}*{k}", rank, gens)
-                with counting((gm, "facet_normals"), (intlin, "rank")) as counts:
+                with counting((gm, "facet_normals"), (intlin, "rank")) as counts, \
+                        counting_level_sets() as filled:
                     t0 = time.perf_counter()
                     gm.seminormalize_cancellative(aff)
-                    gm.normalize_affine(aff)
+                    nor = gm.normalize_affine(aff)
                     elapsed = time.perf_counter() - t0
                 best = elapsed if best is None else min(best, elapsed)
             check_memberships(aff)
+            want = greedy_generators(aff)
+            if nor.generators != want:
+                raise RuntimeError(
+                    f"{aff.name}: normalization {nor.generators}, greedy {want}"
+                )
             print(f"{label:12} {k:5d} {len(box(aff)):8d} {1000 * best:10.2f}"
-                  f" {counts['facet_normals']:14d} {counts['rank']:12d}")
+                  f" {counts['facet_normals']:14d} {counts['rank']:12d} {filled[0]:11d}")
 
 
 if __name__ == "__main__":

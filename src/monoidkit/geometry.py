@@ -11,6 +11,7 @@ along overlap unit lattices.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 from . import intlin
@@ -126,7 +127,8 @@ class Sublattice:
 class ChartCone:
     """A chart's generator cone and lattice, computed once from its
     generators: the span's orthogonal complement, the facet normals, the
-    chart lattice, and the lattice of each face as it is asked for."""
+    chart lattice, and, as they are asked for, the lattice of each face,
+    the saturation points of the zonotope box and the unit lattice."""
 
     def __init__(self, gens, rank):
         self.gens = gens
@@ -135,6 +137,8 @@ class ChartCone:
         self.normals = facet_normals(gens, rank, self.complement)
         self.lattice = Sublattice(gens, rank)
         self._face_lattices = {}
+        self._box = None
+        self._units = None
 
     def in_span(self, vec):
         """Is vec in the rational span of the generators?"""
@@ -165,6 +169,39 @@ class ChartCone:
             lat = self._face_lattices[face] = Sublattice(on_face, self.rank)
         return lat
 
+    def box_points(self):
+        """Sorted nonzero points of cone and lattice in the zonotope box,
+        scanned once; each caller gets its own list."""
+        if self._box is None:
+            lo, hi = _zonotope_box(self.gens, self.rank)
+            self._box = sorted(
+                v for v in _box_points(lo, hi)
+                if any(v) and self.in_cone(v) and v in self.lattice
+            )
+        return list(self._box)
+
+    def unit_lattice(self):
+        """Basis (columns) of the lineality of the cone intersected with
+        the chart lattice, computed once; each caller gets fresh lists."""
+        if self._units is None:
+            basis = self.lattice.basis
+            k = len(basis)
+            rows = [[_dot(w, col) for col in basis] for w in self.normals]
+            if rows:
+                coeff_kernel = intlin.kernel_basis(rows)
+            else:  # no facets: every lattice vector is a unit
+                coeff_kernel = [[int(i == j) for i in range(k)] for j in range(k)]
+            units = []
+            for coeffs in coeff_kernel:
+                vec = [
+                    sum(coeffs[j] * basis[j][i] for j in range(k))
+                    for i in range(self.rank)
+                ]
+                if any(vec):
+                    units.append(vec)
+            self._units = units
+        return [list(u) for u in self._units]
+
 
 def chart_cone(aff):
     """The chart's cone record, built on first use and kept on the chart
@@ -187,12 +224,7 @@ def _box_points(lo, hi):
 
 def saturation_points_in_box(aff):
     """Lattice points of the saturation inside the fundamental zonotope box."""
-    cone = chart_cone(aff)
-    lo, hi = _zonotope_box(aff.generators, aff.rank)
-    return sorted(
-        v for v in _box_points(lo, hi)
-        if any(v) and cone.in_cone(v) and v in cone.lattice
-    )
+    return chart_cone(aff).box_points()
 
 
 def saturation_generators(aff):
@@ -219,20 +251,32 @@ def is_normal(aff):
 
 
 def normalize_affine(aff):
-    """Saturation of the generator monoid inside its own lattice."""
+    """Saturation of the generator monoid inside its own lattice.
+
+    On a pointed chart (no units) the minimal generating set of the
+    saturation is its Hilbert basis: the candidates g such that no other
+    candidate h leaves g - h in cone and lattice.  Every Hilbert basis
+    element lies in the zonotope box, so this is exact.  As g and h both
+    lie in the span and the lattice, so does g - h, and it lies in the
+    cone iff every facet normal pairs with h at most as with g.
+
+    A chart with units has no unique minimal generating set.  There the
+    candidates are dropped greedily, largest first, whenever bounded
+    membership writes one in the others; that order fixes the output.
+    """
     cand = saturation_generators(aff)
-    # greedy minimization, largest candidates dropped first; keeping an
-    # undroppable witness is always safe because membership search only
-    # ever under-approximates
-    keep = list(cand)
-    for g in sorted(cand, key=lambda v: (-sum(abs(x) for x in v), v)):
-        rest = [h for h in keep if h != g]
-        if rest:
-            trial = AffineMonoid(
-                "trial", aff.rank, rest, degree_bound=aff.degree_bound
+    if unit_lattice_of_chart(aff):
+        keep = _greedy_generators(aff, cand)
+    else:
+        normals = chart_cone(aff).normals
+        pairs = {g: [_dot(w, g) for w in normals] for g in cand}
+        keep = [
+            g for g in cand
+            if not any(
+                h != g and all(map(operator.le, pairs[h], pairs[g]))
+                for h in cand
             )
-            if trial.contains(g):
-                keep = rest
+        ]
     out = AffineMonoid(
         f"{aff.name}_nor",
         aff.rank,
@@ -243,6 +287,19 @@ def normalize_affine(aff):
     if not is_normal(out):
         raise OracleMismatch(f"saturation {out.generators} failed its own normality check")
     return out
+
+
+def _greedy_generators(aff, cand):
+    keep = list(cand)
+    for g in sorted(cand, key=lambda v: (-sum(abs(x) for x in v), v)):
+        rest = [h for h in keep if h != g]
+        if rest:
+            trial = AffineMonoid(
+                "trial", aff.rank, rest, degree_bound=aff.degree_bound
+            )
+            if trial.contains(g):
+                keep = rest
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +479,8 @@ def seminormal_membership(aff, vec):
 def seminormal_membership_powers(aff, vec, kmax=None):
     """Oracle: all large powers land in the chart (gcd of the multiplier
     set is 1 once the set is an additive semigroup)."""
-    kmax = kmax or aff.degree_bound
+    if kmax is None:
+        kmax = aff.degree_bound
     from math import gcd
 
     hits = [
@@ -464,26 +522,7 @@ def seminormalize_cancellative(aff):
 def unit_lattice_of_chart(aff):
     """Basis (columns) of the unit sublattice: lineality of the cone
     intersected with the chart lattice."""
-    cone = chart_cone(aff)
-    basis = cone.lattice.basis
-    if not basis:
-        return []
-    k = len(basis)
-    rows = [[_dot(w, col) for col in basis] for w in cone.normals]
-    if not rows:
-        coeff_kernel = [
-            [1 if i == j else 0 for i in range(k)] for j in range(k)
-        ]
-    else:
-        coeff_kernel = intlin.kernel_basis(rows)
-    out = []
-    for coeffs in coeff_kernel:
-        vec = [
-            sum(coeffs[j] * basis[j][i] for j in range(k))
-            for i in range(aff.rank)
-        ]
-        out.append(vec)
-    return [v for v in out if any(v)]
+    return chart_cone(aff).unit_lattice()
 
 
 # ---------------------------------------------------------------------------

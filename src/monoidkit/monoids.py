@@ -219,6 +219,9 @@ class AffineMonoid:
         if self.unit_tags is not None and len(self.unit_tags) != len(self.generators):
             raise ValidationError("unit_tags must align with generators")
         self.monomial_ideal = [tuple(int(x) for x in v) for v in self.monomial_ideal]
+        bound = self.degree_bound
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
+            raise ValidationError(f"degree_bound must be an integer >= 1, got {bound!r}")
         self._level_sets = {}
         self._cone = None  # geometry.chart_cone builds it on first use
 
@@ -233,7 +236,8 @@ class AffineMonoid:
         level holds it, so each member is found at its shortest length.
         Cached per bound, since the generators never change.
         """
-        bound = bound or self.degree_bound
+        if bound is None:
+            bound = self.degree_bound
         found = self._level_sets.get(bound)
         if found is None:
             zero = (0,) * self.rank

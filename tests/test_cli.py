@@ -63,6 +63,17 @@ def test_bound_exceeded_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("bound", ["8", -2])
+def test_normalize_rejects_a_bad_degree_bound(tmp_path, capsys, bound):
+    bad = tmp_path / "numsg23.json"
+    bad.write_text(json.dumps({"kind": "affine", "name": "numsg23", "rank": 1,
+                               "generators": [[2], [3]], "degree_bound": bound}))
+    code, out = run(["normalize", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert "degree_bound" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns():
     argv = ["spec", doc("monoids", "idem2.json")]
     outs = {run(argv)[1] for _ in range(3)}

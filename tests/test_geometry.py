@@ -1,5 +1,6 @@
 import ast
 import glob
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -127,6 +128,120 @@ def test_normalization_check_catches_a_wrong_oracle(monkeypatch):
     monkeypatch.setattr(gm, "is_normal", lambda aff: False)
     with pytest.raises(OracleMismatch):
         gm.normalize_affine(numeric([(2,), (3,)]))
+
+
+# -- normalization: Hilbert basis on pointed charts, greedy with units ---------
+
+
+def greedy_generators(rank, cand, bound):
+    """Reference: drop the candidates greedily, largest first, whenever a
+    trial chart on the others writes them in at most ``bound`` summands."""
+    keep = list(cand)
+    for g in sorted(cand, key=lambda v: (-sum(abs(x) for x in v), v)):
+        rest = [h for h in keep if h != g]
+        if rest and AffineMonoid("trial", rank, rest, degree_bound=bound).contains(g):
+            keep = rest
+    return sorted(keep)
+
+
+def box_height(gens):
+    """Largest coordinate sum in the zonotope box of nonnegative vectors.
+    Summands that are nonzero and nonnegative each add at least 1 to it,
+    so no box point needs more of them: bounded membership is exact."""
+    return max(1, sum(map(sum, gens)))
+
+
+@st.composite
+def pointed_charts(draw):
+    """Rank 1-3, 1-3 nonnegative generators (so the cone is pointed), with
+    entries small enough for the greedy reference's trial charts."""
+    rank = draw(st.integers(1, 3))
+    entry = st.integers(0, {1: 6, 2: 2, 3: 1}[rank])
+    return rank, draw(st.lists(st.tuples(*[entry] * rank), min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointed_charts())
+@example((2, [(1, 0), (1, 1), (1, 3)]))  # (1,2) joins the Hilbert basis
+@example((3, [(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1)]))  # (1,1,2) is dropped
+@example((2, [(2, 0), (2, 4), (0, 0)]))  # sublattice, zero generator
+@example((2, [(0, 0)]))  # no candidates
+def test_normalization_is_the_greedy_minimal_generating_set(chart):
+    rank, gens = chart
+    aff = AffineMonoid("H", rank, gens)
+    assert gm.unit_lattice_of_chart(aff) == []
+    want = greedy_generators(rank, gm.saturation_generators(aff), box_height(gens))
+    # the is_normal oracle scans the normalization's own box, so cover it too
+    bound = max(box_height(gens), box_height(want))
+    nor = gm.normalize_affine(AffineMonoid("H", rank, gens, degree_bound=bound))
+    assert nor.generators == want
+    assert gm.normalize_affine(nor).generators == want
+
+
+def benchmark_chart_cases():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "generators.py")
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generators  # its dataclasses look themselves up
+    spec.loader.exec_module(generators)
+    return generators.chart_cases()
+
+
+def test_normalization_of_the_benchmark_charts():
+    # images of base charts with closed-form Hilbert bases, each under the
+    # bound that makes its bounded searches exact
+    for case in benchmark_chart_cases():
+        aff = AffineMonoid("C", case.rank, case.gens, degree_bound=case.degree_bound())
+        assert gm.unit_lattice_of_chart(aff) == [], case.gens
+        nor = gm.normalize_affine(aff)
+        assert nor.generators == case.hilbert, case.gens
+        cand = gm.saturation_generators(aff)
+        assert greedy_generators(case.rank, cand, aff.degree_bound) == case.hilbert
+        assert gm.normalize_affine(nor).generators == case.hilbert
+
+
+@pytest.mark.parametrize(
+    "gens, want",
+    [
+        ([(2, 0), (-2, 0), (1, 1), (0, 3)], [(-1, 0), (0, 1), (1, 0)]),
+        ([(1, 0), (-1, 0), (1, 2)], [(-1, 0), (0, 2), (1, 0)]),
+    ],
+)
+def test_charts_with_units_keep_the_greedy_generators(gens, want):
+    # with a unit direction the minimal generating set is not unique; the
+    # greedy order fixes which one comes out
+    aff = numeric(gens)
+    assert gm.unit_lattice_of_chart(aff) != []
+    assert gm.normalize_affine(aff).generators == want
+    assert greedy_generators(2, gm.saturation_generators(aff), aff.degree_bound) == want
+
+
+def test_each_chart_box_is_scanned_once(monkeypatch):
+    aff = numeric([(1, 0), (0, 2), (1, 1)], name="xy2")  # pointed, not normal
+    scans, built = [], []
+    box_points, affine = gm._box_points, gm.AffineMonoid
+    monkeypatch.setattr(
+        gm, "_box_points", lambda lo, hi: scans.append((tuple(lo), tuple(hi))) or box_points(lo, hi)
+    )
+    monkeypatch.setattr(gm, "AffineMonoid", lambda *a, **kw: built.append(a) or affine(*a, **kw))
+    assert not gm.is_normal(aff)
+    nor = gm.normalize_affine(aff)
+    assert built == [("xy2_nor", 2, [(0, 1), (1, 0)])]  # the output, no trial charts
+    gm.seminormalize_cancellative(aff)
+    for w, scale in gm.chart_valuations(aff):
+        gm.dv_check(aff, w, scale)
+    gm.class_group(gm.affine_scheme(nor))
+    assert sorted(scans) == [((0, 0), (1, 1)), ((0, 0), (2, 3))]  # nor, aff
+
+    # callers get their own lists
+    pts = gm.saturation_points_in_box(aff)
+    want = list(pts)
+    pts.clear()
+    assert gm.saturation_points_in_box(aff) == want != []
+    unit_chart = numeric([(1, 0), (-1, 0), (1, 2)])
+    gm.unit_lattice_of_chart(unit_chart)[0][0] = 7
+    assert gm.unit_lattice_of_chart(unit_chart) == [[1, 0]]
 
 
 ORACLE_LIES_UNDER_O = """

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monoidkit import monoids as mk
-from monoidkit.errors import BoundExceeded, ZeroInS, ZeroNotPrime
+from monoidkit.errors import BoundExceeded, ValidationError, ZeroInS, ZeroNotPrime
 
 
 def F1():
@@ -381,3 +381,17 @@ def test_bounded_membership_keeps_late_members(gens, bound, member):
     assert member in aff.bounded_elements(bound)
     assert aff.contains(member, bound)
     assert set(aff.bounded_elements(bound)) == sums_up_to(gens, bound)
+
+
+def test_bound_zero_is_only_the_identity():
+    # an explicit bound of 0 is a bound, not "use the default"
+    aff = mk.AffineMonoid("A", 1, [(1,)])
+    assert aff.bounded_elements(0) == {(0,)}
+    assert not aff.contains((3,), 0)
+    assert aff.contains((3,))
+
+
+@pytest.mark.parametrize("bound", [0, -2, "8", 2.0, True, None])
+def test_degree_bound_must_be_a_positive_int(bound):
+    with pytest.raises(ValidationError, match="degree_bound"):
+        mk.AffineMonoid("A", 1, [(1,)], degree_bound=bound)
