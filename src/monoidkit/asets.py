@@ -1,8 +1,12 @@
 """Pointed sets with a validated monoid action, and their category.
 
-Carriers are index lists with basepoint at 0.  Over a finite-table base
-the action is stored as a full |A| x |X| grid; over the monogenic base a
-single self-map (the generator action) determines everything.  Quotients,
+Carriers are index lists with basepoint at 0.  The action is one list
+of carrier rows, ``action``: a finite-table base has one row per element
+(row ``a`` sends p to a.p), the monogenic base has the single row of its
+generator t.  Constructions map every stored row the same way and never
+ask which base they are over; only ``ASet.act``, ``ASet.gen_tables``, the
+axioms in ``validate_aset``, the row count of ``zero_aset`` and the
+oracle ``congruence_closure_naive`` read the base kind.  Quotients,
 tensor products and coequalizers all reduce to the congruence-closure
 kernel: merge seed pairs, then keep merging generator translates.
 """
@@ -33,22 +37,17 @@ DEFAULT_ENUM_BOUND = 8
 
 
 class ASet:
-    """Pointed set with a left action of the base monoid."""
+    """Pointed set with a left action of the base monoid.
 
-    def __init__(self, base, carrier, action=None, theta=None, name=""):
+    ``action`` holds carrier rows: one per element of a finite-table base,
+    the generator's alone over the monogenic base.
+    """
+
+    def __init__(self, base, carrier, action, name=""):
         self.base = base
         self.carrier = list(carrier)
+        self.action = [list(row) for row in action]
         self.name = name or "X"
-        if isinstance(base, MonogenicMonoid):
-            if theta is None:
-                raise ValidationError("monogenic A-sets need the generator map")
-            self.theta = list(theta)
-            self.action = None
-        else:
-            if action is None:
-                raise ValidationError("finite-table A-sets need an action grid")
-            self.action = [list(row) for row in action]
-            self.theta = None
 
     # -- core ----------------------------------------------------------------
 
@@ -63,15 +62,16 @@ class ASet:
         if isinstance(self.base, MonogenicMonoid):
             if a is None:
                 return 0
+            row = self.action[0]
             for _ in range(a):
-                x = self.theta[x]
+                x = row[x]
             return x
         return self.action[a][x]
 
     def gen_tables(self):
         """Carrier self-maps of the monoid generators."""
         if isinstance(self.base, MonogenicMonoid):
-            return [list(self.theta)]
+            return list(self.action)
         return [self.action[g] for g in self.base.generators]
 
     def element_name(self, x):
@@ -81,18 +81,16 @@ class ASet:
         return f"ASet({self.name!r}, |X|={len(self.carrier)})"
 
     def relabeled(self, name):
-        if isinstance(self.base, MonogenicMonoid):
-            return ASet(self.base, self.carrier, theta=self.theta, name=name)
-        return ASet(self.base, self.carrier, action=self.action, name=name)
+        return ASet(self.base, self.carrier, self.action, name=name)
 
 
 def validate_aset(x) -> ValidationReport:
     report = ValidationReport()
     if isinstance(x.base, MonogenicMonoid):
-        if len(x.theta) != len(x.carrier):
+        if len(x.action) != 1 or len(x.action[0]) != len(x.carrier):
             report.add("ActionShape", ())
             return report
-        if x.theta[0] != 0:
+        if x.action[0][0] != 0:
             report.add("BasepointNotFixed", ())
         return report
     m = x.base
@@ -123,9 +121,8 @@ def validate_aset(x) -> ValidationReport:
 
 
 def zero_aset(base, name="0"):
-    if isinstance(base, MonogenicMonoid):
-        return ASet(base, ["0"], theta=[0], name=name)
-    return ASet(base, ["0"], action=[[0] for _ in base.indices()], name=name)
+    rows = 1 if isinstance(base, MonogenicMonoid) else len(base.elements)
+    return ASet(base, ["0"], [[0]] * rows, name=name)
 
 
 def aset_from_monoid(m, name=None):
@@ -139,7 +136,7 @@ def aset_from_theta(theta, base=None, name="X"):
     """Monogenic-base A-set from the generator self-map."""
     base = base or MonogenicMonoid()
     carrier = ["0"] + [f"p{i}" for i in range(1, len(theta))]
-    return ASet(base, carrier, theta=theta, name=name)
+    return ASet(base, carrier, [theta], name=name)
 
 
 def build_action_from_gen_maps(m, carrier, gen_maps, name="X"):
@@ -220,19 +217,17 @@ class ASetMorphism:
         return hash(tuple(self.mapping))
 
     def validate(self):
+        """Based, and f(row[p]) = row'[f(p)] for each pair of stored rows;
+        a violation names the row's index and the carrier point."""
         report = ValidationReport()
         if self.mapping[0] != 0:
             report.add("NotBased", ())
-        x, y = self.source, self.target
-        if isinstance(x.base, MonogenicMonoid):
-            for p in range(len(x.carrier)):
-                if self.mapping[x.theta[p]] != y.theta[self.mapping[p]]:
-                    report.add("NotEquivariant", (x.carrier[p],))
-            return report
-        for a in x.base.indices():
-            for p in range(len(x.carrier)):
-                if self.mapping[x.act(a, p)] != y.act(a, self.mapping[p]):
-                    report.add("NotEquivariant", (x.base.elements[a], x.carrier[p]))
+        f = self.mapping
+        rows = zip(self.source.action, self.target.action)
+        for a, (row_x, row_y) in enumerate(rows):
+            for p, q in enumerate(row_x):
+                if f[q] != row_y[f[p]]:
+                    report.add("NotEquivariant", (a, self.source.carrier[p]))
                     if len(report.violations) > 8:
                         return report
         return report
@@ -281,11 +276,8 @@ def sub_aset(x, subset, name=None):
             if t[p] not in pos:
                 raise NotASubset(f"{x.carrier[p]} leaves the subset")
     carrier = [x.carrier[p] for p in subset]
-    if isinstance(x.base, MonogenicMonoid):
-        theta = [pos[x.theta[p]] for p in subset]
-        return ASet(x.base, carrier, theta=theta, name=name or f"{x.name}|sub")
-    action = [[pos[x.action[a][p]] for p in subset] for a in x.base.indices()]
-    return ASet(x.base, carrier, action=action, name=name or f"{x.name}|sub")
+    action = [[pos[row[p]] for p in subset] for row in x.action]
+    return ASet(x.base, carrier, action, name=name or f"{x.name}|sub")
 
 
 def inclusion_morphism(x, subset, ambient):
@@ -317,16 +309,13 @@ def congruence_closure(x, pairs):
 
 def congruence_closure_naive(x, pairs):
     """Oracle twin: closes under every monoid element, not just generators."""
+    tables = x.action
     if isinstance(x.base, MonogenicMonoid):
-        # iterate powers of the generator map up to carrier size
-        tables = []
-        t = list(range(len(x.carrier)))
-        for _ in range(len(x.carrier) + 1):
-            t = [x.theta[p] for p in t]
-            tables.append(list(t))
-        reps = _kernels.closure(len(x.carrier), tables, list(pairs))
-        return ASetCongruence(x, reps)
-    tables = [x.action[a] for a in x.base.indices()]
+        # the powers t^1 .. t^(|X|+1) of the generator row
+        row = x.action[0]
+        tables = [row]
+        for _ in range(len(x.carrier)):
+            tables.append([row[p] for p in tables[-1]])
     reps = _kernels.closure(len(x.carrier), tables, list(pairs))
     return ASetCongruence(x, reps)
 
@@ -342,14 +331,8 @@ def quotient_aset(x, cong_or_pairs, name=None):
     ordered = [zero_rep] + sorted(set(reps) - {zero_rep})
     pos = {r: i for i, r in enumerate(ordered)}
     carrier = ["0"] + [x.carrier[r] for r in ordered[1:]]
-    if isinstance(x.base, MonogenicMonoid):
-        theta = [pos[reps[x.theta[r]]] for r in ordered]
-        q = ASet(x.base, carrier, theta=theta, name=name or f"{x.name}/~")
-    else:
-        action = [
-            [pos[reps[x.action[a][r]]] for r in ordered] for a in x.base.indices()
-        ]
-        q = ASet(x.base, carrier, action=action, name=name or f"{x.name}/~")
+    action = [[pos[reps[row[r]]] for r in ordered] for row in x.action]
+    q = ASet(x.base, carrier, action, name=name or f"{x.name}/~")
     proj = ASetMorphism(x, q, [pos[reps[p]] for p in range(len(x.carrier))])
     return q, proj
 
@@ -393,19 +376,13 @@ def wedge(parts, name=None):
     def glob(k, i):
         return 0 if i == 0 else offsets[k] + i - 1
 
-    if isinstance(base, MonogenicMonoid):
-        theta = [0] * len(carrier)
-        for k, p in enumerate(parts):
-            for i in p.nonzero():
-                theta[glob(k, i)] = glob(k, p.theta[i])
-        w = ASet(base, carrier, theta=theta, name=name or "wedge")
-    else:
-        action = [[0] * len(carrier) for _ in base.indices()]
-        for a in base.indices():
-            for k, p in enumerate(parts):
-                for i in p.nonzero():
-                    action[a][glob(k, i)] = glob(k, p.action[a][i])
-        w = ASet(base, carrier, action=action, name=name or "wedge")
+    # one row of the wedge per tuple of matching summand rows
+    action = [
+        [0]
+        + [glob(k, row[i]) for k, row in enumerate(rows) for i in range(1, len(row))]
+        for rows in zip(*(p.action for p in parts))
+    ]
+    w = ASet(base, carrier, action, name=name or "wedge")
     w.wedge_offsets = offsets
     w.wedge_parts = parts
     return w
@@ -421,7 +398,6 @@ def wedge_inclusions(w):
 
 def smash(x, y, name=None):
     """Nonzero pairs plus basepoint, coordinatewise action."""
-    base = x.base
     pairs = [(i, j) for i in x.nonzero() for j in y.nonzero()]
     pos = {p: k + 1 for k, p in enumerate(pairs)}
 
@@ -429,14 +405,11 @@ def smash(x, y, name=None):
         return 0 if i == 0 or j == 0 else pos[(i, j)]
 
     carrier = ["0"] + [f"({x.carrier[i]},{y.carrier[j]})" for i, j in pairs]
-    if isinstance(base, MonogenicMonoid):
-        theta = [0] + [node(x.theta[i], y.theta[j]) for i, j in pairs]
-        return ASet(base, carrier, theta=theta, name=name or "smash")
-    action = [[0] * len(carrier) for _ in base.indices()]
-    for a in base.indices():
-        for k, (i, j) in enumerate(pairs):
-            action[a][k + 1] = node(x.action[a][i], y.action[a][j])
-    return ASet(base, carrier, action=action, name=name or "smash")
+    action = [
+        [0] + [node(row_x[i], row_y[j]) for i, j in pairs]
+        for row_x, row_y in zip(x.action, y.action)
+    ]
+    return ASet(x.base, carrier, action, name=name or "smash")
 
 
 def tensor(x, y, name=None):
@@ -445,25 +418,15 @@ def tensor(x, y, name=None):
     The congruence is generated by (g.u, v) ~ (u, g.v) over the monoid
     generators g; the action on classes moves the first coordinate.
     """
-    base = x.base
     pairs = [(i, j) for i in x.nonzero() for j in y.nonzero()]
     pos = {p: k + 1 for k, p in enumerate(pairs)}
 
     def node(i, j):
         return 0 if i == 0 or j == 0 else pos[(i, j)]
 
-    n = len(pairs) + 1
-    moves = []
-    if isinstance(base, MonogenicMonoid):
-        gen_maps_x = [x.theta]
-        gen_maps_y = [y.theta]
-    else:
-        gen_maps_x = [x.action[g] for g in base.generators]
-        gen_maps_y = [y.action[g] for g in base.generators]
-    for (i, j) in pairs:
-        for gx, gy in zip(gen_maps_x, gen_maps_y):
-            moves.append((node(gx[i], j), node(i, gy[j])))
-    reps = _kernels.closure(n, [], moves)
+    gens = list(zip(x.gen_tables(), y.gen_tables()))
+    moves = [(node(gx[i], j), node(i, gy[j])) for i, j in pairs for gx, gy in gens]
+    reps = _kernels.closure(len(pairs) + 1, [], moves)
 
     zero_rep = reps[0]
     ordered = [zero_rep] + sorted(set(reps) - {zero_rep})
@@ -481,19 +444,9 @@ def tensor(x, y, name=None):
         f"[{x.carrier[rep_pair[r][0]]},{y.carrier[rep_pair[r][1]]}]"
         for r in ordered[1:]
     ]
-    if isinstance(base, MonogenicMonoid):
-        theta = [0] * len(ordered)
-        for k, r in enumerate(ordered[1:], start=1):
-            i, j = rep_pair[r]
-            theta[k] = cls(x.theta[i], j)
-        t = ASet(base, carrier, theta=theta, name=name or "tensor")
-    else:
-        action = [[0] * len(ordered) for _ in base.indices()]
-        for a in base.indices():
-            for k, r in enumerate(ordered[1:], start=1):
-                i, j = rep_pair[r]
-                action[a][k] = cls(x.action[a][i], j)
-        t = ASet(base, carrier, action=action, name=name or "tensor")
+    rep_pairs = [rep_pair[r] for r in ordered[1:]]
+    action = [[0] + [cls(row[i], j) for i, j in rep_pairs] for row in x.action]
+    t = ASet(x.base, carrier, action, name=name or "tensor")
     t.pair_class = {(i, j): cls(i, j) for (i, j) in pairs}
     report = validate_aset(t)
     if not report.ok:
@@ -539,7 +492,7 @@ def _equivariant_maps(x, y, candidates=None):
     That is equivariance for every monoid element on validated inputs:
     every nonzero element of a finite base is a generator word (the
     ``NonGenerating`` check), the zero element sends everything to the
-    basepoint, and the monogenic base has the single table theta.
+    basepoint, and the monogenic base has the single generator row.
     """
     gens = aset_generators(x)
     tables = list(zip(x.gen_tables(), y.gen_tables()))
@@ -599,7 +552,8 @@ def section(f):
 
 
 def hom_aset(x, y):
-    """Hom(X, Y) with its pointwise action (af)(p) = f(a p)."""
+    """Hom(X, Y) with its pointwise action (af)(p) = f(a p): row ``a``
+    sends f to p -> f(row[p])."""
     homs = hom_enumerate(x, y)
     idx = {tuple(h.mapping): i for i, h in enumerate(homs)}
     zero_i = idx[tuple([0] * len(x.carrier))]
@@ -608,19 +562,9 @@ def hom_aset(x, y):
     carrier = [f"f{pos[i]}" for i in order]
     carrier[0] = "0"
 
-    def act_on_hom(a, h):
-        return tuple(h.mapping[x.act(a, p)] for p in range(len(x.carrier)))
-
-    base = x.base
-    if isinstance(base, MonogenicMonoid):
-        theta = [pos[idx[act_on_hom(1, homs[order[i]])]] for i in range(len(homs))]
-        h = ASet(base, carrier, theta=theta, name=f"Hom({x.name},{y.name})")
-    else:
-        action = [
-            [pos[idx[act_on_hom(a, homs[order[i]])]] for i in range(len(homs))]
-            for a in base.indices()
-        ]
-        h = ASet(base, carrier, action=action, name=f"Hom({x.name},{y.name})")
+    maps = [homs[i].mapping for i in order]
+    action = [[pos[idx[tuple(f[q] for q in row)]] for f in maps] for row in x.action]
+    h = ASet(x.base, carrier, action, name=f"Hom({x.name},{y.name})")
     h.morphisms = [homs[i] for i in order]
     return h
 
@@ -795,12 +739,10 @@ def localize_aset(x, s_gens, name=None):
     if isinstance(m, MonogenicMonoid):
         raise UnsupportedBackend("localize finite-table based A-sets")
     loc, hom = localize_monoid(m, s_gens)
-    from .monoids import mult_closure
-
     s_gens_idx = [g if isinstance(g, int) else m.index_of(g) for g in s_gens]
     if ZERO in s_gens_idx and len(m.elements) > 1:
         raise ZeroInS("0 in the localization set")
-    s = mult_closure(m, s_gens_idx)
+    s = sorted(m.submonoid_closure(s_gens_idx))
     if ZERO in s:
         z = ASet(loc, ["0"], action=[[0]], name=name or f"{x.name}_S")
         return z, hom, ASetMorphism(x, z, [0] * len(x.carrier))

@@ -131,12 +131,11 @@ def parse_aset(doc, registry=None):
     carrier = list(doc["carrier"])
     if carrier[0] != "0":
         raise ValidationError("carrier must start with the basepoint '0'")
-    action = doc["action"]
+    gen_maps = [doc["action"][g] for g in _generator_names(base)]
     if isinstance(base, MonogenicMonoid):
-        theta = action[base.generator_name]
-        x = ak.ASet(base, carrier, theta=list(theta), name=doc.get("name", "X"))
+        # the generator's row is the whole monogenic action
+        x = ak.ASet(base, carrier, gen_maps, name=doc.get("name", "X"))
     else:
-        gen_maps = [action[base.elements[g]] for g in base.generators]
         x = ak.build_action_from_gen_maps(
             base, carrier, gen_maps, name=doc.get("name", "X")
         )
@@ -153,13 +152,17 @@ def aset_to_doc(x):
         "base": monoid_to_doc(x.base),
         "carrier": list(x.carrier),
     }
-    if isinstance(x.base, MonogenicMonoid):
-        doc["action"] = {x.base.generator_name: list(x.theta)}
-    else:
-        doc["action"] = {
-            x.base.elements[g]: list(x.action[g]) for g in x.base.generators
-        }
+    doc["action"] = {
+        g: list(row) for g, row in zip(_generator_names(x.base), x.gen_tables())
+    }
     return doc
+
+
+def _generator_names(base):
+    """The keys of an A-set document's ``action``: one per generator."""
+    if isinstance(base, MonogenicMonoid):
+        return [base.generator_name]
+    return [base.elements[g] for g in base.generators]
 
 
 def parse_dacomplex(doc, registry=None):

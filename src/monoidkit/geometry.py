@@ -212,6 +212,11 @@ def chart_cone(aff):
 
 
 def _zonotope_box(gens, rank):
+    """Bounding box of the sums of distinct generators.  A repeated
+    generator adds nothing: a Hilbert basis element is a generator or a
+    combination of linearly independent generators with coefficients in
+    [0, 1), so the box of the distinct ones contains it."""
+    gens = set(map(tuple, gens))
     lo = [sum(min(0, g[j]) for g in gens) for j in range(rank)]
     hi = [sum(max(0, g[j]) for g in gens) for j in range(rank)]
     return lo, hi

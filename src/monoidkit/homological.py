@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import asets as ak
+from . import _kernels, asets as ak
 from .errors import (
     BoundExceeded,
     CapExceeded,
@@ -410,7 +410,10 @@ def cyclic_quotient_aset(k, eq=None, base=None, name=None):
             theta[1 + i] = 1 + nxt if nxt < k else 0
         else:
             theta[1 + i] = 1 + (nxt if nxt < k else eq)
-    return ak.ASet(base, carrier, theta=theta, name=name or f"A/t^{k}")
+    return ak.ASet(base, carrier, [theta], name=name or f"A/t^{k}")
+
+
+_ZERO_ELEM = (None, None)  # the zero of a symbolic free; (k, i) is t^k.g_i
 
 
 def free_resolution_monogenic(x, degree_bound=24, length_cap=4):
@@ -434,7 +437,7 @@ def free_resolution_monogenic(x, degree_bound=24, length_cap=4):
     pairs = []
     for v, members in sorted(fibers.items()):
         if v == 0:
-            pairs.extend((mem, (None, None)) for mem in members)
+            pairs.extend((mem, _ZERO_ELEM) for mem in members)
         else:
             pairs.extend(
                 (members[i], members[j])
@@ -442,72 +445,31 @@ def free_resolution_monogenic(x, degree_bound=24, length_cap=4):
                 for j in range(i + 1, len(members))
             )
 
-    def closure_covers(chosen):
-        # propagate: chosen pairs generate; verify all bounded pairs merge
-        # inside a truncated carrier model
-        node = {}
-
-        def nid(e):
-            if e not in node:
-                node[e] = len(node)
-            return node[e]
-
-        all_nodes = [(None, None)] + elems
-        for e in all_nodes:
-            nid(e)
-        theta_pairs = []
-        for (k, gi) in elems:
-            if k + 1 < degree_bound:
-                theta_pairs.append((nid((k, gi)), nid((k + 1, gi))))
-        # build generator-translate closure manually: seeds + t-shifts
-        seeds = []
-        for (a, b) in chosen:
-            for shift in range(degree_bound):
-                sa = _shift(a, shift, degree_bound)
-                sb = _shift(b, shift, degree_bound)
-                if sa is False or sb is False:
-                    continue
-                seeds.append((nid(sa), nid(sb)))
-        from . import _kernels
-
-        reps = _kernels.closure(len(node), [], seeds)
-        for (a, b) in pairs:
-            if max(_deg(a), _deg(b)) <= degree_bound // 2:
-                if reps[nid(a)] != reps[nid(b)]:
-                    return False
-        return True
-
-    def _shift(e, k, bound):
-        if e == (None, None):
-            return e
-        if e[0] + k >= bound:
-            return False
-        return (e[0] + k, e[1])
-
-    def _deg(e):
-        return 0 if e == (None, None) else e[0]
-
     chosen = []
     for a, b in sorted(pairs, key=lambda ab: (max(_deg(ab[0]), _deg(ab[1])), ab)):
         if max(_deg(a), _deg(b)) > degree_bound // 2:
             continue
-        if not chosen or not _pair_in_closure(chosen, a, b, degree_bound):
+        if not _window_closure(chosen, degree_bound)(a, b):
             chosen.append((a, b))
     # drop redundant generators greedily
     kept = []
     for i, p in enumerate(chosen):
         trial = kept + chosen[i + 1 :]
-        if not _pair_in_closure(trial, p[0], p[1], degree_bound):
+        if not _window_closure(trial, degree_bound)(*p):
             kept.append(p)
-    if not closure_covers(kept):
+    # every scanned pair of the lower half-window must follow from them
+    merged = _window_closure(kept, degree_bound)
+    if not all(
+        merged(a, b) for a, b in pairs if max(_deg(a), _deg(b)) <= degree_bound // 2
+    ):
         raise BoundExceeded("congruence generators not found within bound")
 
     labels1 = [f"({_fmt(a)};{_fmt(b)})" for a, b in kept]
     r1 = {}
     s1 = {}
     for lbl, (a, b) in zip(labels1, kept):
-        r1[lbl] = None if a == (None, None) else (a[0], labels0[a[1]])
-        s1[lbl] = None if b == (None, None) else (b[0], labels0[b[1]])
+        r1[lbl] = None if a == _ZERO_ELEM else (a[0], labels0[a[1]])
+        s1[lbl] = None if b == _ZERO_ELEM else (b[0], labels0[b[1]])
     level_labels = [labels0]
     rs, ss = [], []
     if labels1:
@@ -522,31 +484,32 @@ def free_resolution_monogenic(x, degree_bound=24, length_cap=4):
     return FreeComplex(base, level_labels, rs, ss), eps
 
 
-def _pair_in_closure(chosen, a, b, bound):
+def _window_closure(chosen, bound):
+    """Congruence generated by the pairs ``chosen`` and their t-translates,
+    cut to degrees below ``bound``; returns "are a and b merged?"."""
     node = {}
-
-    def nid(e):
-        if e not in node:
-            node[e] = len(node)
-        return node[e]
-
     seeds = []
-    for (p, q) in chosen:
-        for shift in range(bound):
-            sp = p if p == (None, None) else ((p[0] + shift, p[1]) if p[0] + shift < bound else None)
-            sq = q if q == (None, None) else ((q[0] + shift, q[1]) if q[0] + shift < bound else None)
-            if sp is None or sq is None:
-                continue
-            seeds.append((nid(sp), nid(sq)))
-    ia, ib = nid(a), nid(b)
-    from . import _kernels
-
+    for a, b in chosen:
+        for k in range(bound - max(_deg(a), _deg(b))):
+            sa = a if a == _ZERO_ELEM else (a[0] + k, a[1])
+            sb = b if b == _ZERO_ELEM else (b[0] + k, b[1])
+            seeds.append(
+                (node.setdefault(sa, len(node)), node.setdefault(sb, len(node)))
+            )
     reps = _kernels.closure(len(node), [], seeds)
-    return reps[ia] == reps[ib]
+
+    def merged(a, b):
+        return a == b or (a in node and b in node and reps[node[a]] == reps[node[b]])
+
+    return merged
+
+
+def _deg(e):
+    return 0 if e == _ZERO_ELEM else e[0]
 
 
 def _fmt(e):
-    if e == (None, None):
+    if e == _ZERO_ELEM:
         return "0"
     k, gi = e
     return f"t^{k}.g{gi}"
@@ -643,19 +606,10 @@ def constant_simplicial(x, trunc):
 def moore(sset):
     """Normalized complex: joint kernel of the lower faces, with the top
     two faces as the boundary pair.  Always reduced."""
-    levels = []
-    keeps = []
-    for n in range(sset.truncation + 1):
-        if n <= 1:
-            keep = list(range(len(sset.levels[n].carrier)))
-        else:
-            keep = [
-                p
-                for p in range(len(sset.levels[n].carrier))
-                if all(sset.face(n, i)(p) == 0 for i in range(n - 1))
-            ]
-        keeps.append(keep)
-        levels.append(ak.sub_aset(sset.levels[n], keep, name=f"N{n}"))
+    keeps = [_moore_keep(sset, n) for n in range(sset.truncation + 1)]
+    levels = [
+        ak.sub_aset(sset.levels[n], keep, name=f"N{n}") for n, keep in enumerate(keeps)
+    ]
     rs, ss = [], []
     for n in range(1, sset.truncation + 1):
         pos_prev = {p: i for i, p in enumerate(keeps[n - 1])}
@@ -760,24 +714,16 @@ def dold_kan_inverse(c, trunc):
             return None
         return (eta2, m - 1, res[1])
 
+    # a row acts on the cell (eta, m, p) through p, keeping eta
     levels = []
     for k in range(trunc + 1):
-        names = carriers[k]
-        if isinstance(base, MonogenicMonoid):
-            theta = [0] * len(names)
-            for cell, idx in cell_index[k].items():
-                eta, m, p = cell
-                q = c.level(m).theta[p]
-                theta[idx] = cell_index[k].get((eta, m, q), 0) if q else 0
-            levels.append(ak.ASet(base, names, theta=theta, name=f"K{k}"))
-        else:
-            action = [[0] * len(names) for _ in base.indices()]
-            for a in base.indices():
-                for cell, idx in cell_index[k].items():
-                    eta, m, p = cell
-                    q = c.level(m).act(a, p)
-                    action[a][idx] = cell_index[k].get((eta, m, q), 0) if q else 0
-            levels.append(ak.ASet(base, names, action=action, name=f"K{k}"))
+        index = cell_index[k]
+        action = [[0] * len(carriers[k]) for _ in c.level(0).action]
+        for (eta, m, p), idx in index.items():
+            for row, src in zip(action, c.level(m).action):
+                q = src[p]
+                row[idx] = index.get((eta, m, q), 0) if q else 0
+        levels.append(ak.ASet(base, carriers[k], action, name=f"K{k}"))
 
     faces = []
     for k in range(1, trunc + 1):
@@ -975,6 +921,8 @@ def adjunction_check(c, sset):
 
 
 def _moore_keep(sset, n):
+    """Cells of level n in the Moore complex: all of levels 0 and 1, above
+    that the joint kernel of the faces d_0..d_{n-2}."""
     if n <= 1:
         return list(range(len(sset.levels[n].carrier)))
     return [

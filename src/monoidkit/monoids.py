@@ -49,7 +49,7 @@ class FiniteMonoid:
         self.elements = list(elements)
         self.table = [list(row) for row in table]
         if generators is None:
-            generators = _minimal_generators(self.table, len(self.elements))
+            generators = _minimal_generators(self)
         self.generators = list(generators)
         self._index = {e: i for i, e in enumerate(self.elements)}
 
@@ -118,31 +118,16 @@ class FiniteMonoid:
         return words
 
 
-def _minimal_generators(table, n):
+def _minimal_generators(m):
     # greedy sweep in canonical element order; each unreachable element
     # becomes a generator (zero need not be generated)
-    if n <= 1:
-        return []
     gens = []
-    reachable = {ONE}
-    for e in range(2, n):
+    reachable = {m.one}
+    for e in range(2, len(m.elements)):
         if e not in reachable:
             gens.append(e)
-            reachable = _closure_under(table, gens)
+            reachable = m.submonoid_closure(gens)
     return gens
-
-
-def _closure_under(table, gens):
-    seen = {ONE}
-    frontier = [ONE]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = table[x][g]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -837,24 +822,9 @@ def monoid_isomorphic(a, b):
 # localization and group completion
 
 
-def mult_closure(m, seed):
-    """Multiplicative closure of ``seed`` together with 1."""
-    out = {m.one}
-    frontier = list(set(seed))
-    out.update(frontier)
-    while frontier:
-        x = frontier.pop()
-        for y in list(out):
-            z = m.table[x][y]
-            if z not in out:
-                out.add(z)
-                frontier.append(z)
-    return sorted(out)
-
-
 def saturation(m, s_set):
     """Smallest saturated multiplicative set containing ``s_set``."""
-    s = set(mult_closure(m, s_set))
+    s = m.submonoid_closure(s_set)
     # x is in the saturation when some multiple xy lands in s
     changed = True
     while changed:
@@ -879,7 +849,7 @@ def localize(m, s_gens, name=None):
     s_gens = [x if isinstance(x, int) else m.index_of(x) for x in s_gens]
     if ZERO in s_gens and len(m.elements) > 1:
         raise ZeroInS("0 in the localization set")
-    s = mult_closure(m, s_gens)
+    s = sorted(m.submonoid_closure(s_gens))
     if ZERO in s:
         q = FiniteMonoid(f"{m.name}_loc", ["0"], [[0]], [])
         return q, MonoidHom(m, q, [0] * len(m.elements))

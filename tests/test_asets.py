@@ -3,6 +3,7 @@ import itertools
 import pytest
 from test_acceptance import corpus_monoids
 
+from monoidkit import _kernels
 from monoidkit import asets as ak
 from monoidkit import monoids as mk
 from monoidkit.errors import BoundExceeded, NotAES, NotASubset
@@ -240,6 +241,118 @@ def test_split_check_retractions_match_hom_filter():
                 assert rep.has_admissible_retraction == any(
                     r.is_admissible() for r in retractions
                 ), (tail, sub)
+
+
+def _acting_elements(x):
+    """Elements whose action the checks below compare: all of a finite
+    base; zero and t^0 .. t^(|X|+1) over the monogenic base."""
+    if isinstance(x.base, mk.MonogenicMonoid):
+        return [None] + list(range(len(x.carrier) + 2))
+    return list(x.base.indices())
+
+
+def _commutes(source, target, mapping):
+    return all(
+        mapping[source.act(a, p)] == target.act(a, mapping[p])
+        for a in _acting_elements(source)
+        for p in range(len(source.carrier))
+    )
+
+
+def _is_morphism(source, target, mapping):
+    return ak.ASetMorphism(source, target, mapping).validate().ok and _commutes(
+        source, target, mapping
+    )
+
+
+def _check_unary_constructions(x):
+    n = len(x.carrier)
+    elems = _acting_elements(x)
+    # validate accepts exactly the based maps commuting with every element
+    for tail in itertools.product(range(n), repeat=n - 1):
+        f = [0, *tail]
+        assert ak.ASetMorphism(x, x, f).validate().ok == _commutes(x, x, f)
+    r = x.relabeled("R")
+    assert (r.name, r.action, r.carrier) == ("R", x.action, x.carrier)
+    assert _is_morphism(x, r, list(range(n)))
+    z = ak.zero_aset(x.base)
+    assert ak.validate_aset(z).ok and all(z.act(a, 0) == 0 for a in elems)
+    assert _is_morphism(x, z, [0] * n) and _is_morphism(z, x, [0])
+    for sub in ak.enumerate_asubsets(x):
+        s = ak.sub_aset(x, sub)
+        assert ak.validate_aset(s).ok and s.carrier == [x.carrier[p] for p in sub]
+        assert all(sub[s.act(a, i)] == x.act(a, p) for a in elems for i, p in enumerate(sub))
+        assert _is_morphism(s, x, sub)
+    for cong in ak.enumerate_congruences(x):
+        q, proj = ak.quotient_aset(x, cong)
+        assert ak.validate_aset(q).ok and proj.is_surjective()
+        assert _is_morphism(x, q, proj.mapping)
+        assert all(
+            (proj(p) == proj(p2)) == (cong.reps[p] == cong.reps[p2])
+            for p in range(n) for p2 in range(n)
+        )
+
+
+def _check_binary_constructions(x, y):
+    elems = _acting_elements(x)
+    w = ak.wedge([x, y])
+    assert ak.validate_aset(w).ok and len(w.carrier) == len(x.carrier) + len(y.carrier) - 1
+    for part, incl in zip((x, y), ak.wedge_inclusions(w)):
+        assert _is_morphism(part, w, incl.mapping)
+    s = ak.smash(x, y)
+    assert ak.validate_aset(s).ok
+    node = {(i, j): k + 1 for k, (i, j) in enumerate(itertools.product(x.nonzero(), y.nonzero()))}
+    for a in elems:
+        for (i, j), k in node.items():
+            assert s.act(a, k) == node.get((x.act(a, i), y.act(a, j)), 0)
+    t = ak.tensor(x, y)
+    assert ak.validate_aset(t).ok
+
+    def cls(i, j):
+        return t.pair_class.get((i, j), 0)
+
+    # [-, j] and [i, -] are morphisms, and (a.i, j) ~ (i, a.j) for every a
+    for j in range(len(y.carrier)):
+        assert _is_morphism(x, t, [cls(i, j) for i in range(len(x.carrier))])
+    for i in range(len(x.carrier)):
+        assert _is_morphism(y, t, [cls(i, j) for j in range(len(y.carrier))])
+    # the classes are exactly those of the interchange moves over every element
+    moves = [
+        (node.get((x.act(a, i), j), 0), node.get((i, y.act(a, j)), 0))
+        for a in elems for i, j in node
+    ]
+    reps = _kernels.closure(len(node) + 1, [], moves)
+    assert all(
+        (cls(*u) == cls(*v)) == (reps[node[u]] == reps[node[v]]) for u in node for v in node
+    )
+    h = ak.hom_aset(x, y)
+    assert ak.validate_aset(h).ok
+    maps = [f.mapping for f in h.morphisms]
+    assert sorted(maps) == [f.mapping for f in ak.hom_enumerate(x, y)] and not any(maps[0])
+    for a in elems:
+        for k, f in enumerate(maps):
+            assert maps[h.act(a, k)] == [f[x.act(a, p)] for p in range(len(x.carrier))]
+    for p in range(len(x.carrier)):
+        assert _is_morphism(h, y, [f[p] for f in maps])  # evaluation at p
+
+
+def test_constructions_act_by_definition_on_both_bases():
+    # every monogenic table of carrier <= 4, and every line(3) table
+    thetas = [
+        ak.aset_from_theta((0,) + tail)
+        for c in range(1, 5)
+        for tail in itertools.product(range(c), repeat=c - 1)
+    ]
+    m = line(3)
+    tables = [x for c in range(1, 5) for x in ak.enumerate_asets(m, c, up_to_iso=False)]
+    for family in (thetas, tables):
+        for x in family:
+            _check_unary_constructions(x)
+        # each table against every table of carrier <= 3, on either side
+        small = [y for y in family if len(y.carrier) <= 3]
+        for x, y in itertools.product(family, small):
+            _check_binary_constructions(x, y)
+            _check_binary_constructions(y, x)
 
 
 def test_wedge_smash_tensor_over_f1():

@@ -56,7 +56,7 @@ def test_aset_roundtrip_monogenic():
     x = ak.aset_from_theta([0, 2, 0], name="T")
     doc = docs.aset_to_doc(x)
     x2 = docs.parse_aset(json.loads(json.dumps(doc)))
-    assert x2.theta == x.theta
+    assert x2.action == x.action
 
 
 def test_aset_roundtrip_table_base():

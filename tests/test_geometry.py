@@ -378,6 +378,25 @@ def test_class_group_affine_space_trivial():
         assert gm.class_group(x).invariants().is_trivial
 
 
+@pytest.mark.parametrize(
+    "gens, cl",
+    [
+        ([(1,)] * 10, AbelianGroup(0)),
+        ([(1, 0), (0, 1)] * 5, AbelianGroup(0)),
+        ([(1, 0), (1, 2), (1, 1)] * 4, AbelianGroup(0, (2,))),
+        ([(2, 0), (0, 2)] * 6 + [(0, 0)], AbelianGroup(0)),
+    ],
+)
+def test_repeated_generators_do_not_widen_the_box(gens, cl):
+    # the box of sums of distinct generators holds the Hilbert basis; a
+    # box summing repeats reached past the default bound of 8 summands
+    chart = numeric(gens)
+    distinct = numeric(sorted(set(gens)))
+    assert gm.saturation_points_in_box(chart) == gm.saturation_points_in_box(distinct)
+    assert gm.is_normal(chart)
+    assert gm.class_group(gm.affine_scheme(chart)).invariants() == cl
+
+
 def test_class_group_on_sublattice_charts():
     # the generators span 2Z^2, so the divisors come from a basis of 2Z^2
     plane = gm.affine_scheme(numeric([(2, 0), (0, 2)]))
