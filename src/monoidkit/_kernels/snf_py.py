@@ -4,13 +4,18 @@ Matrices are lists of row lists of Python ints (exact bignum arithmetic).
 One elimination loop, ``_reduce``, serves both entry points: it reduces
 the top-left block of a work matrix in place, so ``snf_with_transforms``
 records U and V by carrying an identity block to the right of and below
-the input, and ``snf_diagonal`` reduces the bare input.  Elimination uses
+the input, and ``snf_diagonal`` reduces what is left of the input after a
+sparse unit-pivot pass.  That pass (``_eliminate_unit_pivots``) splits
+off +-1 pivots chosen by least Markowitz cost on a sparse copy, which
+empties most of a 0/+-1 boundary matrix before any dense work (Dumas,
+Heckenbach, Saunders and Welker 2003).  Elimination in ``_reduce`` uses
 extended-gcd 2x2 unimodular blocks, which keeps intermediate growth tame;
 divisibility d1 | d2 | ... is restored by folding a column into its left
-neighbour and re-reducing the 2x2 block.  The compiled twin
-(``_snf_cy``) follows the same elimination in 64-bit arithmetic and raises
-``OverflowError`` when entries threaten the safe range; callers fall back
-to this module in that case.
+neighbour and re-reducing the 2x2 block.  ``_reduce`` is the one loop the
+compiled twin (``_snf_cy``) mirrors: it follows the same elimination on
+the whole matrix in 64-bit arithmetic and raises ``OverflowError`` when
+entries threaten the safe range; callers fall back to this module in that
+case.
 """
 
 from __future__ import annotations
@@ -152,13 +157,79 @@ def snf_with_transforms(mat):
     return U, D, A[m:]
 
 
+def _cheapest_unit(rows, cols):
+    """(row, column) of the +-1 entry of least Markowitz cost, or None."""
+    best = None
+    for i, r in rows.items():
+        row_cost = len(r) - 1
+        for j, v in r.items():
+            if v == 1 or v == -1:
+                cost = row_cost * (len(cols[j]) - 1)
+                if cost == 0:
+                    return i, j
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
+def _eliminate_unit_pivots(mat):
+    """Split off unit pivots of ``mat``; return (count, dense residue).
+
+    The matrix is held as sparse rows ({column: value}) with a column ->
+    rows index.  Each step takes the +-1 entry of least Markowitz cost
+    (row nnz - 1) * (column nnz - 1) and subtracts the pivot row from
+    every other row meeting its column, exactly, since the pivot is a
+    unit.  Column operations would then clear the pivot row without
+    touching anything else, so the matrix is equivalent to [1] (+) the
+    rest: the pivot row and column are dropped.  The residue keeps the
+    nonzero rows and the columns they meet.
+    """
+    rows = {}
+    cols = {}
+    for i, row in enumerate(mat):
+        r = {j: int(v) for j, v in enumerate(row) if v}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    ones = 0
+    while (pivot := _cheapest_unit(rows, cols)) is not None:
+        p, q = pivot
+        prow = rows.pop(p)
+        for j in prow:
+            cols[j].discard(p)
+        pv = prow.pop(q)
+        for i in cols.pop(q):
+            r = rows[i]
+            f = r.pop(q) * pv  # r[q] / pv, as pv is +-1
+            for j, v in prow.items():
+                nv = r.get(j, 0) - f * v
+                if nv:
+                    if j not in r:
+                        cols[j].add(i)
+                    r[j] = nv
+                else:
+                    del r[j]
+                    cols[j].discard(i)
+            if not r:
+                del rows[i]
+        ones += 1
+    used = sorted({j for r in rows.values() for j in r})
+    return ones, [[r.get(j, 0) for j in used] for r in rows.values()]
+
+
 def snf_diagonal(mat):
-    """Invariant factors (the nonzero diagonal of the SNF), d1 | d2 | ..."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    D = [list(map(int, row)) for row in mat]
+    """Invariant factors (the nonzero diagonal of the SNF), d1 | d2 | ...
+
+    Unit pivots are split off on a sparse copy first; ``_reduce`` runs on
+    the dense residue.  Invariant factors are unique, so the result is
+    that of reducing ``mat`` whole.
+    """
+    ones, D = _eliminate_unit_pivots(mat)
+    m = len(D)
+    n = len(D[0]) if m else 0
     _reduce(D, m, n)
-    return [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
+    return [1] * ones + [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
 
 
 def integer_rank(mat):

@@ -21,8 +21,13 @@ from . import homological as hml
 from . import projk as pk
 from . import spectra as sp
 from . import torreal as tr
-from .errors import BoundExceeded, MonoidKitError, ValidationError
-from .monoids import FiniteMonoid, MonogenicMonoid, validate as validate_monoid
+from .errors import BoundExceeded, HypothesisViolated, MonoidKitError, ValidationError
+from .monoids import (
+    FiniteMonoid,
+    MonogenicMonoid,
+    generator_names,
+    validate as validate_monoid,
+)
 
 
 def _bound_default(value):
@@ -278,14 +283,13 @@ def cmd_adjcheck(args):
 
 def cmd_tor1(args):
     x = _load(args.aset)
-    exp = args.elem.strip()
-    gen = x.base.generator_name if isinstance(x.base, MonogenicMonoid) else "t"
-    if exp in (gen, f"{gen}^1"):
-        k = 1
-    elif exp.startswith(f"{gen}^"):
-        k = int(exp.split("^")[1])
-    else:
+    if not isinstance(x.base, MonogenicMonoid):
+        raise HypothesisViolated("monogenic base required")
+    (gen,) = generator_names(x.base)
+    head, caret, power = args.elem.strip().partition("^")
+    if head != gen or (caret and not power.isdecimal()):
         raise ValidationError(f"element must be a power of {gen}")
+    k = int(power) if caret else 1
     rep = tr.tor1_monogenic(x, k)
     hrep = tr.hurewicz_compare(x, k)
     payload = {

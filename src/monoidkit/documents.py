@@ -15,6 +15,7 @@ from .monoids import (
     FiniteMonoid,
     MonogenicMonoid,
     build_from_presentation,
+    generator_names,
     validate as validate_monoid,
 )
 
@@ -131,7 +132,7 @@ def parse_aset(doc, registry=None):
     carrier = list(doc["carrier"])
     if carrier[0] != "0":
         raise ValidationError("carrier must start with the basepoint '0'")
-    gen_maps = [doc["action"][g] for g in _generator_names(base)]
+    gen_maps = [doc["action"][g] for g in generator_names(base)]
     if isinstance(base, MonogenicMonoid):
         # the generator's row is the whole monogenic action
         x = ak.ASet(base, carrier, gen_maps, name=doc.get("name", "X"))
@@ -153,16 +154,9 @@ def aset_to_doc(x):
         "carrier": list(x.carrier),
     }
     doc["action"] = {
-        g: list(row) for g, row in zip(_generator_names(x.base), x.gen_tables())
+        g: list(row) for g, row in zip(generator_names(x.base), x.gen_tables())
     }
     return doc
-
-
-def _generator_names(base):
-    """The keys of an A-set document's ``action``: one per generator."""
-    if isinstance(base, MonogenicMonoid):
-        return [base.generator_name]
-    return [base.elements[g] for g in base.generators]
 
 
 def parse_dacomplex(doc, registry=None):

@@ -10,21 +10,18 @@ from . import _kernels
 
 
 def matmul(a, b):
+    """a * b; each nonzero entry of a meets only the nonzero entries of its
+    row of b (the sparse 0/+-1 differentials of the d.d = 0 check)."""
     if not a:
         return []
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
+    cols = len(b[0]) if b else 0
+    b_nonzero = [[(j, v) for j, v in enumerate(bk) if v] for bk in b]
+    out = [[0] * cols for _ in a]
+    for ai, oi in zip(a, out):
+        for v, bk in zip(ai, b_nonzero):
             if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += v * bk[j]
+                for j, w in bk:
+                    oi[j] += v * w
     return out
 
 

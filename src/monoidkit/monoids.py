@@ -174,6 +174,13 @@ class MonogenicMonoid:
         return f"MonogenicMonoid({self.name!r})"
 
 
+def generator_names(base):
+    """Names of a base's generators, in the order of ``ASet.gen_tables``."""
+    if isinstance(base, MonogenicMonoid):
+        return [base.generator_name]
+    return [base.elements[g] for g in base.generators]
+
+
 # ---------------------------------------------------------------------------
 # affine backend
 

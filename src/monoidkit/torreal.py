@@ -15,34 +15,28 @@ from dataclasses import dataclass
 from . import _kernels, asets as ak, homological as hm, intlin
 from .abgroup import AbelianGroup
 from .errors import HypothesisViolated, NotAComplex, OracleMismatch
-from .monoids import MonogenicMonoid
+from .monoids import MonogenicMonoid, generator_names
 
 
 # ---------------------------------------------------------------------------
 # realization
 
 
-def _zero_one_matrix(mapping, rows, cols):
-    """0/1 matrix of a based map on the nonzero bases (columns = source)."""
-    mat = [[0] * cols for _ in range(rows)]
-    for j in range(1, cols + 1):
-        v = mapping[j]
+def _zero_one_matrix(mapping):
+    """0/1 matrix of a based carrier self-map on the nonzero basis
+    (columns = source)."""
+    n = len(mapping) - 1
+    mat = [[0] * n for _ in range(n)]
+    for p in range(1, n + 1):
+        v = mapping[p]
         if v != 0:
-            mat[v - 1][j - 1] = 1
+            mat[v - 1][p - 1] = 1
     return mat
-
-
-def realize_matrix(f):
-    """0/1 matrix of a morphism on the nonzero basis (columns = source)."""
-    return _zero_one_matrix(
-        f.mapping, len(f.target.carrier) - 1, len(f.source.carrier) - 1
-    )
 
 
 def realize_action_matrix(x, a):
     """Matrix of the action of monoid element ``a`` on the realization."""
-    n = len(x.carrier) - 1
-    return _zero_one_matrix([x.act(a, p) for p in range(n + 1)], n, n)
+    return _zero_one_matrix([x.act(a, p) for p in range(len(x.carrier))])
 
 
 def z_realization(x):
@@ -52,14 +46,10 @@ def z_realization(x):
     """
     rank = len(x.carrier) - 1
     labels = list(x.carrier[1:])
-    base = x.base
-    if isinstance(base, MonogenicMonoid):
-        gens = {base.generator_name: realize_action_matrix(x, 1)}
-    else:
-        gens = {
-            base.elements[g]: realize_action_matrix(x, g)
-            for g in base.generators
-        }
+    gens = {
+        name: _zero_one_matrix(row)
+        for name, row in zip(generator_names(x.base), x.gen_tables())
+    }
     return rank, labels, gens
 
 
@@ -97,21 +87,22 @@ class IntegerChainComplex:
 
 
 def chain_of_simplicial(sset):
-    """Realized chain complex with d = alternating sum of the faces."""
+    """Realized chain complex with d = alternating sum of the faces.
+
+    Face i of level n sends basis cell c to cell ``mapping[c + 1]`` or to
+    the basepoint, so it adds (-1)^i at (mapping[c + 1] - 1, c) of d_n for
+    each c it does not send to the basepoint; no face matrix is built.
+    """
     ranks = [len(l.carrier) - 1 for l in sset.levels]
     labels = [list(l.carrier[1:]) for l in sset.levels]
     diffs = []
     for n in range(1, len(sset.levels)):
-        rows, cols = ranks[n - 1], ranks[n]
-        mat = [[0] * cols for _ in range(rows)]
+        mat = [[0] * ranks[n] for _ in range(ranks[n - 1])]
         for i in range(n + 1):
-            face = realize_matrix(sset.face(n, i))
             sign = 1 if i % 2 == 0 else -1
-            for r in range(rows):
-                fr = face[r]
-                mr = mat[r]
-                for c in range(cols):
-                    mr[c] += sign * fr[c]
+            for c, v in enumerate(sset.face(n, i).mapping[1:]):
+                if v:
+                    mat[v - 1][c] += sign
         diffs.append(mat)
     return IntegerChainComplex(ranks, diffs, labels)
 

@@ -191,3 +191,24 @@ def test_dk_and_moore_commands(tmp_path):
     assert code == 0
     code, out = run(["adjcheck", str(f), str(g)])
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "aset, elem, message",
+    [
+        # a finite-table base is refused whatever the element says
+        ("line2-regular.json", "x", "monogenic base required"),
+        ("line2-regular.json", "t^2", "monogenic base required"),
+        ("line2-regular.json", "t^x", "monogenic base required"),
+        # over the monogenic base every non-power spelling reads alike
+        ("tchain.json", "x", "element must be a power of t"),
+        ("tchain.json", "t^x", "element must be a power of t"),
+        ("tchain.json", "t^", "element must be a power of t"),
+        ("tchain.json", "t^-1", "element must be a power of t"),
+        ("tchain.json", "tt", "element must be a power of t"),
+    ],
+)
+def test_tor1_rejects_bad_base_or_element(capsys, aset, elem, message):
+    code, out = run(["tor1", doc("asets", aset), "--elem", elem])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -88,6 +88,72 @@ def test_snf_compiled_matches_pure(mat):
     assert _kernels.snf_diagonal(mat) == snf_py.snf_diagonal(mat)
 
 
+def _smith_diagonal(mat):
+    # the nonzero diagonal of the transform path, whose contract check_snf proves
+    _, D, _ = snf_py.snf_with_transforms(mat)
+    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0)) if D[i][i]]
+
+
+def check_snf_diagonal(mat):
+    want = _smith_diagonal(mat)
+    assert snf_py.snf_diagonal(mat) == want
+    assert snf_py.integer_rank(mat) == len(want)
+    if HAVE_COMPILED:
+        try:
+            assert _snf_cy.snf_diagonal(mat) == want
+        except OverflowError:
+            pass
+
+
+@st.composite
+def sparse_unit_matrices(draw):
+    m, n = draw(st.integers(0, 12)), draw(st.integers(0, 16))
+    density = draw(st.floats(0, 0.3))
+    rnd = draw(st.randoms(use_true_random=False))
+    return [
+        [rnd.choice((1, -1)) if rnd.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
+
+
+def _shaped(entries):
+    return st.integers(1, 8).flatmap(
+        lambda m: st.integers(1, 8).flatmap(
+            lambda n: st.lists(
+                st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m
+            )
+        )
+    )
+
+
+near_2_40 = st.sampled_from((0, 1, -1, 2)) | st.builds(
+    lambda sign, d: sign * (1 << 40) + d, st.sampled_from((1, -1)), st.integers(-5, 5)
+)
+
+
+@given(sparse_unit_matrices() | _shaped(st.integers(-9, 9)) | _shaped(near_2_40))
+@settings(max_examples=300, deadline=None)
+def test_snf_diagonal_matches_transform_path(mat):
+    check_snf_diagonal(mat)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        [[], [], []],  # m x 0
+        [],  # 0 x 0
+        [[0, 0, 0], [0, 0, 0]],  # all zero
+        [[-1]],
+        [[0, 0], [0, 1], [0, 0]],  # a single unit
+        [[2, 4], [6, 8]],  # no unit entry
+        [[2, 0, 3], [0, 3, 0], [4, 0, 6]],  # no unit entry, torsion 6
+        [[1, 1, 0], [1, 0, 1], [0, 1, 1]],  # fill-in creates a 2
+    ],
+)
+def test_snf_diagonal_edge_cases(mat):
+    check_snf_diagonal(mat)
+
+
 def test_snf_textbook_case():
     # classic: [[2,4,4],[-6,6,12],[10,-4,-16]] -> diag(2, 6, 12)
     mat = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]

@@ -1,11 +1,12 @@
 import itertools
+import random
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monoidkit import _kernels
+from monoidkit import _kernels, intlin
 from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
@@ -200,6 +201,57 @@ def test_chain_of_constant_simplicial():
     assert h0.as_group() == AbelianGroup(2)
     for n in (1, 2):
         assert tr.smith_homology(chain, n).as_group().is_trivial
+
+
+def realize_matrix(f):
+    """0/1 matrix of a based morphism on the nonzero bases (columns = source)."""
+    rows, cols = len(f.target.carrier) - 1, len(f.source.carrier) - 1
+    mat = [[0] * cols for _ in range(rows)]
+    for j in range(1, cols + 1):
+        if f.mapping[j] != 0:
+            mat[f.mapping[j] - 1][j - 1] = 1
+    return mat
+
+
+def test_chain_differentials_are_alternating_face_sums():
+    # oracle: d_n as the dense alternating sum of the realized face matrices
+    for c in range(1, 5):
+        for tail in itertools.product(range(c), repeat=c - 1):
+            x = ak.aset_from_theta([0] + list(tail))
+            for k, trunc in itertools.product((1, 2, 3), (3, 4)):
+                _, sset = tr.tor_complex(x, k, trunc=trunc)
+                want = []
+                for n in range(1, len(sset.levels)):
+                    faces = [realize_matrix(sset.face(n, i)) for i in range(n + 1)]
+                    want.append(
+                        [
+                            [sum((-1) ** i * v for i, v in enumerate(cells)) for cells in zip(*rows)]
+                            for rows in zip(*faces)
+                        ]
+                    )
+                assert tr.chain_of_simplicial(sset).diff == want, (tail, k, trunc)
+
+
+@pytest.mark.parametrize(
+    "rows, inner, cols",
+    [(0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 5, 3), (6, 2, 7)],
+)
+def test_matmul_matches_triple_loop(rows, inner, cols):
+    rng = random.Random(rows * 100 + inner * 10 + cols)
+
+    def entry():
+        return rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9)))
+
+    for _ in range(20):
+        a = [[entry() for _ in range(inner)] for _ in range(rows)]
+        b = [[entry() for _ in range(cols)] for _ in range(inner)]
+        # with no rows, b cannot carry its column count
+        width = cols if inner else 0
+        want = [
+            [sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(width)]
+            for i in range(rows)
+        ]
+        assert intlin.matmul(a, b) == want
 
 
 def test_tor_rank_injective_action_is_zero():
