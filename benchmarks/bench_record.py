@@ -3,6 +3,8 @@
 
     python3 benchmarks/bench_record.py --parent DIR --out benchmarks/BENCH_<n>.json
         [--seeds 1 2 3] [--workloads homology lattice ...]
+        [--holdout-seeds 4] [--claim homology:throughput_cases_per_ref
+         --claim-seeds 5 6 7]
 
 ``DIR`` is a checkout of the parent commit (``git clone`` it anywhere);
 the change is the checkout this script lives in.  The script drives the
@@ -11,10 +13,20 @@ existing tools and re-implements none of them:
 * ``perfbench/run.py --trace 0`` of each checkout for every workload and
   seed, for the ``run_seconds`` of ``BENCHMARK.json``, parent and change
   back to back with the first side alternating, so both see the same
-  machine;
+  machine; ``--holdout-seeds`` add one such pair per workload on seeds
+  kept out of the development of the change, recorded apart;
+* ``--claim WORKLOAD:METRIC`` runs that workload on ``--claim-seeds`` as
+  well and sums up its pairs on the seeds and claim seeds: how many the
+  change wins and both sides' quartiles, with the metric's direction
+  taken from ``BENCHMARK.json``; the hold-out pairs are listed beside
+  that sum;
 * ``perfbench/run.py --trace 1`` of each checkout once per workload (first
   seed) for the per-layer counters; zero counters are left out;
-* the Tier-1 suite (``python -m pytest -q``) of each checkout, timed.
+* the Tier-1 suite (``python -m pytest -q``) of each checkout, timed, at
+  one fixed ``--hypothesis-seed`` so that both sides draw the same
+  examples, with every test's time from ``--durations=0`` and the
+  acceptance criteria listed on their own.  The seed is a measurement
+  setting only; the gate is the unseeded suite.
 
 Every figure is read off the tools' own output; the record also names the
 commits, the source hash ``run.py`` prints, the python version and nproc.
@@ -33,6 +45,7 @@ import time
 
 CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("homology", "homology-compiled", "lattice", "finite", "cli")
+HYPOTHESIS_SEED = 0  # Tier-1 draws the same examples on both sides
 
 
 def bench(root, workload, seed, seconds, trace):
@@ -64,10 +77,43 @@ def tier1(root):
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", f"--hypothesis-seed={HYPOTHESIS_SEED}",
+         "--durations=0", "--durations-min=0"],
         cwd=root, env=env, capture_output=True, text=True, check=False)
     wall = time.monotonic() - start
-    return {"wall_s": round(wall, 2), "summary": proc.stdout.strip().splitlines()[-1]}
+    tests = {}  # test id -> seconds over its setup, call and teardown
+    for line in proc.stdout.splitlines():
+        parts = line.split(None, 2)  # a parametrized id may hold spaces
+        if (len(parts) == 3 and parts[0].endswith("s")
+                and parts[1] in ("setup", "call", "teardown")):
+            tests[parts[2]] = tests.get(parts[2], 0.0) + float(parts[0][:-1])
+    tests = {name: round(t, 3) for name, t in sorted(tests.items())}
+    return {
+        "wall_s": round(wall, 2),
+        "summary": proc.stdout.strip().splitlines()[-1],
+        "hypothesis_seed": HYPOTHESIS_SEED,
+        "criteria": {name.split("::")[1]: t for name, t in tests.items()
+                     if "::test_criterion_" in name},
+        "tests_s": tests,
+    }
+
+
+def claim_summary(runs, metric, better):
+    """Wins of the change over every recorded pair of one workload."""
+    pairs = [(runs["parent"][seed]["metrics"][metric],
+              runs["change"][seed]["metrics"][metric]) for seed in runs["parent"]]
+    parent, change = ([pair[side] for pair in pairs] for side in (0, 1))
+    parent_q = statistics.quantiles(parent, n=4)
+    return {
+        "metric": metric,
+        "better": better,
+        "seeds": sorted(runs["parent"]),
+        "pairs": len(pairs),
+        "wins": sum((c > p) if better == "higher" else (c < p) for p, c in pairs),
+        "parent_quartiles": parent_q,
+        "change_quartiles": statistics.quantiles(change, n=4),
+        "parent_iqr": parent_q[2] - parent_q[0],
+    }
 
 
 def commit(root):
@@ -76,16 +122,30 @@ def commit(root):
                           cwd=root, capture_output=True, text=True).stdout.strip()
 
 
+def pair(roots, wl, seed, seconds, parent_first):
+    """One alternating pair: {side: record}."""
+    out = {}
+    for side in sorted(roots, reverse=parent_first):
+        print(f"{wl} seed {seed} {side}", file=sys.stderr, flush=True)
+        out[side] = bench(roots[side], wl, seed, seconds, 0)
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--holdout-seeds", type=int, nargs="*", default=[])
     ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    ap.add_argument("--claim", help="WORKLOAD:METRIC whose gain the record supports")
+    ap.add_argument("--claim-seeds", type=int, nargs="*", default=[])
     args = ap.parse_args()
     roots = {"parent": os.path.abspath(args.parent), "change": CHANGE}
     with open(os.path.join(CHANGE, "BENCHMARK.json")) as fh:
-        seconds = json.load(fh)["run_seconds"]
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+    claim_wl, claim_metric = args.claim.split(":") if args.claim else (None, None)
 
     record = {
         "commits": {side: commit(root) for side, root in roots.items()},
@@ -96,25 +156,37 @@ def main():
     }
     for wl in args.workloads:
         runs = {side: {} for side in roots}
-        for k, seed in enumerate(args.seeds):
-            # alternate which side runs first
-            for side in sorted(roots, reverse=k % 2 == 1):
-                print(f"{wl} seed {seed} {side}", file=sys.stderr, flush=True)
-                runs[side][seed] = bench(roots[side], wl, seed, seconds, 0)
+        seeds = args.seeds + (args.claim_seeds if wl == claim_wl else [])
+        for k, seed in enumerate(seeds):
+            # the parent runs first on even pairs
+            for side, res in pair(roots, wl, seed, seconds, k % 2 == 0).items():
+                runs[side][seed] = res
         ratios = {}
         for name in runs["change"][args.seeds[0]]["metrics"]:
             parent, change = (
                 statistics.median(r["metrics"][name] for r in runs[side].values())
                 for side in roots)
             ratios[name] = round(change / parent, 4) if parent else None
+        holdout = {seed: pair(roots, wl, seed, seconds, k % 2 == 0)
+                   for k, seed in enumerate(args.holdout_seeds)}
         traced = {side: bench(root, wl, args.seeds[0], seconds, 1)
                   for side, root in roots.items()}
         record["workloads"][wl] = {
             "runs": runs,
             "median_change_over_parent": ratios,
+            "holdout": holdout,
             "traced_seed": args.seeds[0],
             "traced": traced,
         }
+        if wl == claim_wl:
+            better = next(m["better"] for m in spec["end_to_end"]
+                          if m["name"] == claim_metric)
+            summary = claim_summary(runs, claim_metric, better)
+            summary["workload"] = wl
+            summary["holdout"] = {
+                seed: {side: res["metrics"][claim_metric] for side, res in sides.items()}
+                for seed, sides in holdout.items()}
+            record["claim"] = summary
     record["tier1"] = {side: tier1(root) for side, root in roots.items()}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -46,5 +46,21 @@ def closure(n, gen_tables, pairs):
 
 
 def connected_components(n, edges):
-    """Representative array for plain graph connectivity (no actions)."""
-    return closure(n, [], edges)
+    """Representative array (minimal index per class) of the graph on
+    {0..n-1} with the given edges: a plain union-find, no actions."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        # the smaller root wins, so every root is its class minimum
+        if ra < rb:
+            parent[rb] = ra
+        elif rb < ra:
+            parent[ra] = rb
+    return [find(x) for x in range(n)]

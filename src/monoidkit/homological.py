@@ -10,8 +10,10 @@ form and faces are computed through epi-monic factorization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels, asets as ak
 from .errors import (
@@ -648,23 +650,62 @@ def surjections(k, m):
     return out
 
 
-def _identity_surjection(k):
-    return tuple(range(k + 1))
+class SurjectionRule(NamedTuple):
+    """Faces and degeneracies of one monotone surjection eta: [k] ->> [m].
+
+    ``faces[i]`` is eta . delta_i as a pair (eta', j).  Either it still maps
+    onto [m], and then j is None and eta' is eta . delta_i itself; or it
+    misses exactly one value j, and eta . delta_i = delta_j . eta' with
+    eta': [k-1] ->> [m-1].  ``degeneracies[i]`` is eta . sigma_i.
+    """
+
+    eta: tuple
+    faces: tuple
+    degeneracies: tuple
 
 
-def _compose_eps(eta, i):
-    """eta . epsilon_i as a value tuple on [len(eta)-2]."""
-    return tuple(eta[x] if x < i else eta[x + 1] for x in range(len(eta) - 1))
+@functools.lru_cache(maxsize=None)
+def surjection_rules(k, m):
+    """The ``SurjectionRule`` of each surjection in ``surjections(k, m)``.
 
-
-def _compose_eta(eta, i):
-    """eta . eta_i, one level up."""
-    return tuple(eta[x] if x <= i else eta[x - 1] for x in range(len(eta) + 1))
+    The face of a degenerate cell (eta, x) is read off the epi-mono
+    factorization of eta . delta_i, which depends on (eta, i) alone and not
+    on the complex (May, Simplicial Objects in Algebraic Topology, 1967,
+    section 22; Goerss-Jardine, Simplicial Homotopy Theory, III.2).  Each
+    (k, m) is built on first use and kept, so the table holds the pairs
+    m <= k <= the largest truncation asked for.
+    """
+    rules = []
+    for eta in surjections(k, m):
+        faces = []
+        for i in range(k + 1) if k else ():
+            beta = eta[:i] + eta[i + 1:]  # eta . delta_i
+            missing = set(range(m + 1)).difference(beta)
+            if not missing:
+                faces.append((beta, None))
+            else:
+                (j,) = missing
+                faces.append((tuple(v if v < j else v - 1 for v in beta), j))
+        # eta . sigma_i repeats the value at i
+        degeneracies = tuple(eta[: i + 1] + eta[i:] for i in range(k + 1))
+        rules.append(SurjectionRule(eta, tuple(faces), degeneracies))
+    return tuple(rules)
 
 
 def dold_kan_inverse(c, trunc):
     """Split simplicial object whose nondegenerate cells are the complex
-    entries; faces come from the boundary pair via epi-monic factorization."""
+    entries.
+
+    Level k holds the cells (eta, m, p): eta: [k] ->> [m] a monotone
+    surjection with m <= the complex bound, p a nonzero point of C_m.
+    Faces and degeneracies act on eta through the (k, m) rule table
+    ``surjection_rules``, built once per (k, m) and shared with
+    ``torreal.tor_complex_direct``, and on p only where eta . delta_i
+    misses a value j: there the face is the complex face d_j of p, which
+    is 0 for j <= m - 2, s_m for j = m - 1 and r_m for j = m (the
+    epi-mono factorization of the simplicial identities: May 1967, section
+    22; Goerss-Jardine III.2).
+    """
     if isinstance(c, FreeComplex):
         raise ValidationError("materialize the free complex first (tensor it)")
     if not c.is_reduced():
@@ -673,46 +714,24 @@ def dold_kan_inverse(c, trunc):
         raise ValidationError("complex must start at degree 0")
     bound = c.top_degree
     base = c.base
+    # rules[k][m]: the rules of every surjection [k] ->> [m]
+    rules = [[surjection_rules(k, m) for m in range(min(k, bound) + 1)]
+             for k in range(trunc + 1)]
 
-    # cells at level k: (eta, m, p) with eta: [k] ->> [m], p nonzero in C_m
     cell_index = []  # per level: dict cell -> carrier index
     carriers = []
     for k in range(trunc + 1):
         index = {}
         names = ["0"]
-        for m in range(min(k, bound) + 1):
+        for m, level_rules in enumerate(rules[k]):
             lvl = c.level(m)
-            for eta in surjections(k, m):
+            for eta, _, _ in level_rules:
+                tag = "" if m == k else f"@{eta}"
                 for p in lvl.nonzero():
                     index[(eta, m, p)] = len(names)
-                    tag = "" if eta == _identity_surjection(k) else f"@{eta}"
                     names.append(f"{lvl.carrier[p]}{tag}")
         cell_index.append(index)
         carriers.append(names)
-
-    def complex_face(m, j, p):
-        """d_j of a nondegenerate m-cell p: 0, s_m, or r_m."""
-        r_m, s_m = c.boundary(m)
-        if j <= m - 2:
-            return 0, None
-        if j == m - 1:
-            v = s_m(p)
-        else:
-            v = r_m(p)
-        return (m - 1, v) if v != 0 else (0, None)
-
-    def face_of_cell(k, i, cell):
-        eta, m, p = cell
-        beta = _compose_eps(eta, i)
-        image = sorted(set(beta))
-        if len(image) == m + 1:
-            return (beta, m, p)
-        missing = next(j for j in range(m + 1) if j not in set(beta))
-        eta2 = tuple(v if v < missing else v - 1 for v in beta)
-        res = complex_face(m, missing, p)
-        if res[1] is None:
-            return None
-        return (eta2, m - 1, res[1])
 
     # a row acts on the cell (eta, m, p) through p, keeping eta
     levels = []
@@ -727,31 +746,42 @@ def dold_kan_inverse(c, trunc):
 
     faces = []
     for k in range(1, trunc + 1):
-        row = []
-        for i in range(k + 1):
-            mapping = [0] * len(carriers[k])
-            for cell, idx in cell_index[k].items():
-                out = face_of_cell(k, i, cell)
-                mapping[idx] = cell_index[k - 1][out] if out else 0
-            row.append(ak.ASetMorphism(levels[k], levels[k - 1], mapping))
-        faces.append(row)
+        index, prev = cell_index[k], cell_index[k - 1]
+        mappings = [[0] * len(carriers[k]) for _ in range(k + 1)]
+        for m, level_rules in enumerate(rules[k]):
+            nonzero = c.level(m).nonzero()
+            r_m, s_m = c.boundary(m)
+            for eta, eta_faces, _ in level_rules:
+                cells = [index[(eta, m, p)] for p in nonzero]
+                for mapping, (eta2, j) in zip(mappings, eta_faces):
+                    if j is None:
+                        for p, idx in zip(nonzero, cells):
+                            mapping[idx] = prev[(eta2, m, p)]
+                    elif j >= m - 1:  # d_j = 0 for j <= m - 2
+                        d = (s_m if j == m - 1 else r_m).mapping
+                        for p, idx in zip(nonzero, cells):
+                            v = d[p]
+                            mapping[idx] = prev[(eta2, m - 1, v)] if v else 0
+        faces.append([ak.ASetMorphism(levels[k], levels[k - 1], mapping)
+                      for mapping in mappings])
 
     degeneracies = []
     for k in range(0, trunc):
-        row = []
-        for i in range(k + 1):
-            mapping = [0] * len(carriers[k])
-            for cell, idx in cell_index[k].items():
-                eta, m, p = cell
-                up = ( _compose_eta(eta, i), m, p)
-                mapping[idx] = cell_index[k + 1][up]
-            row.append(ak.ASetMorphism(levels[k], levels[k + 1], mapping))
-        degeneracies.append(row)
+        index, up = cell_index[k], cell_index[k + 1]
+        mappings = [[0] * len(carriers[k]) for _ in range(k + 1)]
+        for m, level_rules in enumerate(rules[k]):
+            nonzero = c.level(m).nonzero()
+            for eta, _, eta_degens in level_rules:
+                for mapping, eta2 in zip(mappings, eta_degens):
+                    for p in nonzero:
+                        mapping[index[(eta, m, p)]] = up[(eta2, m, p)]
+        degeneracies.append([ak.ASetMorphism(levels[k], levels[k + 1], mapping)
+                             for mapping in mappings])
 
     sset = TruncSimplicialASet(base, levels, faces, degeneracies)
     sset.nondegenerate_index = [
         {
-            p: cell_index[k][(_identity_surjection(k), k, p)]
+            p: cell_index[k][(tuple(range(k + 1)), k, p)]
             for p in (c.level(k).nonzero() if k <= bound else [])
         }
         for k in range(trunc + 1)

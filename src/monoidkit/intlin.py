@@ -9,12 +9,15 @@ from __future__ import annotations
 from . import _kernels
 
 
-def matmul(a, b):
+def matmul(a, b, cols=None):
     """a * b; each nonzero entry of a meets only the nonzero entries of its
-    row of b (the sparse 0/+-1 differentials of the d.d = 0 check)."""
-    if not a:
-        return []
-    cols = len(b[0]) if b else 0
+    row of b (the sparse 0/+-1 differentials of the d.d = 0 check).
+
+    ``cols`` is the column count of b; it must be given when b has no
+    rows, since an empty list cannot carry it.
+    """
+    if cols is None:
+        cols = len(b[0]) if b else 0
     b_nonzero = [[(j, v) for j, v in enumerate(bk) if v] for bk in b]
     out = [[0] * cols for _ in a]
     for ai, oi in zip(a, out):

@@ -67,7 +67,8 @@ class IntegerChainComplex:
 
     def __post_init__(self):
         for n in range(2, len(self.ranks)):
-            prod = intlin.matmul(self.differential(n - 1), self.differential(n))
+            prod = intlin.matmul(self.differential(n - 1), self.differential(n),
+                                 self.ranks[n])
             if any(any(row) for row in prod):
                 raise NotAComplex(f"d_{n-1} d_{n} != 0")
         self._factors = {}
@@ -190,44 +191,35 @@ def tor_complex_direct(x, exp, trunc=4):
     """The same chain complex assembled directly from blocks.
 
     Level k of the inverse construction has one block per surjection
-    [k] ->> [m], m <= 1; faces contribute identity blocks, a single
-    action-matrix block, or cancel.  Validated against ``tor_complex``
+    [k] ->> [m], m <= 1; by the face rules of ``hm.surjection_rules``
+    each face contributes an identity block, a single action-matrix
+    block, or nothing.  Validated against ``tor_complex``
     in the tests; used for the large exhaustive sweeps.
     """
     m_act = realize_action_matrix(x, exp)
     nx = len(x.carrier) - 1
-    cells = []  # per level: list of surjection tuples (m in {0,1})
+    act_entries = [(r, col, v) for r, row in enumerate(m_act)
+                   for col, v in enumerate(row) if v]
+    cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {1, 0}
     for k in range(trunc + 1):
-        level = [(eta, 1) for eta in hm.surjections(k, 1)] if k >= 1 else []
-        level += [(eta, 0) for eta in hm.surjections(k, 0)]
-        cells.append(level)
+        cells.append([(rule, m) for m in (1, 0) for rule in hm.surjection_rules(k, m)])
     ranks = [len(level) * nx for level in cells]
     diffs = []
     for k in range(1, trunc + 1):
         rows, cols = ranks[k - 1], ranks[k]
         mat = [[0] * cols for _ in range(rows)]
-        pos_prev = {cell: b for b, cell in enumerate(cells[k - 1])}
-        for b, (eta, m) in enumerate(cells[k]):
-            for i in range(k + 1):
+        pos_prev = {(rule.eta, m): b for b, (rule, m) in enumerate(cells[k - 1])}
+        for b, (rule, m) in enumerate(cells[k]):
+            for i, (eta2, j) in enumerate(rule.faces):
                 sign = 1 if i % 2 == 0 else -1
-                beta = hm._compose_eps(eta, i)
-                image = sorted(set(beta))
-                if len(image) == m + 1:
-                    tb = pos_prev[(beta, m)]
+                if j is None:
+                    tb = pos_prev[(eta2, m)]
                     for d in range(nx):
                         mat[tb * nx + d][b * nx + d] += sign
-                else:
-                    missing = next(j for j in range(m + 1) if j not in set(beta))
-                    if missing <= m - 2:
-                        continue
-                    eta2 = tuple(v if v < missing else v - 1 for v in beta)
-                    if missing == m - 1:
-                        continue  # the second boundary is zero here
-                    tb = pos_prev[(eta2, m - 1)]
-                    for r in range(nx):
-                        for cidx in range(nx):
-                            if m_act[r][cidx]:
-                                mat[tb * nx + r][b * nx + cidx] += sign * m_act[r][cidx]
+                elif j == 1:  # d_1 = r_1 = t^exp; d_0 = s_1 is zero
+                    tb = pos_prev[(eta2, 0)]
+                    for r, col, v in act_entries:
+                        mat[tb * nx + r][b * nx + col] += sign * v
         diffs.append(mat)
     return IntegerChainComplex(ranks, diffs)
 
@@ -258,10 +250,13 @@ def tor1_monogenic(x, k):
     if k < 1:
         raise HypothesisViolated("the exponent must be positive")
     n = len(x.carrier)
-    image = {x.act(k, p) for p in range(n)}
-    formula = n - len(image)
+    row = x.action[0]
+    power = list(range(n))  # t^k as a carrier self-map
+    for _ in range(k):
+        power = [row[v] for v in power]
+    formula = n - len(set(power))
 
-    edges = [(0, x.act(k, p)) for p in x.nonzero()]
+    edges = [(0, power[p]) for p in x.nonzero()]
     reps = _kernels.connected_components(n, edges)
     components = len(set(reps))
     graph = len(edges) - n + components

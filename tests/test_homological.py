@@ -43,6 +43,29 @@ def test_surjections_counts():
     assert hm.surjections(2, 3) == []
 
 
+def test_surjection_rules_by_definition():
+    # delta_i: [k-1] -> [k] skips i, sigma_i: [k+1] -> [k] hits i twice;
+    # every rule is checked against the plain composites on {0..k}
+    for k in range(7):
+        for m in range(k + 1):
+            rules = hm.surjection_rules(k, m)
+            assert [rule.eta for rule in rules] == hm.surjections(k, m)
+            for eta, faces, degeneracies in rules:
+                assert len(faces) == (k + 1 if k else 0)
+                for i, (eta2, j) in enumerate(faces):
+                    face = tuple(eta[x if x < i else x + 1] for x in range(k))
+                    if set(face) == set(range(m + 1)):
+                        assert (eta2, j) == (face, None), (eta, i)
+                        continue
+                    assert j is not None, (eta, i)
+                    assert face == tuple(v if v < j else v + 1 for v in eta2), (eta, i)
+                    assert len(eta2) == k and eta2[0] == 0 and eta2[-1] == m - 1
+                    assert all(b - a in (0, 1) for a, b in zip(eta2, eta2[1:]))
+                assert len(degeneracies) == k + 1
+                for i, up in enumerate(degeneracies):
+                    assert up == tuple(eta[x if x <= i else x - 1] for x in range(k + 2))
+
+
 def test_zero_complex_valid():
     m = F1()
     z = ak.zero_aset(m)
