@@ -26,7 +26,10 @@ existing tools and re-implements none of them:
   one fixed ``--hypothesis-seed`` so that both sides draw the same
   examples, with every test's time from ``--durations=0`` and the
   acceptance criteria listed on their own.  The seed is a measurement
-  setting only; the gate is the unseeded suite.
+  setting only; the gate is the unseeded suite;
+* ``monoidkit corpus corpus/cases`` of each checkout, one fresh process
+  per run, in alternating pairs, with each run's wall time and the
+  sha256 of its stdout.
 
 Every figure is read off the tools' own output; the record also names the
 commits, the source hash ``run.py`` prints, the python version and nproc.
@@ -35,6 +38,7 @@ commits, the source hash ``run.py`` prints, the python version and nproc.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -46,6 +50,7 @@ import time
 CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("homology", "homology-compiled", "lattice", "finite", "cli")
 HYPOTHESIS_SEED = 0  # Tier-1 draws the same examples on both sides
+CORPUS_PAIRS = 10  # one run is a fraction of a second, so take several
 
 
 def bench(root, workload, seed, seconds, trace):
@@ -96,6 +101,33 @@ def tier1(root):
                      if "::test_criterion_" in name},
         "tests_s": tests,
     }
+
+
+def corpus(root):
+    """Wall time and stdout of one ``monoidkit corpus`` process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoidkit.cli", "corpus", os.path.join("corpus", "cases")],
+        cwd=root, env=env, capture_output=True, text=True, check=True)
+    return time.monotonic() - start, proc.stdout
+
+
+def corpus_record(roots):
+    """``CORPUS_PAIRS`` alternating corpus runs per side, with their median."""
+    walls = {side: [] for side in roots}
+    hashes = {side: set() for side in roots}
+    last = {}
+    for k in range(CORPUS_PAIRS):
+        for side in sorted(roots, reverse=k % 2 == 0):
+            wall, stdout = corpus(roots[side])
+            walls[side].append(round(wall, 4))
+            hashes[side].add(hashlib.sha256(stdout.encode()).hexdigest())
+            last[side] = stdout.strip().splitlines()[-1]
+    return {side: {"wall_s": walls[side],
+                   "median_s": round(statistics.median(walls[side]), 4),
+                   "stdout_sha256": sorted(hashes[side]),
+                   "summary": last[side]} for side in roots}
 
 
 def claim_summary(runs, metric, better):
@@ -187,6 +219,7 @@ def main():
                 seed: {side: res["metrics"][claim_metric] for side, res in sides.items()}
                 for seed, sides in holdout.items()}
             record["claim"] = summary
+    record["corpus"] = corpus_record(roots)
     record["tier1"] = {side: tier1(root) for side, root in roots.items()}
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -578,13 +578,12 @@ def _invariants(x):
     n = len(x.carrier)
     colors = [0] * n
     colors[0] = -1
+    # in-degrees do not depend on the colors: count them once
+    indeg = [tuple(t.count(p) for t in tables) for p in range(n)]
     for _ in range(n):
         sig = []
         for p in range(n):
-            indeg = tuple(
-                sum(1 for q in range(n) if t[q] == p) for t in tables
-            )
-            sig.append((colors[p], tuple(colors[t[p]] for t in tables), indeg))
+            sig.append((colors[p], tuple(colors[t[p]] for t in tables), indeg[p]))
         ranking = {s: i for i, s in enumerate(sorted(set(sig)))}
         new = [ranking[s] for s in sig]
         if new == colors:
@@ -854,27 +853,18 @@ def _generator_map_candidates(m, g, c):
             constraints.append((seen[p], i))
         else:
             seen[p] = i
+    zero = [0] * c
+    top = max([j for _, j in constraints] + zero_powers[:1], default=0)
     out = []
     for tail in itertools.product(range(c), repeat=c - 1):
         theta = (0,) + tail
-
-        def power_map(k):
-            arr = list(range(c))
-            for _ in range(k):
-                arr = [theta[v] for v in arr]
-            return arr
-
-        ok = True
-        for i, j in constraints:
-            if power_map(i) != power_map(j):
-                ok = False
-                break
-        if ok and zero_powers:
-            k = zero_powers[0]
-            if any(v != 0 for v in power_map(k)):
-                ok = False
-        if ok:
-            out.append(list(theta))
+        power = [list(range(c))]  # power[k] sends p to theta^k(p)
+        for _ in range(top):
+            power.append([theta[v] for v in power[-1]])
+        if all(power[i] == power[j] for i, j in constraints) and (
+            not zero_powers or power[zero_powers[0]] == zero
+        ):
+            out.append(theta)
     return out
 
 
@@ -883,6 +873,15 @@ def enumerate_asets(m, carrier_size, up_to_iso=True):
 
     Enumerates compatible per-generator self-maps, derives the full grid
     along generator words, and keeps the grids that satisfy all axioms.
+
+    With ``up_to_iso`` each kept tuple of generator maps marks its whole
+    orbit as seen: every relabeling s t s^-1 of its maps by a bijection s
+    of the carrier that fixes the basepoint, which is exactly its
+    isomorphism class.  A relabeled valid table is valid and meets the
+    same power relations, so it comes up in the product and is skipped
+    before any work is done on it.  The result is the first table of each
+    class in product order, the same list that deduplicating every valid
+    table by ``canonical_key`` gives.
     """
     c = carrier_size
     carrier = ["0"] + [f"p{i}" for i in range(1, c)]
@@ -892,9 +891,17 @@ def enumerate_asets(m, carrier_size, up_to_iso=True):
     if not m.generators:
         return [ASet(m, carrier, action=[[0] * c, list(range(c))], name=f"S{c}")]
     per_gen = [_generator_map_candidates(m, g, c) for g in m.generators]
+    # (s, s^-1) for each relabeling; t becomes s t s^-1 = [s[t[q]] for q in s^-1]
+    relabelings = []
+    if up_to_iso:
+        for perm in itertools.permutations(range(1, c)):
+            s = (0,) + perm
+            relabelings.append((s, sorted(range(c), key=s.__getitem__)))
     out = []
     seen = set()
     for combo in itertools.product(*per_gen):
+        if combo in seen:
+            continue
         # commuting actions are necessary in a commutative base
         ok = True
         for t1, t2 in itertools.combinations(combo, 2):
@@ -909,11 +916,8 @@ def enumerate_asets(m, carrier_size, up_to_iso=True):
             continue
         if not validate_aset(x).ok:
             continue
-        if up_to_iso:
-            key = canonical_key(x)
-            if key in seen:
-                continue
-            seen.add(key)
+        for s, inverse in relabelings:
+            seen.add(tuple(tuple(s[t[q]] for q in inverse) for t in combo))
         out.append(x)
     return out
 

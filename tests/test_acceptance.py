@@ -3,8 +3,7 @@
 Run ``pytest tests/test_acceptance.py -s`` for the line-per-criterion
 report, or ``python3 tests/test_acceptance.py`` standalone.  Criterion 8
 sweeps every monogenic-base A-set with carrier up to 7 and takes the
-longest (a few minutes pure-Python, well under that with the compiled
-kernels).
+longest (about 10 s pure-Python on a 2-vCPU machine).
 """
 
 import itertools
