@@ -5,8 +5,10 @@ of carrier rows, ``action``: a finite-table base has one row per element
 (row ``a`` sends p to a.p), the monogenic base has the single row of its
 generator t.  Constructions map every stored row the same way and never
 ask which base they are over; only ``ASet.act``, ``ASet.gen_tables``, the
-axioms in ``validate_aset``, the row count of ``zero_aset`` and the
-oracle ``congruence_closure_naive`` read the base kind.  Quotients,
+axioms in ``validate_aset``, the row count of ``zero_aset``, the oracle
+``congruence_closure_naive``, the base check of ``find_isomorphism`` and
+the finite-table constructions ``aset_from_monoid``, ``free_aset`` and
+``localize_aset`` read the base kind.  Quotients,
 tensor products and coequalizers all reduce to the congruence-closure
 kernel: merge seed pairs, then keep merging generator translates.
 """
@@ -24,13 +26,14 @@ from .errors import (
     OracleMismatch,
     UnsupportedBackend,
     ValidationError,
-    ZeroInS,
 )
 from .monoids import (
     MonogenicMonoid,
     ValidationReport,
     ZERO,
+    fraction_classes,
     localize as localize_monoid,
+    multiplicative_set,
 )
 
 DEFAULT_ENUM_BOUND = 8
@@ -738,52 +741,21 @@ def localize_aset(x, s_gens, name=None):
     if isinstance(m, MonogenicMonoid):
         raise UnsupportedBackend("localize finite-table based A-sets")
     loc, hom = localize_monoid(m, s_gens)
-    s_gens_idx = [g if isinstance(g, int) else m.index_of(g) for g in s_gens]
-    if ZERO in s_gens_idx and len(m.elements) > 1:
-        raise ZeroInS("0 in the localization set")
-    s = sorted(m.submonoid_closure(s_gens_idx))
-    if ZERO in s:
-        z = ASet(loc, ["0"], action=[[0]], name=name or f"{x.name}_S")
-        return z, hom, ASetMorphism(x, z, [0] * len(x.carrier))
-
-    nodes = [(p, t) for p in range(len(x.carrier)) for t in s]
-    pos = {nd: i for i, nd in enumerate(nodes)}
-    pairs = []
-    for i, (p, t) in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            q, u = nodes[j]
-            if any(
-                x.act(v, x.act(u, p)) == x.act(v, x.act(t, q)) for v in s
-            ):
-                pairs.append((i, j))
-    reps = _kernels.closure(len(nodes), [], pairs)
-
-    zero_rep = reps[pos[(0, s[0])]]
-    members = {}
-    for i, nd in enumerate(nodes):
-        members.setdefault(reps[i], []).append(nd)
-    ordered = [zero_rep] + sorted(
-        set(reps) - {zero_rep}, key=lambda r: min(members[r])
-    )
+    s = multiplicative_set(m, s_gens)
+    nodes, pos, reps = fraction_classes(x.act, len(x.carrier), s)
+    ordered = sorted(set(reps))  # the zero class holds node 0 = (0, s[0])
     cls_pos = {r: i for i, r in enumerate(ordered)}
-
-    def nm(r):
-        p, t = min(members[r])
-        if t == m.one:
-            return x.carrier[p]
-        return f"{x.carrier[p]}/{m.elements[t]}"
-
-    carrier = ["0"] + [nm(r) for r in ordered[1:]]
-    # action of the localized base: loc elements are fraction classes; act
-    # via a representative (a, s): (a/s).(p/t) = (a p)/(s t)
-    loc_reps = _loc_representatives(m, loc, hom, s)
-    action = [[0] * len(ordered) for _ in loc.indices()]
-    for li in loc.indices():
-        a, sv = loc_reps[li]
-        for k, r in enumerate(ordered):
-            p, t = members[r][0]
-            target = (x.act(a, p), m.table[sv][t])
-            action[li][k] = cls_pos[reps[pos[target]]]
+    fractions = [nodes[r] for r in ordered]
+    carrier = ["0"] + [
+        x.carrier[p] if t == m.one else f"{x.carrier[p]}/{m.elements[t]}"
+        for p, t in fractions[1:]
+    ]
+    # (a/s).(p/t) = (a.p)/(s t), with a/s the least fraction of each
+    # element of the localized base
+    action = [
+        [cls_pos[reps[pos[(x.act(a, p), m.table[sv][t])]]] for p, t in fractions]
+        for a, sv in loc.fractions
+    ]
     xs = ASet(loc, carrier, action=action, name=name or f"{x.name}_S")
     unit = ASetMorphism(
         x, xs, [cls_pos[reps[pos[(p, m.one)]]] for p in range(len(x.carrier))]
@@ -791,33 +763,13 @@ def localize_aset(x, s_gens, name=None):
     report = validate_aset(xs)
     if not report.ok:
         raise ValidationError(f"localized action ill-defined: {report}")
-    return xs, hom, unit
-
-
-def _loc_representatives(m, loc, hom, s):
-    """For each element of the localized monoid pick a fraction (a, s)."""
-    out = {}
     for a in m.indices():
-        for t in s:
-            # a/t = (a/1) * (1/t); find the index by multiplying hom images
-            img_a = hom(a)
-            inv_t = _inverse_in(loc, hom(t))
-            li = loc.table[img_a][inv_t]
-            out.setdefault(li, (a, t))
-    missing = [li for li in loc.indices() if li not in out]
-    if missing:
-        raise OracleMismatch(
-            f"no fraction a/s reaches the localized elements "
-            f"{[loc.elements[li] for li in missing]}"
-        )
-    return out
-
-
-def _inverse_in(m, u):
-    for v in m.indices():
-        if m.table[u][v] == m.one:
-            return v
-    raise ValidationError(f"{m.elements[u]} is not a unit")
+        for p in range(len(x.carrier)):
+            if unit(x.act(a, p)) != xs.act(hom(a), unit(p)):
+                raise OracleMismatch(
+                    f"unit map not equivariant: {m.elements[a]}.{x.carrier[p]}"
+                )
+    return xs, hom, unit
 
 
 def ann_aset(x):

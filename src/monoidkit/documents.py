@@ -263,7 +263,11 @@ def scheme_to_doc(scheme):
     if scheme.unit_orders:
         doc["unit_group"] = list(scheme.unit_orders)
     for c in scheme.charts:
-        cdoc = {"name": c.name, "generators": [list(g) for g in c.generators]}
+        cdoc = {
+            "name": c.name,
+            "generators": [list(g) for g in c.generators],
+            "degree_bound": c.degree_bound,
+        }
         if c.unit_tags is not None:
             cdoc["unit_tags"] = [list(t) for t in c.unit_tags]
         doc["charts"].append(cdoc)

@@ -324,8 +324,12 @@ def projective_resolution(x, length_cap=3, minimized=True, strict=False):
 
 
 def reduced_resolution(x, length_cap=3, strict=False):
-    """Resolution with vanishing second boundary above degree 1."""
-    comp, eps = projective_resolution(x, length_cap=length_cap, minimized=True)
+    """Resolution with vanishing second boundary above degree 1.
+
+    Only the first stage P1 => P0 of the projective resolution is used;
+    the levels above it are rebuilt from joint kernels.
+    """
+    comp, eps = projective_resolution(x, length_cap=min(length_cap, 1))
     m = x.base
     levels = list(comp.levels[: min(2, len(comp.levels))])
     rs = list(comp.r[:1])

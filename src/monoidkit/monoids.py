@@ -161,15 +161,6 @@ class MonogenicMonoid:
             return self.generator_name
         return f"{self.generator_name}^{a}"
 
-    def units(self):
-        return [0]
-
-    def idempotents(self):
-        return [None, 0]
-
-    def nilpotents(self):
-        return [None]
-
     def __repr__(self):
         return f"MonogenicMonoid({self.name!r})"
 
@@ -845,66 +836,67 @@ def saturation(m, s_set):
     return sorted(s)
 
 
+def multiplicative_set(m, s_gens):
+    """Sorted submonoid generated by ``s_gens`` (indices or names); an
+    explicitly zero generator raises ZeroInS."""
+    s_gens = [x if isinstance(x, int) else m.index_of(x) for x in s_gens]
+    if ZERO in s_gens and len(m.elements) > 1:
+        raise ZeroInS("0 in the localization set")
+    return sorted(m.submonoid_closure(s_gens))
+
+
+def fraction_classes(act, n, s):
+    """Fractions p/t of the carrier {0..n-1} at the sorted multiplicative
+    set ``s``, where ``act(a, p)`` is a.p: p/t = q/u iff v.u.p = v.t.q for
+    some v in s.
+
+    Returns (nodes, pos, reps): the nodes (p, t) in lexicographic order,
+    their positions, and each node's closure representative.  The closure
+    keeps each class's least index, so ``nodes[reps[i]]`` is the least
+    fraction of node i's class.
+    """
+    nodes = [(p, t) for p in range(n) for t in s]
+    pos = {nd: i for i, nd in enumerate(nodes)}
+    pairs = []
+    for i, (p, t) in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            q, u = nodes[j]
+            if any(act(v, act(u, p)) == act(v, act(t, q)) for v in s):
+                pairs.append((i, j))
+    return nodes, pos, _kernels.closure(len(nodes), [], pairs)
+
+
 def localize(m, s_gens, name=None):
     """Monoid of fractions at the multiplicative set generated by s_gens.
 
     Returns (localized monoid, canonical hom a -> a/1).  An explicitly
     zero generator raises ZeroInS; a set whose closure reaches zero
-    collapses everything to the zero monoid.
+    collapses everything to the zero monoid.  Element i of the result is
+    the class of its least fraction ``fractions[i]`` = (a, t), named a/t.
     """
     _require_table(m, "localize")
-    s_gens = [x if isinstance(x, int) else m.index_of(x) for x in s_gens]
-    if ZERO in s_gens and len(m.elements) > 1:
-        raise ZeroInS("0 in the localization set")
-    s = sorted(m.submonoid_closure(s_gens))
+    s = multiplicative_set(m, s_gens)
     if ZERO in s:
         q = FiniteMonoid(f"{m.name}_loc", ["0"], [[0]], [])
+        q.fractions = [(ZERO, s[0])]
         return q, MonoidHom(m, q, [0] * len(m.elements))
 
-    nodes = [(a, t) for a in m.indices() for t in s]
-    pos = {p: i for i, p in enumerate(nodes)}
-    pairs = []
-    for i, (a, t) in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            b, u = nodes[j]
-            if any(
-                m.table[v][m.table[a][u]] == m.table[v][m.table[b][t]] for v in s
-            ):
-                pairs.append((i, j))
-    reps = _kernels.closure(len(nodes), [], pairs)
-
+    nodes, pos, reps = fraction_classes(m.mul, len(m.elements), s)
     zero_rep = reps[pos[(ZERO, s[0])]]
     one_rep = reps[pos[(m.one, m.one)]]  # 1 is always in the closure
-    # canonical representative naming: lowest (a, t)
-    class_members = {}
-    for i, node in enumerate(nodes):
-        class_members.setdefault(reps[i], []).append(node)
-
-    def frac_name(r):
-        a, t = min(class_members[r])
-        if t == m.one:
-            return m.elements[a]
-        return f"{m.elements[a]}/{m.elements[t]}"
-
-    if zero_rep == one_rep:
-        q = FiniteMonoid(f"{m.name}_loc", ["0"], [[0]], [])
-        return q, MonoidHom(m, q, [0] * len(m.elements))
-
-    ordered = [zero_rep, one_rep] + sorted(
-        set(reps) - {zero_rep, one_rep},
-        key=lambda r: min(class_members[r]),
-    )
+    ordered = [zero_rep, one_rep] + sorted(set(reps) - {zero_rep, one_rep})
     rename = {r: i for i, r in enumerate(ordered)}
-    names = ["0", "1"] + [frac_name(r) for r in ordered[2:]]
-    k = len(ordered)
-    table = [[0] * k for _ in range(k)]
-    for r_i, r in enumerate(ordered):
-        a, t = class_members[r][0]
-        for s_i, w in enumerate(ordered):
-            b, u = class_members[w][0]
-            prod = (m.table[a][b], m.table[t][u])
-            table[r_i][s_i] = rename[reps[pos[prod]]]
+    fractions = [nodes[r] for r in ordered]
+    names = ["0", "1"] + [
+        m.elements[a] if t == m.one else f"{m.elements[a]}/{m.elements[t]}"
+        for a, t in fractions[2:]
+    ]
+    table = [
+        [rename[reps[pos[(m.table[a][b], m.table[t][u])]]] for b, u in fractions]
+        for a, t in fractions
+    ]
     loc = FiniteMonoid(name or f"{m.name}_loc", names, table)
+    loc.fractions = fractions
     hom = MonoidHom(m, loc, [rename[reps[pos[(a, m.one)]]] for a in m.indices()])
     return loc, hom
 

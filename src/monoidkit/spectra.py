@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ImproperIdeal, OracleMismatch
-from .monoids import FiniteMonoid, ZERO, quotient as monoid_quotient
+from .monoids import FiniteMonoid, ZERO, nilpotents, quotient as monoid_quotient
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,18 @@ def all_ideals(m):
     return out
 
 
+def _elements(ideal):
+    """Element set of an Ideal or of a plain collection of indices."""
+    return ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
+
+
 def _is_unit(m, x):
     return any(m.table[x][b] == m.one for b in m.indices())
 
 
 def is_prime(m, ideal):
     """Proper, and ab in p forces a in p or b in p."""
-    els = ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
+    els = _elements(ideal)
     if m.one in els:
         return False
     for a in m.indices():
@@ -108,7 +113,7 @@ def is_prime(m, ideal):
 
 def radical(m, ideal):
     """Elements with some power inside the ideal."""
-    els = ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
+    els = _elements(ideal)
     out = set()
     n = len(m.elements)
     for a in m.indices():
@@ -123,19 +128,11 @@ def radical(m, ideal):
 
 def is_primary(m, ideal):
     """Every zero divisor of the quotient is nilpotent there."""
-    els = ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
+    els = _elements(ideal)
     if m.one in els:
         raise ImproperIdeal("primary ideals are proper")
     q, hom = monoid_quotient(m, sorted(els))
-    nilp = set()
-    n = len(q.elements)
-    for a in q.indices():
-        x = a
-        for _ in range(n + 1):
-            if x == ZERO:
-                nilp.add(a)
-                break
-            x = q.table[x][a]
+    nilp = set(nilpotents(q))
     for a in q.nonzero():
         if any(q.table[a][b] == ZERO for b in q.nonzero()):
             if a not in nilp:
@@ -199,8 +196,8 @@ def _longest_chain(primes):
 
 def ideal_quotient(m, j_ideal, i_ideal):
     """(J : I) = elements a with a*I inside J."""
-    j_els = j_ideal.elements if isinstance(j_ideal, Ideal) else frozenset(j_ideal)
-    i_els = i_ideal.elements if isinstance(i_ideal, Ideal) else frozenset(i_ideal)
+    j_els = _elements(j_ideal)
+    i_els = _elements(i_ideal)
     out = {
         a
         for a in m.indices()
@@ -219,8 +216,6 @@ def nilradical(m):
     inter = set(m.indices())
     for p in primes:
         inter &= p.elements
-    from .monoids import nilpotents
-
     nil = nilpotents(m)
     if sorted(inter) != nil:
         raise OracleMismatch(f"primes intersect to {sorted(inter)}, nilpotents are {nil}")
@@ -236,7 +231,7 @@ def _intersect(ideals):
 
 def primary_decomposition(m, ideal):
     """Minimal list of irreducible primary components intersecting to I."""
-    els = ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
+    els = _elements(ideal)
     ideal = Ideal(m, frozenset(els))
     if not ideal.is_proper:
         raise ImproperIdeal("cannot decompose the unit ideal")
@@ -293,7 +288,7 @@ def _dedupe(ideals):
 
 def associated_primes(m, ideal):
     """Primes of the form rad(I : a); cross-checked two more ways."""
-    els = ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
+    els = _elements(ideal)
     ideal = Ideal(m, frozenset(els))
 
     via_radquot = set()
@@ -342,7 +337,7 @@ def tensor_ideal_decomposition(a, b, ab, k_ideal):
             coords[k] = (x, y)
             k += 1
 
-    k_els = k_ideal.elements if isinstance(k_ideal, Ideal) else frozenset(k_ideal)
+    k_els = _elements(k_ideal)
     # I_y per second coordinate
     i_by_y = {}
     for idx in k_els:

@@ -282,14 +282,11 @@ class HurewiczReport:
         )
 
 
-def hurewicz_compare(x, k, trunc=4, direct=False):
+def hurewicz_compare(x, k, trunc=4):
     """Betti rank of H1 of the realized model equals the closed-form rank;
     homology above degree 1 vanishes."""
     rank_report = tor1_monogenic(x, k)
-    if direct:
-        chain = tor_complex_direct(x, k, trunc=trunc)
-    else:
-        chain, _ = tor_complex(x, k, trunc=trunc)
+    chain, _ = tor_complex(x, k, trunc=trunc)
     h1 = smith_homology(chain, 1)
     higher = all(
         smith_homology(chain, n).as_group().is_trivial

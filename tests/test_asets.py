@@ -593,3 +593,32 @@ def test_enumeration_keeps_the_first_table_of_each_class():
     assert digest.hexdigest() == (
         "f351496b37ebbe046da33d122da5216b51ca1a8c1f4a6e7c7e21a5a216596f35"
     )
+
+
+def test_localization_sweep():
+    # every S generated by at most two nonzero elements of each small corpus
+    # monoid: A_S is A localized as an A-set, the unit map X -> X_S is
+    # equivariant along A -> A_S for every class of carrier <= 4, and the
+    # names, order and tables of every output are pinned
+    digest = hashlib.sha256()
+    for m in corpus_monoids(max_size=6):
+        regular = ak.aset_from_monoid(m)
+        classes = [regular] + [x for c in range(1, 5) for x in ak.enumerate_asets(m, c)]
+        for k in range(3):
+            for s in itertools.combinations(m.nonzero(), k):
+                loc, hom = mk.localize(m, list(s))
+                out = (m.name, s, loc.elements, loc.table, hom.mapping)
+                digest.update(repr(out).encode())
+                for x in classes:
+                    xs, _, unit = ak.localize_aset(x, list(s))
+                    if x is regular:
+                        assert ak.is_isomorphic(xs, ak.aset_from_monoid(loc)), s
+                    for a in m.indices():
+                        for p in range(len(x.carrier)):
+                            lhs = unit(x.act(a, p))
+                            assert lhs == xs.act(hom(a), unit(p)), (m.name, s, x.name)
+                    out = (xs.name, xs.carrier, xs.action, unit.mapping)
+                    digest.update(repr(out).encode())
+    assert digest.hexdigest() == (
+        "84fe5400e1b90dd8a1232f20a706e50a31236e0f0e3581e2b62f4f42a41941aa"
+    )

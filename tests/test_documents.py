@@ -84,3 +84,17 @@ def test_scheme_roundtrip():
     doc = docs.scheme_to_doc(p2)
     p2b = docs.parse_scheme(json.loads(json.dumps(doc)))
     assert gm.pic(p2b) == gm.pic(p2)
+
+
+def test_scheme_roundtrip_keeps_each_chart_degree_bound():
+    from monoidkit import geometry as gm
+
+    charts = [
+        mk.AffineMonoid(f"L{i}", 1, [(1,)], degree_bound=bound)
+        for i, bound in enumerate((3, 8, 11))
+    ]
+    lines = gm.GluedScheme(1, charts, glue="generic", name="lines3")
+    doc = json.loads(json.dumps(docs.scheme_to_doc(lines)))
+    back = docs.parse_scheme(doc)
+    assert [c.degree_bound for c in back.charts] == [3, 8, 11]
+    assert docs.scheme_to_doc(back) == doc
