@@ -190,7 +190,6 @@ def free_aset(m, labels, name=None):
             ba = m.table[b][a]
             action[b][i] = 0 if ba == ZERO else index[(ba, s)]
     x = ASet(m, carrier, action=action, name=name or f"{m.name}[{len(labels)}]")
-    x.free_generators = {s: index[(m.one, s)] for s in labels}
     x.free_index = index
     return x
 

@@ -32,9 +32,7 @@ from .monoids import (
 
 def _bound_default(value):
     env = os.environ.get("MONOIDKIT_BOUND")
-    if env:
-        return int(env)
-    return value
+    return int(env) if env else value
 
 
 def _emit(args, payload, text_lines):
@@ -47,6 +45,12 @@ def _emit(args, payload, text_lines):
 
 def _load(path, registry=None):
     return docs.load_document(path, registry)
+
+
+def _load_aset(path, m):
+    """An A-set document over the monoid ``m``; any other kind is rejected."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return docs.parse_aset(json.load(fh), {m.name: m})
 
 
 def _ideal_from_arg(m, arg):
@@ -322,11 +326,9 @@ def cmd_chainhom(args):
 
 
 def cmd_ext(args):
-    registry = {}
     m = _load(args.monoid)
-    registry[m.name] = m
-    x = docs.parse_aset(json.load(open(args.quot)), registry) if args.quot else None
-    y = docs.parse_aset(json.load(open(args.sub)), registry) if args.sub else None
+    x = _load_aset(args.quot, m)
+    y = _load_aset(args.sub, m)
     exts = ex.ext_enumerate(x, y)
     lines = [f"{len(exts)} extensions"]
     payload = {"count": len(exts), "phi": []}
@@ -346,10 +348,8 @@ def cmd_ext(args):
 
 
 def cmd_sqz(args):
-    registry = {}
     m = _load(args.monoid)
-    registry[m.name] = m
-    x = docs.parse_aset(json.load(open(args.aset)), registry)
+    x = _load_aset(args.aset, m)
     results = ex.squarezero_enumerate(m, x)
     lines = [f"{len(results)} square-zero extensions"]
     payload = {"count": len(results), "cocycles": []}
@@ -599,21 +599,23 @@ def build_parser():
 
 
 def main(argv=None, standalone=True):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if standalone:
-            raise
-        return 1 if exc.code not in (0, None) else 0
-    try:
-        code = args.func(args)
-    except BoundExceeded as exc:
-        print(f"bound exceeded: {exc}", file=sys.stderr)
-        code = 3
-    except (ValidationError, MonoidKitError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors, and --help
+        code = 0 if exc.code in (0, None) else 1
+    except ValueError as exc:  # raised by int() in _bound_default
+        print(f"usage error: MONOIDKIT_BOUND is not an integer ({exc})", file=sys.stderr)
+        code = 1
+    else:
+        try:
+            code = args.func(args)
+        except BoundExceeded as exc:
+            print(f"bound exceeded: {exc}", file=sys.stderr)
+            code = 3
+        except (ValidationError, MonoidKitError, FileNotFoundError, KeyError,
+                ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     if standalone:
         sys.exit(code)
     return code

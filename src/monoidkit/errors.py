@@ -13,10 +13,6 @@ class BoundExceeded(MonoidKitError):
     """A bounded search or closure outgrew its configured bound."""
 
 
-class CapExceeded(BoundExceeded):
-    """A resolution or enumeration exceeded its length cap."""
-
-
 class BadWord(MonoidKitError):
     """Malformed word in a presentation."""
 

@@ -397,11 +397,11 @@ class DVReport:
     witness: tuple | None
 
 
-def dv_check(aff, normal, scale=1, window=5):
+def dv_check(aff, normal, scale=1):
     """Is the localization at the facet a discrete valuation monoid?
 
     Uses bounded membership in the localized monoid S + Z(face of S) and
-    checks the unit-times-power factorization on a degree window.
+    checks the unit-times-power factorization on the saturation box.
     """
     gens = aff.generators
     face_gens = [g for g in gens if _dot(normal, g) == 0]

@@ -18,7 +18,6 @@ from typing import NamedTuple
 from . import _kernels, asets as ak
 from .errors import (
     BoundExceeded,
-    CapExceeded,
     NotAComplex,
     NotReduced,
     OracleMismatch,
@@ -131,7 +130,6 @@ def homology(c, n):
         if induced_r[k] == 0 and induced_s[k] == 0
     ]
     h = ak.sub_aset(q, keep, name=f"H{n}")
-    h.coeq_aset = q
     h.coeq_proj = proj
     h.kept_classes = keep
     return h
@@ -241,15 +239,14 @@ def _congruence_generators(x, eps_mapping):
     return chosen
 
 
-def projective_resolution(x, length_cap=3, minimized=True, strict=False):
+def projective_resolution(x, length_cap=3, minimized=True):
     """Exact double-arrow complex of frees with coeq(r1, s1) = X.
 
     ``minimized=False`` keeps the full-pullback construction (one free
     generator per element of the fiber congruence).  Returns (complex,
     augmentation morphism).  Resolutions need not terminate (periodic ones
     exist over truncated bases); a window cut at ``length_cap`` is exact
-    in degrees 1..top-1 and is returned with ``complete=False`` unless
-    ``strict`` asks for CapExceeded instead.
+    in degrees 1..top-1 and is returned with ``complete=False``.
     """
     m = x.base
     if isinstance(m, MonogenicMonoid):
@@ -312,8 +309,6 @@ def projective_resolution(x, length_cap=3, minimized=True, strict=False):
         cur = nxt
         cur_eps = next_eps
     else:
-        if strict:
-            raise CapExceeded(f"resolution exceeded length cap {length_cap}")
         comp = DaComplex(m, levels, rs, ss)
         comp.complete = False
         return comp, eps
@@ -323,7 +318,7 @@ def projective_resolution(x, length_cap=3, minimized=True, strict=False):
     return comp, eps
 
 
-def reduced_resolution(x, length_cap=3, strict=False):
+def reduced_resolution(x, length_cap=3):
     """Resolution with vanishing second boundary above degree 1.
 
     Only the first stage P1 => P0 of the projective resolution is used;
@@ -362,8 +357,6 @@ def reduced_resolution(x, length_cap=3, strict=False):
         rs.append(ak.ASetMorphism(nxt, top, r_map))
         ss.append(ak.zero_morphism(nxt, top))
     else:
-        if strict:
-            raise CapExceeded(f"reduced resolution exceeded length cap {length_cap}")
         complete = False
     out = DaComplex(m, levels, rs, ss)
     out.complete = complete
@@ -391,16 +384,6 @@ class FreeComplex:
     def top_degree(self):
         return len(self.level_labels) - 1
 
-    def is_reduced(self):
-        # s.r and s.s must vanish wherever the composites exist
-        for n in range(1, self.top_degree):
-            s_n = self.s[n - 1]
-            for upper in (self.r[n], self.s[n]):
-                for img in upper.values():
-                    if img is not None and s_n.get(img[1]) is not None:
-                        return False
-        return True
-
 
 def cyclic_quotient_aset(k, eq=None, base=None, name=None):
     """A/(t^k) when eq is None, else A/(t^k = t^eq), as a finite A-set.
@@ -422,72 +405,77 @@ def cyclic_quotient_aset(k, eq=None, base=None, name=None):
 _ZERO_ELEM = (None, None)  # the zero of a symbolic free; (k, i) is t^k.g_i
 
 
-def free_resolution_monogenic(x, degree_bound=24, length_cap=4):
-    """Resolution of a finite carrier over the monogenic base.
+def free_resolution_monogenic(x):
+    """Resolution P1 => P0 of a finite carrier over the monogenic base.
 
-    Levels are symbolic frees; congruence generators are found by a
-    bounded-degree scan and verified on a doubled window.
+    Levels are symbolic frees.  The rays t^d.g_i are walked in lockstep,
+    degree by degree and then generator by generator; each ray stops at
+    its first point that is 0 or was reached before, and that collision
+    is its one relation.  Every later point of a ray is a t-translate of
+    its collision, so the relations generate the fiber congruence.  The
+    points before a ray's stop are distinct nonzero points of X, so every
+    collision lies below degree |X|; the relations are checked on a
+    window of twice that.
     """
-    base = x.base
     gens = ak.aset_generators(x)
     labels0 = [x.carrier[g] for g in gens]
 
     def eps(exp, gi):
         return x.act(exp, gens[gi])
 
-    # find generating pairs of the fiber congruence by bounded scan
-    elems = [(k, gi) for gi in range(len(gens)) for k in range(degree_bound)]
-    fibers = {}
-    for e in elems:
-        fibers.setdefault(eps(*e), []).append(e)
-    pairs = []
-    for v, members in sorted(fibers.items()):
-        if v == 0:
-            pairs.extend((mem, _ZERO_ELEM) for mem in members)
-        else:
-            pairs.extend(
-                (members[i], members[j])
-                for i in range(len(members))
-                for j in range(i + 1, len(members))
-            )
+    first = {}  # nonzero point of X -> the first (k, i) reaching it
+    relations = []
+    live = range(len(gens))
+    d = 0
+    while live:
+        going = []
+        for gi in live:
+            e, v = (d, gi), eps(d, gi)
+            if not v:
+                relations.append((e, _ZERO_ELEM))
+            elif v in first:
+                # each pair in generator-major order: (i, k) < (i', k')
+                relations.append(tuple(sorted((first[v], e), key=lambda p: p[::-1])))
+            else:
+                first[v] = e
+                going.append(gi)
+        live = going
+        d += 1
+    relations.sort(key=lambda ab: (max(_deg(ab[0]), _deg(ab[1])), ab))
+    _check_fiber_relations(relations, eps, len(gens), 2 * len(x.carrier))
 
-    chosen = []
-    for a, b in sorted(pairs, key=lambda ab: (max(_deg(ab[0]), _deg(ab[1])), ab)):
-        if max(_deg(a), _deg(b)) > degree_bound // 2:
-            continue
-        if not _window_closure(chosen, degree_bound)(a, b):
-            chosen.append((a, b))
-    # drop redundant generators greedily
-    kept = []
-    for i, p in enumerate(chosen):
-        trial = kept + chosen[i + 1 :]
-        if not _window_closure(trial, degree_bound)(*p):
-            kept.append(p)
-    # every scanned pair of the lower half-window must follow from them
-    merged = _window_closure(kept, degree_bound)
-    if not all(
-        merged(a, b) for a, b in pairs if max(_deg(a), _deg(b)) <= degree_bound // 2
-    ):
-        raise BoundExceeded("congruence generators not found within bound")
+    if not relations:  # X = 0, free on no generators
+        return FreeComplex(x.base, [labels0], [], []), eps
 
-    labels1 = [f"({_fmt(a)};{_fmt(b)})" for a, b in kept]
-    r1 = {}
-    s1 = {}
-    for lbl, (a, b) in zip(labels1, kept):
-        r1[lbl] = None if a == _ZERO_ELEM else (a[0], labels0[a[1]])
-        s1[lbl] = None if b == _ZERO_ELEM else (b[0], labels0[b[1]])
-    level_labels = [labels0]
-    rs, ss = [], []
-    if labels1:
-        level_labels.append(labels1)
-        rs.append(r1)
-        ss.append(s1)
-        # continue reduced: joint kernel of free maps is zero over a free
-        # target unless a generator maps to zero on both sides
-        joint = [lbl for lbl in labels1 if r1[lbl] is None and s1[lbl] is None]
-        if joint:
-            raise BoundExceeded("higher syzygies not supported symbolically")
-    return FreeComplex(base, level_labels, rs, ss), eps
+    def side(e):
+        return None if e == _ZERO_ELEM else (e[0], labels0[e[1]])
+
+    labels1 = [f"({_fmt(a)};{_fmt(b)})" for a, b in relations]
+    r1 = {lbl: side(a) for lbl, (a, _) in zip(labels1, relations)}
+    s1 = {lbl: side(b) for lbl, (_, b) in zip(labels1, relations)}
+    return FreeComplex(x.base, [labels0, labels1], [r1], [s1]), eps
+
+
+def _check_fiber_relations(relations, eps, ngens, bound):
+    """The relations and their t-translates close to the fiber congruence
+    of ``eps`` on the degrees below ``bound``, else ``OracleMismatch``."""
+
+    def image(e):
+        return 0 if e == _ZERO_ELEM else eps(*e)
+
+    for a, b in relations:
+        if image(a) != image(b):
+            raise OracleMismatch(f"relation {_fmt(a)} = {_fmt(b)} joins two images")
+    merged = _window_closure(relations, bound)
+    first = {0: _ZERO_ELEM}
+    for k in range(bound):
+        for gi in range(ngens):
+            e = (k, gi)
+            rep = first.setdefault(image(e), e)
+            if not merged(rep, e):
+                raise OracleMismatch(
+                    f"relations {relations} leave {_fmt(e)} apart from {_fmt(rep)}"
+                )
 
 
 def _window_closure(chosen, bound):
@@ -519,17 +507,6 @@ def _fmt(e):
         return "0"
     k, gi = e
     return f"t^{k}.g{gi}"
-
-
-def two_term_free_complex(exp, base=None):
-    """The reduced free complex with boundary pair (t^exp, 0)."""
-    base = base or MonogenicMonoid()
-    return FreeComplex(
-        base,
-        [["g0"], ["h0"]],
-        [{"h0": (exp, "g0")}],
-        [{"h0": None}],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +688,9 @@ def dold_kan_inverse(c, trunc):
     22; Goerss-Jardine III.2).
     """
     if isinstance(c, FreeComplex):
-        raise ValidationError("materialize the free complex first (tensor it)")
+        raise ValidationError(
+            "a symbolic free complex has infinite levels; pass a finite DaComplex"
+        )
     if not c.is_reduced():
         raise NotReduced("the inverse construction requires a reduced complex")
     if c.min_degree != 0:

@@ -877,7 +877,7 @@ def localize(m, s_gens, name=None):
     _require_table(m, "localize")
     s = multiplicative_set(m, s_gens)
     if ZERO in s:
-        q = FiniteMonoid(f"{m.name}_loc", ["0"], [[0]], [])
+        q = FiniteMonoid(name or f"{m.name}_loc", ["0"], [[0]], [])
         q.fractions = [(ZERO, s[0])]
         return q, MonoidHom(m, q, [0] * len(m.elements))
 

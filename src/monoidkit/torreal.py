@@ -63,7 +63,6 @@ class IntegerChainComplex:
 
     ranks: list
     diff: list  # diff[n-1] = matrix of d_n
-    basis_labels: list | None = None
 
     def __post_init__(self):
         for n in range(2, len(self.ranks)):
@@ -95,7 +94,6 @@ def chain_of_simplicial(sset):
     each c it does not send to the basepoint; no face matrix is built.
     """
     ranks = [len(l.carrier) - 1 for l in sset.levels]
-    labels = [list(l.carrier[1:]) for l in sset.levels]
     diffs = []
     for n in range(1, len(sset.levels)):
         mat = [[0] * ranks[n] for _ in range(ranks[n - 1])]
@@ -105,7 +103,7 @@ def chain_of_simplicial(sset):
                 if v:
                     mat[v - 1][c] += sign
         diffs.append(mat)
-    return IntegerChainComplex(ranks, diffs, labels)
+    return IntegerChainComplex(ranks, diffs)
 
 
 @dataclass
@@ -136,54 +134,20 @@ def smith_homology(c, n):
 
 
 # ---------------------------------------------------------------------------
-# tensoring a symbolic free complex and realizing it
-
-
-def tensor_free_complex(c, x):
-    """Levelwise tensor of a monogenic free complex with a finite A-set.
-
-    A free level with generator set G tensors to a wedge of |G| copies of
-    X; the boundary entry (t^k, g') sends the g-copy to the g'-copy
-    through the k-th power of the generator action.
-    """
-    base = x.base
-    levels = []
-    for labels in c.level_labels:
-        parts = [x.relabeled(f"{x.name}[{lbl}]") for lbl in labels]
-        levels.append(ak.wedge(parts, name="wedgeX"))
-    rs, ss = [], []
-    for n in range(1, len(c.level_labels)):
-        src = levels[n]
-        dst = levels[n - 1]
-        label_pos = {lbl: i for i, lbl in enumerate(c.level_labels[n - 1])}
-
-        def build(mapdict):
-            mapping = [0] * len(src.carrier)
-            for gi, lbl in enumerate(c.level_labels[n]):
-                img = mapdict[lbl]
-                for p in x.nonzero():
-                    src_idx = src.wedge_offsets[gi] + p - 1
-                    if img is None:
-                        mapping[src_idx] = 0
-                        continue
-                    exp, tgt = img
-                    q = x.act(exp, p)
-                    mapping[src_idx] = (
-                        0 if q == 0 else dst.wedge_offsets[label_pos[tgt]] + q - 1
-                    )
-            return ak.ASetMorphism(src, dst, mapping)
-
-        rs.append(build(c.r[n - 1]))
-        ss.append(build(c.s[n - 1]))
-    return hm.DaComplex(base, levels, rs, ss)
+# the derived-tensor model over the monogenic base
 
 
 def tor_complex(x, exp, trunc=4):
     """Chain complex of the standard simplicial model for the derived
-    tensor of A/(t^exp) against X, over the monogenic base."""
-    free = hm.two_term_free_complex(exp, base=x.base)
-    tensored = tensor_free_complex(free, x)
-    sset = hm.dold_kan_inverse(tensored, trunc)
+    tensor of A/(t^exp) against X, over the monogenic base.
+
+    A/(t^exp) is resolved by the free pair (t^exp, 0): A => A, and A (x) X
+    = X, so the model is the inverse construction of X => X with r = t^exp
+    and s = 0.
+    """
+    r = ak.ASetMorphism(x, x, [x.act(exp, p) for p in range(len(x.carrier))])
+    pair = hm.DaComplex(x.base, [x, x], [r], [ak.zero_morphism(x, x)])
+    sset = hm.dold_kan_inverse(pair, trunc)
     return chain_of_simplicial(sset), sset
 
 
@@ -191,18 +155,20 @@ def tor_complex_direct(x, exp, trunc=4):
     """The same chain complex assembled directly from blocks.
 
     Level k of the inverse construction has one block per surjection
-    [k] ->> [m], m <= 1; by the face rules of ``hm.surjection_rules``
-    each face contributes an identity block, a single action-matrix
-    block, or nothing.  Validated against ``tor_complex``
-    in the tests; used for the large exhaustive sweeps.
+    [k] ->> [m], m <= 1, listed m = 0 first as ``hm.dold_kan_inverse``
+    lists its cells, so the matrices are those of ``tor_complex``; by the
+    face rules of ``hm.surjection_rules`` each face contributes an
+    identity block, a single action-matrix block, or nothing.  Validated
+    against ``tor_complex`` in the tests; used for the large exhaustive
+    sweeps.
     """
     m_act = realize_action_matrix(x, exp)
     nx = len(x.carrier) - 1
     act_entries = [(r, col, v) for r, row in enumerate(m_act)
                    for col, v in enumerate(row) if v]
-    cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {1, 0}
+    cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {0, 1}
     for k in range(trunc + 1):
-        cells.append([(rule, m) for m in (1, 0) for rule in hm.surjection_rules(k, m)])
+        cells.append([(rule, m) for m in (0, 1) for rule in hm.surjection_rules(k, m)])
     ranks = [len(level) * nx for level in cells]
     diffs = []
     for k in range(1, trunc + 1):

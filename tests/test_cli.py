@@ -1,6 +1,10 @@
+import gc
 import io
 import json
 import os
+import subprocess
+import sys
+import warnings
 from contextlib import redirect_stdout
 
 import pytest
@@ -20,6 +24,17 @@ def run(argv):
 
 def doc(*parts):
     return os.path.join(CORPUS, *parts)
+
+
+def standalone(argv, **env):
+    """Run ``python -m monoidkit.cli`` as its own process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoidkit.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_spec_idem2():
@@ -45,6 +60,22 @@ def test_validate_garbage_exits_2(tmp_path):
 def test_usage_error_exits_1():
     code, _ = run(["no-such-command"])
     assert code == 1
+
+
+def test_standalone_usage_error_exits_1():
+    code, out, err = standalone(["k0"])
+    assert (code, out) == (1, "")
+    assert "required: monoid" in err and "Traceback" not in err
+    code, out, _ = standalone(["--help"])
+    assert code == 0 and out.startswith("usage: monoidkit")
+
+
+@pytest.mark.parametrize("command", ["k0", "g0"])
+def test_non_integer_bound_variable_exits_1(command):
+    code, out, err = standalone([command, doc("monoids", "idem2.json")],
+                                MONOIDKIT_BOUND="abc")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: MONOIDKIT_BOUND") and err.count("\n") == 1
 
 
 def test_bound_exceeded_exits_3(tmp_path):
@@ -121,32 +152,38 @@ def test_resolve_monogenic_aset():
     assert out.splitlines() == ["P0: 1 generators", "P1: 1 generators"]
 
 
+EXT_ARGV = ["ext", doc("monoids", "line2.json"),
+            "--quot", doc("asets", "point-u-line2.json"),
+            "--sub", doc("asets", "line2-regular.json")]
+SQZ_ARGV = ["sqz", doc("monoids", "line2.json"),
+            "--aset", doc("asets", "point-u-line2.json")]
+
+
 def test_ext_command():
-    code, out = run(
-        [
-            "ext",
-            doc("monoids", "line2.json"),
-            "--quot",
-            doc("asets", "point-u-line2.json"),
-            "--sub",
-            doc("asets", "line2-regular.json"),
-        ]
-    )
+    code, out = run(EXT_ARGV)
     assert code == 0
     assert out.splitlines()[0] == "2 extensions"
 
 
 def test_sqz_command():
-    code, out = run(
-        [
-            "sqz",
-            doc("monoids", "line2.json"),
-            "--aset",
-            doc("asets", "point-u-line2.json"),
-        ]
-    )
+    code, out = run(SQZ_ARGV)
     assert code == 0
     assert out.splitlines()[0] == "2 square-zero extensions"
+
+
+def test_ext_and_sqz_close_their_documents():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(EXT_ARGV)[0] == 0
+        assert run(SQZ_ARGV)[0] == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_ext_rejects_a_document_of_another_kind(capsys):
+    argv = EXT_ARGV[:3] + [doc("monoids", "line2.json")] + EXT_ARGV[4:]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_corpus_runner_all_pass():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
-from monoidkit.errors import NotReduced
+from monoidkit.errors import NotReduced, OracleMismatch
 
 
 def F1():
@@ -195,6 +196,87 @@ def test_monogenic_resolution_of_cyclic_quotient():
     lbl = comp.level_labels[1][0]
     assert comp.r[0][lbl] == (2, comp.level_labels[0][0])
     assert comp.s[0][lbl] is None
+
+
+def _relation_closure(comp, ngens, window):
+    """Classes of the elements t^k.g_i, k < window, and 0 under the
+    t-translates of the relations of P1 (a plain union-find)."""
+    parent = {(k, i): (k, i) for k in range(window) for i in range(ngens)}
+    parent[0] = 0
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    gi = {lbl: i for i, lbl in enumerate(comp.level_labels[0])}
+    for lbl in comp.level_labels[1] if comp.top_degree else []:
+        sides = [None if img is None else (img[0], gi[img[1]])
+                 for img in (comp.r[0][lbl], comp.s[0][lbl])]
+        top = max(e[0] for e in sides if e)
+        for j in range(window - top):
+            a, b = (0 if e is None else (e[0] + j, e[1]) for e in sides)
+            parent[find(a)] = find(b)
+    return find
+
+
+def test_monogenic_resolution_sweep():
+    # every monogenic table of carrier <= 5 (701 of them)
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for tail in itertools.product(range(n), repeat=n - 1):
+            x = ak.aset_from_theta([0] + list(tail))
+            comp, eps = hm.free_resolution_monogenic(x)
+            ngens = len(comp.level_labels[0])
+            relations = comp.level_labels[1] if comp.top_degree else []
+            assert len(relations) == ngens, tail  # one relation per generator
+
+            def image(img):
+                return 0 if img is None else eps(img[0], comp.level_labels[0].index(img[1]))
+
+            for lbl in relations:
+                assert image(comp.r[0][lbl]) == image(comp.s[0][lbl]), (tail, lbl)
+            # brute force: on a window of 2n degrees, the relations merge
+            # two elements exactly when eps gives them one image
+            find = _relation_closure(comp, ngens, 2 * n)
+            classes = {}
+            for k in range(2 * n):
+                for i in range(ngens):
+                    v = eps(k, i)
+                    rep = find(0) if v == 0 else classes.setdefault(v, find((k, i)))
+                    assert find((k, i)) == rep, (tail, k, i)
+            assert len(set(classes.values()) | {find(0)}) == len(classes) + 1, tail
+            digest.update(repr((comp.level_labels, comp.r, comp.s,
+                                [eps(k, i) for i in range(ngens) for k in range(8)])).encode())
+    # computed with the earlier bounded-scan construction, which agrees on
+    # every table of carrier <= 5
+    assert digest.hexdigest() == (
+        "1e190a855b0fe25864dcabdf1a322d7d32f449d0aca98580d378903b04e28f33"
+    )
+
+
+def test_monogenic_resolution_needs_no_degree_bound():
+    # A/(t^13) and the 13-point chain p1 -> ... -> p13 -> 0 are not free:
+    # their one relation t^13.g0 = 0 lies above any fixed scan window of 24
+    chain = ak.aset_from_theta([0] + list(range(2, 14)) + [0])
+    for x in (hm.cyclic_quotient_aset(13), chain):
+        comp, _ = hm.free_resolution_monogenic(x)
+        assert comp.level_labels[1] == ["(t^13.g0;0)"]
+        assert comp.r[0]["(t^13.g0;0)"] == (13, x.carrier[1])
+        assert comp.s[0]["(t^13.g0;0)"] is None
+
+
+def test_monogenic_relations_are_checked():
+    x = hm.cyclic_quotient_aset(13)
+    _, eps = hm.free_resolution_monogenic(x)
+    zero = (None, None)
+    hm._check_fiber_relations([((13, 0), zero)], eps, 1, 28)
+    with pytest.raises(OracleMismatch):
+        hm._check_fiber_relations([], eps, 1, 28)  # leaves t^13.g0 apart from 0
+    with pytest.raises(OracleMismatch):
+        hm._check_fiber_relations([((12, 0), zero)], eps, 1, 28)  # two images
+    with pytest.raises(OracleMismatch):
+        hm._check_fiber_relations([((14, 0), zero)], eps, 1, 28)  # misses t^13.g0
 
 
 def test_moore_of_constant():

@@ -254,6 +254,13 @@ def test_localize_at_nilpotent_gives_zero_monoid():
     assert set(hom.mapping) == {0}
 
 
+def test_localize_keeps_its_name_when_s_reaches_zero():
+    m = truncated_line(2)
+    assert mk.localize(m, [m.index_of("x")], name="Q")[0].name == "Q"
+    assert mk.localize(m, [], name="Q")[0].name == "Q"
+    assert mk.localize(m, [m.index_of("x")])[0].name == f"{m.name}_loc"
+
+
 def test_localize_explicit_zero_raises():
     m = truncated_line(3)
     with pytest.raises(ZeroInS):

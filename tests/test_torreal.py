@@ -304,24 +304,16 @@ def test_displayed_differential_of_the_model():
 
 
 def test_direct_and_generic_tor_complexes_match():
-    # every monogenic table of carrier <= 4; the two builders order their
-    # bases differently, so each differential is compared by its invariant
-    # factors and each degree by its homology
+    # every monogenic table of carrier <= 4; both builders list the cells
+    # of a level m = 0 first, so their matrices agree entry by entry
     for n in range(1, 5):
         for theta_tail in itertools.product(range(n), repeat=n - 1):
             x = ak.aset_from_theta([0] + list(theta_tail))
             for k in (1, 2, 3):
                 generic, _ = tr.tor_complex(x, k, trunc=4)
                 direct = tr.tor_complex_direct(x, k, trunc=4)
-                assert generic.ranks == direct.ranks
-                for d in range(1, 5):
-                    assert generic.invariant_factors(d) == direct.invariant_factors(d), (
-                        theta_tail, k, d)
-                for d in range(4):
-                    assert (
-                        tr.smith_homology(generic, d).as_group()
-                        == tr.smith_homology(direct, d).as_group()
-                    )
+                assert generic.ranks == direct.ranks, (theta_tail, k)
+                assert generic.diff == direct.diff, (theta_tail, k)
 
 
 def test_hurewicz_small_cases():
