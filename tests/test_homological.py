@@ -257,7 +257,7 @@ def test_monogenic_resolution_sweep():
 
 def test_monogenic_resolution_needs_no_degree_bound():
     # A/(t^13) and the 13-point chain p1 -> ... -> p13 -> 0 are not free:
-    # their one relation t^13.g0 = 0 lies above any fixed scan window of 24
+    # each has the one relation t^13.g0 = 0, however high its degree
     chain = ak.aset_from_theta([0] + list(range(2, 14)) + [0])
     for x in (hm.cyclic_quotient_aset(13), chain):
         comp, _ = hm.free_resolution_monogenic(x)
