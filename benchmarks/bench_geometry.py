@@ -6,8 +6,9 @@ zonotope box like k^rank, while the saturation keeps its shape, so the
 sweep shows what each box point costs.  For every scaled chart it prints
 the number of box points, the wall time of ``seminormalize_cancellative``
 plus ``normalize_affine`` on a fresh chart, how many ``facet_normals``
-and ``intlin.rank`` calls those two made, and how many level sets
-(``AffineMonoid.bounded_elements`` caches) they filled.
+and ``intlin.rank`` calls those two made, and how many level sets they
+filled: the packed sets ``AffineMonoid._packed_level_set`` builds and
+caches, one per chart and bound, which every ``contains`` looks up.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly
@@ -57,21 +58,21 @@ def counting(*targets):
 
 @contextlib.contextmanager
 def counting_level_sets():
-    """Count the level sets ``AffineMonoid.bounded_elements`` fills."""
+    """Count the packed level sets ``AffineMonoid._packed_level_set`` fills."""
     filled = [0]
-    original = AffineMonoid.bounded_elements
+    original = AffineMonoid._packed_level_set
 
-    def wrapped(self, bound=None):
+    def wrapped(self, bound):
         before = len(self._level_sets)
         out = original(self, bound)
         filled[0] += len(self._level_sets) - before
         return out
 
-    AffineMonoid.bounded_elements = wrapped
+    AffineMonoid._packed_level_set = wrapped
     try:
         yield filled
     finally:
-        AffineMonoid.bounded_elements = original
+        AffineMonoid._packed_level_set = original
 
 
 def greedy_generators(aff):

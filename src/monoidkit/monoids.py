@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -212,37 +211,83 @@ class AffineMonoid:
     def is_pc_quotient(self):
         return bool(self.monomial_ideal)
 
-    def bounded_elements(self, bound=None):
-        """Every sum of at most ``bound`` generators, as a frozenset.
+    def _packed_level_set(self, bound):
+        """``(radius, radix, codes)``: the packed codes of every sum of at
+        most ``bound`` generators (see ``bounded_elements``).
 
-        Built level by level: a vector joins at level d only if no earlier
-        level holds it, so each member is found at its shortest length.
-        Cached per bound, since the generators never change.
+        The code is additive, so the search adds the generators' codes
+        level by level; a code joins only if no earlier level holds it.
+        Cached per bound, since the generators never change.  ``bound``
+        defaults to ``degree_bound``; an explicit one must be an int >= 0.
         """
         if bound is None:
             bound = self.degree_bound
+        elif isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+            raise ValidationError(f"bound must be an integer >= 0, got {bound!r}")
         found = self._level_sets.get(bound)
         if found is None:
-            zero = (0,) * self.rank
-            seen, level = {zero}, [zero]
+            radius = bound * max((abs(x) for g in self.generators for x in g), default=0)
+            radix = 2 * radius + 1
+            steps = {_pack(g, radix) for g in self.generators}
+            seen, level = {0}, {0}
             for _ in range(bound):
-                new = []
-                for v in level:
-                    for g in self.generators:
-                        w = tuple(map(operator.add, v, g))
-                        if w not in seen:
-                            seen.add(w)
-                            new.append(w)
-                level = new
-            found = self._level_sets[bound] = frozenset(seen)
+                level = {v + g for v in level for g in steps} - seen
+                if not level:
+                    break
+                seen |= level
+            found = self._level_sets[bound] = (radius, radix, frozenset(seen))
         return found
 
+    def bounded_elements(self, bound=None):
+        """Every sum of at most ``bound`` generators, as a frozenset of tuples.
+
+        The level set is kept as one int per vector: with radius =
+        bound * max|g_ij| and radix = 2 * radius + 1, v is packed as
+        sum(v_i * radix**i).  Every sum of at most ``bound`` generators
+        lies in the box [-radius, radius]^rank, and on that box the code is
+        injective: it is v's base-radix expansion with balanced digits
+        -radius..radius, one digit per coordinate.  Decoding reads the
+        digits v_i + radius of code + radius * (1 + radix + ... +
+        radix**(rank-1)).
+        """
+        radius, radix, codes = self._packed_level_set(bound)
+        offset = _pack((radius,) * self.rank, radix)
+        out = []
+        for code in codes:
+            code += offset
+            v = []
+            for _ in range(self.rank):
+                code, digit = divmod(code, radix)
+                v.append(digit - radius)
+            out.append(tuple(v))
+        return frozenset(out)
+
     def contains(self, vec, bound=None):
-        """Bounded membership: is vec a sum of at most ``bound`` generators?"""
-        return tuple(int(x) for x in vec) in self.bounded_elements(bound)
+        """Bounded membership: is vec a sum of at most ``bound`` generators?
+
+        One lookup of vec's code in the packed level set (see
+        ``bounded_elements``).  A vector of the wrong length or with an
+        entry outside [-radius, radius] is rejected before it is packed,
+        since outside the box the code is not injective: for generator
+        (1, 0) and bound 1 the radix is 3, and (-2, 1) packs to the code
+        of (1, 0).
+        """
+        radius, radix, codes = self._packed_level_set(bound)
+        vec = [int(x) for x in vec]
+        if len(vec) != self.rank or max(map(abs, vec), default=0) > radius:
+            return False
+        return _pack(vec, radix) in codes
 
     def __repr__(self):
         return f"AffineMonoid({self.name!r}, rank={self.rank}, gens={self.generators})"
+
+
+def _pack(vec, radix):
+    """sum(vec[i] * radix**i), by Horner's rule."""
+    code = 0
+    for x in reversed(vec):
+        code = code * radix + x
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,45 @@ def test_bound_zero_is_only_the_identity():
     assert aff.contains((3,))
 
 
+@pytest.mark.parametrize("bound", [-1, -2, "8", 2.0, True, False])
+def test_explicit_bound_must_be_a_nonnegative_int(bound):
+    # a negative bound used to act as 0: contains((0,), -1) was True
+    aff = mk.AffineMonoid("A", 1, [(1,)])
+    with pytest.raises(ValidationError, match="bound"):
+        aff.contains((0,), bound)
+    with pytest.raises(ValidationError, match="bound"):
+        aff.bounded_elements(bound)
+
+
+def test_out_of_box_or_wrong_length_vector_is_not_a_member():
+    # gens [(1, 0)], bound 1: radius 1, radix 3, and (-2, 1) packs to
+    # -2 + 3 = 1, the code of the member (1, 0)
+    aff = mk.AffineMonoid("A", 2, [(1, 0)])
+    assert aff.contains((1, 0), 1)
+    for v in [(-2, 1), (4, -1), (), (1,), (1, 0, 0)]:
+        assert not aff.contains(v, 1), v
+
+
+@pytest.mark.parametrize(
+    "gens, bound",
+    [
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 1)], 3),
+        ([(2, -1, 0), (0, 1, -2), (-1, 0, 1), (0, 0, 0)], 2),
+        ([(1, -2, 1), (-2, 1, 1), (1, 1, -2), (0, -1, 0)], 2),
+    ],
+)
+def test_rank3_membership_matches_brute_force(gens, bound):
+    # negative entries and non-pointed generator sets, over a window two
+    # wider than the packing's box [-R, R] on every axis
+    aff = mk.AffineMonoid("A", 3, gens)
+    want = sums_up_to(gens, bound)
+    assert set(aff.bounded_elements(bound)) == want
+    radius = bound * max(abs(x) for g in gens for x in g)
+    window = range(-radius - 2, radius + 3)
+    for v in itertools.product(window, repeat=3):
+        assert aff.contains(v, bound) == (v in want), v
+
+
 @pytest.mark.parametrize("bound", [0, -2, "8", 2.0, True, None])
 def test_degree_bound_must_be_a_positive_int(bound):
     with pytest.raises(ValidationError, match="degree_bound"):
