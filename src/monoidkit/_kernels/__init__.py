@@ -66,4 +66,4 @@ def closure(n, gen_tables, pairs):
 def connected_components(n, edges):
     if _closure_fast is not None:
         return _closure_fast.connected_components(n, edges)
-    return closure_py.connected_components(n, edges)
+    return closure_py.closure(n, [], edges)

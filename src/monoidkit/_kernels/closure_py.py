@@ -33,34 +33,5 @@ def closure(n, gen_tables, pairs):
         parent[rb] = ra
         for table in gen_tables:
             work.append((table[a], table[b]))
-    # normalize: representative = smallest element of the class
-    out = [0] * n
-    best = {}
-    for x in range(n):
-        r = find(x)
-        if r not in best or x < best[r]:
-            best[r] = x
-    for x in range(n):
-        out[x] = best[find(x)]
-    return out
-
-
-def connected_components(n, edges):
-    """Representative array (minimal index per class) of the graph on
-    {0..n-1} with the given edges: a plain union-find, no actions."""
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        # the smaller root wins, so every root is its class minimum
-        if ra < rb:
-            parent[rb] = ra
-        elif rb < ra:
-            parent[ra] = rb
+    # the smaller root always wins, so every root is its class minimum
     return [find(x) for x in range(n)]

@@ -461,7 +461,12 @@ def tensor(x, y, name=None):
 
 
 def aset_generators(x):
-    """Canonical minimal generating set of carrier indices."""
+    """Generating set of carrier indices, greedy in carrier order.
+
+    Each nonzero point not yet reached from an earlier chosen point is
+    kept.  The set generates X but need not be minimal: a point that a
+    later point reaches is kept all the same.
+    """
     gens = []
     covered = {0}
     for p in x.nonzero():
@@ -485,7 +490,7 @@ def _orbit(x, p):
     return out
 
 
-def _equivariant_maps(x, y, candidates=None):
+def _equivariant_maps(x, y, candidates=None, injective=False):
     """Every based equivariant map X -> Y, as carrier lists, depth first.
 
     A map is fixed by its values on ``aset_generators(x)``; generator ``g``
@@ -495,6 +500,11 @@ def _equivariant_maps(x, y, candidates=None):
     every nonzero element of a finite base is a generator word (the
     ``NonGenerating`` check), the zero element sends everything to the
     basepoint, and the monogenic base has the single generator row.
+
+    With ``injective`` a point may not take an image that another point
+    already has, whether it is a generator's chosen value or a value the
+    tables propagate; so only injective maps are yielded, and between
+    carriers of one size these are the isomorphisms.
     """
     gens = aset_generators(x)
     tables = list(zip(x.gen_tables(), y.gen_tables()))
@@ -502,6 +512,11 @@ def _equivariant_maps(x, y, candidates=None):
 
     def extend(mapping, p, img):
         """Copy with f(p) = img, closed under the tables; None on a clash."""
+        if injective:
+            taken = set(mapping)
+            if img in taken:
+                return None
+            taken.add(img)
         mapping = list(mapping)
         mapping[p] = img
         frontier = [p]
@@ -510,6 +525,10 @@ def _equivariant_maps(x, y, candidates=None):
             for t_x, t_y in tables:
                 src, dst = t_x[q], t_y[mapping[q]]
                 if mapping[src] is None:
+                    if injective:
+                        if dst in taken:
+                            return None
+                        taken.add(dst)
                     mapping[src] = dst
                     frontier.append(src)
                 elif mapping[src] != dst:
@@ -594,56 +613,33 @@ def _invariants(x):
     return colors
 
 
+def _classes(x):
+    """Isomorphism-invariant class of each point: its ``_invariants``
+    colour and which generator tables fix it."""
+    tables = x.gen_tables()
+    return [(c, tuple(t[p] == p for t in tables)) for p, c in enumerate(_invariants(x))]
+
+
 def find_isomorphism(x, y):
-    """Basepoint-preserving equivariant bijection, or None."""
+    """Basepoint-preserving equivariant bijection, or None.
+
+    The injective search of ``_equivariant_maps``, with each generator of
+    X sent only to points of Y in its class.
+    """
     if len(x.carrier) != len(y.carrier):
         return None
     if isinstance(x.base, MonogenicMonoid) != isinstance(y.base, MonogenicMonoid):
         return None
-    cx, cy = _invariants(x), _invariants(y)
+    if len(x.gen_tables()) != len(y.gen_tables()):
+        return None
+    cx, cy = _classes(x), _classes(y)
     if sorted(cx) != sorted(cy):
         return None
-    xt, yt = x.gen_tables(), y.gen_tables()
-    if len(xt) != len(yt):
-        return None
-    n = len(x.carrier)
-    mapping = [None] * n
-    used = [False] * n
-    mapping[0] = 0
-    used[0] = True
-
-    order = sorted(range(1, n), key=lambda p: (cx[p], p))
-
-    def ok(p):
-        for t_x, t_y in zip(xt, yt):
-            q = t_x[p]
-            if mapping[q] is not None and mapping[p] is not None:
-                if t_y[mapping[p]] != mapping[q]:
-                    return False
-            for r in range(n):
-                if t_x[r] == p and mapping[r] is not None:
-                    if t_y[mapping[r]] != mapping[p]:
-                        return False
-        return True
-
-    def rec(k):
-        if k == len(order):
-            return True
-        p = order[k]
-        for q in range(1, n):
-            if used[q] or cy[q] != cx[p]:
-                continue
-            mapping[p] = q
-            used[q] = True
-            if ok(p) and rec(k + 1):
-                return True
-            mapping[p] = None
-            used[q] = False
-        return False
-
-    if rec(0):
-        return list(mapping)
-    return None
+    same_class = {}
+    for q, c in enumerate(cy):
+        same_class.setdefault(c, []).append(q)
+    maps = _equivariant_maps(x, y, lambda p: same_class[cx[p]], injective=True)
+    return next(maps, None)
 
 
 def is_isomorphic(x, y):

@@ -182,25 +182,28 @@ def ext_count_bruteforce(x, y):
 
 
 def ext_equivalent(e1: Extension, e2: Extension):
-    """Isomorphism commuting with the fixed inclusion and projection."""
+    """Isomorphism commuting with the fixed inclusion and projection.
+
+    The carriers are aligned, Y block then X block, so an equivalence is an
+    injective equivariant map that fixes each point of the Y block and
+    sends each point of the X block into its fiber under e2's projection.
+    Generators are pinned that way; the rest follows by equivariance,
+    except a Y point generated only from the X block, checked at the end.
+    """
     n = len(e1.e.carrier)
     if n != len(e2.e.carrier):
         return False
-    # the underlying pointed sets are aligned: Y block then X block; an
-    # equivalence must fix both blocks pointwise on the quotient/sub data,
-    # so search bijections that are the identity on Y and lift idX
     ny = len(e1.include.source.carrier)
-    fixed = list(range(ny))  # identity on the Y block and basepoint
-    x_positions = list(range(ny, n))
-    for g in ak.hom_enumerate(e1.e, e2.e):
-        if not (g.is_injective() and g.is_surjective()):
-            continue
-        if g.mapping[:ny] != fixed:
-            continue
-        if any(e2.project(g(p)) != e1.project(p) for p in x_positions):
-            continue
-        return True
-    return False
+    fixed = list(range(ny))
+    fibers = [[] for _ in e2.project.target.carrier]
+    for q, v in enumerate(e2.project.mapping):
+        fibers[v].append(q)
+
+    def candidates(p):
+        return [p] if p < ny else fibers[e1.project(p)]
+
+    maps = ak._equivariant_maps(e1.e, e2.e, candidates, injective=True)
+    return any(g[:ny] == fixed for g in maps)
 
 
 # ---------------------------------------------------------------------------

@@ -247,8 +247,9 @@ def k1(m):
 
 
 def automorphism_group(x):
-    """All equivariant based bijections of a finite A-set."""
-    return [f for f in ak.hom_enumerate(x, x) if f.is_injective() and f.is_surjective()]
+    """All equivariant based bijections of a finite A-set, sorted."""
+    maps = sorted(ak._equivariant_maps(x, x, injective=True))
+    return [ak.ASetMorphism(x, x, f) for f in maps]
 
 
 def abelianization_invariants(elements, compose):

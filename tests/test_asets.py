@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 from test_acceptance import corpus_monoids
@@ -180,13 +181,18 @@ def test_hom_to_zero():
     assert len(homs) == 1 and homs[0].mapping == [0, 0, 0]
 
 
-def small_aset_classes(max_carrier):
-    """Per base: the A-set classes of carrier <= max_carrier over each corpus
-    finite monoid with at most 5 elements, then every monogenic theta."""
-    out = [
+def corpus_classes(max_carrier=5):
+    """The A-set classes of carrier <= max_carrier over each corpus finite
+    monoid with at most 5 elements, one list per monoid."""
+    return [
         [x for c in range(1, max_carrier + 1) for x in ak.enumerate_asets(m, c)]
         for m in corpus_monoids(max_size=5)
     ]
+
+
+def small_aset_classes(max_carrier):
+    """Per base: ``corpus_classes(max_carrier)``, then every monogenic theta."""
+    out = corpus_classes(max_carrier)
     out.append([
         ak.aset_from_theta((0,) + tail)
         for c in range(1, max_carrier + 1)
@@ -570,6 +576,55 @@ def test_canonical_key_dedup():
     assert ak.canonical_key(x1) != ak.canonical_key(x3)
     assert ak.is_isomorphic(x1, x2)
     assert not ak.is_isomorphic(x1, x3)
+
+
+def _assert_isomorphism(x, y, f):
+    assert f is not None, (x.name, y.name)
+    g = ak.ASetMorphism(x, y, f)
+    assert g.validate().ok and g.is_injective() and g.is_surjective()
+
+
+def test_is_isomorphic_agrees_with_canonical_key():
+    # every same-size pair of classes, a class with itself included
+    for classes in corpus_classes():
+        keys = [ak.canonical_key(x) for x in classes]
+        for (x, kx), (y, ky) in itertools.product(zip(classes, keys), repeat=2):
+            if len(x.carrier) == len(y.carrier):
+                f = ak.find_isomorphism(x, y)
+                assert (f is not None) == (kx == ky), (x.base.name, x.action, y.action)
+                if f is not None:
+                    _assert_isomorphism(x, y, f)
+
+
+def test_wedge_is_isomorphic_to_its_relabelings():
+    # each wedge of two classes against a relabeling s t s^-1 that fixes
+    # the basepoint
+    rng = random.Random(16)
+    for classes in corpus_classes(max_carrier=3):
+        for x, y in itertools.combinations_with_replacement(classes, 2):
+            w = ak.wedge([x, y])
+            n = len(w.carrier)
+            s = [0] + rng.sample(range(1, n), n - 1)
+            inverse = sorted(range(n), key=s.__getitem__)
+            action = [[s[row[q]] for q in inverse] for row in w.action]
+            relabeled = ak.ASet(w.base, w.carrier, action)
+            assert ak.validate_aset(relabeled).ok
+            _assert_isomorphism(w, relabeled, ak.find_isomorphism(w, relabeled))
+
+
+def test_fixed_points_are_not_a_two_cycle():
+    # over cyc4 = {0, 1, x, x^2, x^3}, colour refinement alone cannot tell
+    # four fixed points from two fixed points and a 2-cycle
+    (m,) = [m for m in corpus_monoids() if m.name == "cyc4"]
+    carrier = ["0", "p1", "p2", "p3", "p4"]
+    x = ak.build_action_from_gen_maps(m, carrier, [[0, 1, 2, 3, 4]])
+    y = ak.build_action_from_gen_maps(m, carrier, [[0, 1, 2, 4, 3]])
+    assert ak.validate_aset(x).ok and ak.validate_aset(y).ok
+    xyx, xxx = ak.wedge([x, y, x]), ak.wedge([x, x, x])
+    # the fixed-point pattern of the point classes decides it before any search
+    assert sorted(ak._classes(xyx)) != sorted(ak._classes(xxx))
+    assert not ak.is_isomorphic(xyx, xxx)
+    assert ak.is_isomorphic(ak.wedge([x, y, x]), ak.wedge([y, x, x]))
 
 
 def test_enumeration_keeps_the_first_table_of_each_class():

@@ -47,7 +47,8 @@ def test_two_extensions_of_point_by_line2():
     assert not ex.ext_equivalent(exts[0], exts[1])
 
 
-def test_ext_count_matches_bruteforce():
+def extension_inputs():
+    """(X, Y) pairs whose extensions the tests below build."""
     cases = []
     m1 = line(2)
     cases.append((two_point_torsion_aset(m1), ak.aset_from_monoid(m1)))
@@ -58,10 +59,41 @@ def test_ext_count_matches_bruteforce():
     cases.append((two_point_torsion_aset(m2), sub))
     idem = mk.build_from_presentation(["x"], [("x^2", "x")])
     cases.append((two_point_torsion_aset(idem), ak.aset_from_monoid(idem)))
-    for x, y in cases:
+    return cases
+
+
+def test_ext_count_matches_bruteforce():
+    for x, y in extension_inputs():
         exts = ex.ext_enumerate(x, y)
         brute = ex.ext_count_bruteforce(x, y)
         assert len(exts) == brute, (x.name, y.name, len(exts), brute)
+
+
+def test_ext_equivalent_matches_bijection_filter():
+    def old_ext_equivalent(e1, e2):
+        # the old definition: some bijective hom E1 -> E2 is the identity
+        # on the Y block and commutes with the projections
+        n = len(e1.e.carrier)
+        if n != len(e2.e.carrier):
+            return False
+        ny = len(e1.include.source.carrier)
+        return any(
+            g.is_injective()
+            and g.is_surjective()
+            and g.mapping[:ny] == list(range(ny))
+            and all(e2.project(g(p)) == e1.project(p) for p in range(ny, n))
+            for g in ak.hom_enumerate(e1.e, e2.e)
+        )
+
+    m = line(3)
+    inputs = extension_inputs() + [(two_point_torsion_aset(m), ak.aset_from_monoid(m))]
+    for x, y in inputs:
+        exts = ex.ext_enumerate(x, y)
+        for e1, e2 in itertools.product(exts, repeat=2):
+            assert ex.ext_equivalent(e1, e2) == old_ext_equivalent(e1, e2), (
+                e1.phi_table,
+                e2.phi_table,
+            )
 
 
 def test_every_extension_validates_as_aes():

@@ -249,7 +249,7 @@ def test_closure_matches_oracle(data):
         members = [y for y in range(n) if got[y] == got[x]]
         assert got[x] == min(members)
     # plain connectivity is the closure under no tables, minimal representatives too
-    assert closure_py.connected_components(n, pairs) == closure_py.closure(n, [], pairs)
+    assert _kernels.connected_components(n, pairs) == _kernels.closure(n, [], pairs)
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")

@@ -1,5 +1,7 @@
 import itertools
 
+from test_asets import corpus_classes
+
 from monoidkit import asets as ak
 from monoidkit import monoids as mk
 from monoidkit import projk as pk
@@ -189,6 +191,16 @@ def test_k1_bruteforce_oracle():
         formula = pk.k1(m).invariants()
         assert inv.order() == formula.order()
         assert inv == formula
+
+
+def test_automorphism_group_matches_bijection_filter():
+    # the old definition: every hom X -> X that is a bijection
+    for classes in corpus_classes():
+        for x in classes:
+            old = [f for f in ak.hom_enumerate(x, x) if f.is_injective() and f.is_surjective()]
+            assert [f.mapping for f in pk.automorphism_group(x)] == [
+                f.mapping for f in old
+            ], (x.base.name, x.action)
 
 
 def test_g0_f1_is_z():
