@@ -679,13 +679,17 @@ def dold_kan_inverse(c, trunc):
 
     Level k holds the cells (eta, m, p): eta: [k] ->> [m] a monotone
     surjection with m <= the complex bound, p a nonzero point of C_m.
-    Faces and degeneracies act on eta through the (k, m) rule table
+    The cells of one (eta, m) form a block, listed m = 0 first and within
+    each m in the order of ``surjection_rules(k, m)``, so cell (eta, m, p)
+    is carrier index ``block_starts[k][(eta, m)] + p``.  Faces and
+    degeneracies act on eta through the (k, m) rule table
     ``surjection_rules``, built once per (k, m) and shared with
     ``torreal.tor_complex_direct``, and on p only where eta . delta_i
     misses a value j: there the face is the complex face d_j of p, which
     is 0 for j <= m - 2, s_m for j = m - 1 and r_m for j = m (the
     epi-mono factorization of the simplicial identities: May 1967, section
-    22; Goerss-Jardine III.2).
+    22; Goerss-Jardine III.2).  So every map is one run per block: a
+    shifted identity, a shifted copy of r_m or s_m, or zeros.
     """
     if isinstance(c, FreeComplex):
         raise ValidationError(
@@ -700,76 +704,68 @@ def dold_kan_inverse(c, trunc):
     # rules[k][m]: the rules of every surjection [k] ->> [m]
     rules = [[surjection_rules(k, m) for m in range(min(k, bound) + 1)]
              for k in range(trunc + 1)]
+    lvls = [c.level(m) for m in range(bound + 1)]
+    sizes = [len(lvl.carrier) - 1 for lvl in lvls]
 
-    cell_index = []  # per level: dict cell -> carrier index
-    carriers = []
-    for k in range(trunc + 1):
-        index = {}
-        names = ["0"]
-        for m, level_rules in enumerate(rules[k]):
-            lvl = c.level(m)
-            for eta, _, _ in level_rules:
-                tag = "" if m == k else f"@{eta}"
-                for p in lvl.nonzero():
-                    index[(eta, m, p)] = len(names)
-                    names.append(f"{lvl.carrier[p]}{tag}")
-        cell_index.append(index)
-        carriers.append(names)
-
-    # a row acts on the cell (eta, m, p) through p, keeping eta
+    block_starts = []  # per level: (eta, m) -> carrier index of cell p = 0
     levels = []
     for k in range(trunc + 1):
-        index = cell_index[k]
-        action = [[0] * len(carriers[k]) for _ in c.level(0).action]
-        for (eta, m, p), idx in index.items():
-            for row, src in zip(action, c.level(m).action):
-                q = src[p]
-                row[idx] = index.get((eta, m, q), 0) if q else 0
-        levels.append(ak.ASet(base, carriers[k], action, name=f"K{k}"))
+        starts = {}
+        names = ["0"]
+        action = [[0] for _ in lvls[0].action]
+        for m, level_rules in enumerate(rules[k]):
+            lvl = lvls[m]
+            for eta, _, _ in level_rules:
+                s0 = starts[(eta, m)] = len(names) - 1
+                tag = "" if m == k else f"@{eta}"
+                names.extend(f"{name}{tag}" for name in lvl.carrier[1:])
+                # a row acts on the cell (eta, m, p) through p, keeping eta
+                for row, src in zip(action, lvl.action):
+                    row.extend([s0 + q if q else 0 for q in src[1:]])
+        block_starts.append(starts)
+        levels.append(ak.ASet(base, names, action, name=f"K{k}"))
 
     faces = []
     for k in range(1, trunc + 1):
-        index, prev = cell_index[k], cell_index[k - 1]
-        mappings = [[0] * len(carriers[k]) for _ in range(k + 1)]
+        prev = block_starts[k - 1]
+        mappings = [[0] for _ in range(k + 1)]
         for m, level_rules in enumerate(rules[k]):
-            nonzero = c.level(m).nonzero()
+            n_m = sizes[m]
             r_m, s_m = c.boundary(m)
             for eta, eta_faces, _ in level_rules:
-                cells = [index[(eta, m, p)] for p in nonzero]
                 for mapping, (eta2, j) in zip(mappings, eta_faces):
                     if j is None:
-                        for p, idx in zip(nonzero, cells):
-                            mapping[idx] = prev[(eta2, m, p)]
+                        t0 = prev[(eta2, m)]
+                        mapping.extend(range(t0 + 1, t0 + n_m + 1))
                     elif j >= m - 1:  # d_j = 0 for j <= m - 2
+                        t0 = prev[(eta2, m - 1)]
                         d = (s_m if j == m - 1 else r_m).mapping
-                        for p, idx in zip(nonzero, cells):
-                            v = d[p]
-                            mapping[idx] = prev[(eta2, m - 1, v)] if v else 0
+                        mapping.extend([t0 + v if v else 0 for v in d[1:]])
+                    else:
+                        mapping.extend([0] * n_m)
         faces.append([ak.ASetMorphism(levels[k], levels[k - 1], mapping)
                       for mapping in mappings])
 
     degeneracies = []
     for k in range(0, trunc):
-        index, up = cell_index[k], cell_index[k + 1]
-        mappings = [[0] * len(carriers[k]) for _ in range(k + 1)]
+        up = block_starts[k + 1]
+        mappings = [[0] for _ in range(k + 1)]
         for m, level_rules in enumerate(rules[k]):
-            nonzero = c.level(m).nonzero()
-            for eta, _, eta_degens in level_rules:
+            n_m = sizes[m]
+            for _, _, eta_degens in level_rules:
                 for mapping, eta2 in zip(mappings, eta_degens):
-                    for p in nonzero:
-                        mapping[index[(eta, m, p)]] = up[(eta2, m, p)]
+                    t0 = up[(eta2, m)]
+                    mapping.extend(range(t0 + 1, t0 + n_m + 1))
         degeneracies.append([ak.ASetMorphism(levels[k], levels[k + 1], mapping)
                              for mapping in mappings])
 
     sset = TruncSimplicialASet(base, levels, faces, degeneracies)
     sset.nondegenerate_index = [
-        {
-            p: cell_index[k][(tuple(range(k + 1)), k, p)]
-            for p in (c.level(k).nonzero() if k <= bound else [])
-        }
+        {p: block_starts[k][(tuple(range(k + 1)), k)] + p for p in lvls[k].nonzero()}
+        if k <= bound else {}
         for k in range(trunc + 1)
     ]
-    sset.cell_index = cell_index
+    sset.block_starts = block_starts
     return sset
 
 
@@ -832,10 +828,9 @@ def _extend_to_simplicial(kc, sset, c, gen_maps):
     maps = []
     for k in range(sset.truncation + 1):
         mapping = [0] * len(kc.levels[k].carrier)
-        for cell, idx in kc.cell_index[k].items():
-            eta, m, p = cell
-            img = gen_maps[m](p)
-            mapping[idx] = _apply_eta(sset, eta, m, img)
+        for (eta, m), s0 in kc.block_starts[k].items():
+            for p in c.level(m).nonzero():
+                mapping[s0 + p] = _apply_eta(sset, eta, m, gen_maps[m](p))
         maps.append(ak.ASetMorphism(kc.levels[k], sset.levels[k], mapping))
     # verify simplicial naturality
     for n in range(1, sset.truncation + 1):

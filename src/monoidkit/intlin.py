@@ -11,7 +11,7 @@ from . import _kernels
 
 def matmul(a, b, cols=None):
     """a * b; each nonzero entry of a meets only the nonzero entries of its
-    row of b (the sparse 0/+-1 differentials of the d.d = 0 check).
+    row of b.  Its one caller in the library is ``lattice_basis`` (mat * V).
 
     ``cols`` is the column count of b; it must be given when b has no
     rows, since an empty list cannot carry it.

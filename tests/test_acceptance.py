@@ -280,11 +280,15 @@ def criterion_7():
     pairs.append((window, hm.dold_kan_inverse(window, 3)))
 
     assert len(pairs) >= 20
+    counts = []
     for c, s in pairs:
         rep = hm.adjunction_check(c, s)
         assert rep.bijective, (c.levels[0].name, rep)
         assert rep.simplicial_count == rep.complex_count
         assert rep.counit_is_simplicial
+        counts.append(rep.simplicial_count)
+    # |Hom(KC, S)| per pair, pinned: the carrier layout of KC must not move them
+    assert counts == [2, 3, 4, 9, 8, 27, 5, 2, 6, 5, 1, 3, 81, 4, 18, 2, 9, 1, 6, 6]
     return f"{len(pairs)} (complex, simplicial) pairs with matching counts"
 
 

@@ -309,6 +309,65 @@ def test_inverse_construction_basic():
         assert s.face(1, 1)(idx) == c.r[0](p)
 
 
+def _layout(s):
+    """Everything the inverse construction lays out, as one string."""
+    return repr((
+        [lvl.carrier for lvl in s.levels],
+        [lvl.action for lvl in s.levels],
+        [[f.mapping for f in fs] for fs in s.faces],
+        [[f.mapping for f in fs] for fs in s.degeneracies],
+        s.nondegenerate_index,
+    ))
+
+
+def test_dold_kan_layout_sweep():
+    # X => X with r = t^k and s = 0 (the Tor model) for every monogenic
+    # table of carrier <= 4, k = 1..3, trunc 4; the hash pins the carrier
+    # order, names, actions, faces and degeneracies cell for cell
+    digest = hashlib.sha256()
+    for n in range(1, 5):
+        for tail in itertools.product(range(n), repeat=n - 1):
+            x = ak.aset_from_theta([0] + list(tail))
+            for k in (1, 2, 3):
+                r = ak.ASetMorphism(x, x, [x.act(k, p) for p in range(len(x.carrier))])
+                c = hm.DaComplex(x.base, [x, x], [r], [ak.zero_morphism(x, x)])
+                s = hm.dold_kan_inverse(c, 4)
+                # cell (eta, m, p) sits at its block's start + p
+                for level, starts in zip(s.levels, s.block_starts):
+                    for (eta, m), s0 in starts.items():
+                        tag = "" if len(eta) == m + 1 else f"@{eta}"
+                        for p in x.nonzero():
+                            assert level.carrier[s0 + p] == f"{x.carrier[p]}{tag}"
+                digest.update(_layout(s).encode())
+    assert digest.hexdigest() == (
+        "eae46268892dda982a015658dfb8d4e6ad888ac68c9098ce015e1f679ffceb58"
+    )
+
+
+def test_dold_kan_names_of_non_str_carriers():
+    # a cell is named f"{name}{tag}", so int and tuple names print as before
+    m = F1()
+    x = ak.ASet(m, [0, 7, (1, 2)], action=[[0, 0, 0], [0, 1, 2]], name="N")
+    r = ak.ASetMorphism(x, x, [0, 2, 0])
+    c = hm.DaComplex(m, [x, x], [r], [ak.zero_morphism(x, x)])
+    s = hm.dold_kan_inverse(c, 2)
+    assert hm.validate_simplicial(s).ok
+    assert [lvl.carrier for lvl in s.levels] == [
+        ["0", "7", "(1, 2)"],
+        ["0", "7@(0, 0)", "(1, 2)@(0, 0)", "7", "(1, 2)"],
+        ["0", "7@(0, 0, 0)", "(1, 2)@(0, 0, 0)", "7@(0, 0, 1)", "(1, 2)@(0, 0, 1)",
+         "7@(0, 1, 1)", "(1, 2)@(0, 1, 1)"],
+    ]
+    assert s.nondegenerate_index == [{1: 1, 2: 2}, {1: 3, 2: 4}, {}]
+    assert [[f.mapping for f in fs] for fs in s.faces] == [
+        [[0, 1, 2, 0, 0], [0, 1, 2, 2, 0]],
+        [[0, 1, 2, 3, 4, 0, 0], [0, 1, 2, 3, 4, 3, 4], [0, 1, 2, 2, 0, 3, 4]],
+    ]
+    assert [[f.mapping for f in fs] for fs in s.degeneracies] == [
+        [[0, 1, 2]], [[0, 1, 2, 3, 4], [0, 1, 2, 5, 6]],
+    ]
+
+
 def test_inverse_construction_rejects_nonreduced():
     m = F1()
     x = pointed_set(3)

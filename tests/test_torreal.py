@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import gcd, prod
 
 import pytest
@@ -156,6 +159,55 @@ def test_smith_homology_rejects_non_complex(ranks, diffs):
     # d.d = 0 is checked once, when the complex is built
     with pytest.raises(NotAComplex):
         tr.IntegerChainComplex(ranks, diffs)
+
+
+def test_complex_check_reaches_the_last_entry():
+    # d_1 d_2 = 0 and d_2 d_3 = 0 except at its last row and last column
+    d1 = [[1, -1, 0]]
+    d2 = [[1, 0, 0], [1, 0, 0], [0, 0, 1]]
+    d3 = [[0, 0, 0], [0, 0, 0], [0, 0, 3]]
+    with pytest.raises(NotAComplex, match="d_2 d_3"):
+        tr.IntegerChainComplex([1, 3, 3, 3], [d1, d2, d3])
+    d3[2][2] = 0
+    c = tr.IntegerChainComplex([1, 3, 3, 3], [d1, d2, d3])
+    assert [tr.smith_homology(c, n).betti for n in range(4)] == [0, 0, 1, 3]
+
+
+def test_complex_check_sums_before_judging():
+    # every entry of d_1 d_2 sums four +-1 products; on the diagonal the
+    # running sum goes 1, 2, 1 and reaches 0 only at the last one
+    d1 = [[1, 1, 1, 1], [1, -1, 1, -1]]
+    d2 = [[1, 1], [1, -1], [-1, -1], [-1, 1]]
+    c = tr.IntegerChainComplex([2, 4, 2], [d1, d2])
+    groups = [tr.smith_homology(c, n) for n in range(3)]
+    assert [(h.betti, h.torsion) for h in groups] == [(0, (2,)), (0, (2,)), (0, ())]
+
+
+def test_complex_with_a_zero_rank_middle_degree():
+    # Z^2 <- 0 <- Z --5--> Z: both products pass through a rank-0 module
+    c = tr.IntegerChainComplex([2, 0, 1, 1], [[[], []], [], [[5]]])
+    groups = [tr.smith_homology(c, n) for n in range(4)]
+    assert [(h.betti, h.torsion) for h in groups] == [(2, ()), (0, ()), (0, (5,)), (0, ())]
+
+
+NON_COMPLEX_UNDER_O = """
+from monoidkit import torreal as tr
+from monoidkit.errors import NotAComplex
+try:
+    tr.IntegerChainComplex([1, 2, 1], [[[1, 0]], [[1], [1]]])
+except NotAComplex:
+    print("raised")
+print("__debug__ =", __debug__)
+"""
+
+
+def test_complex_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", NON_COMPLEX_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == ["raised", "__debug__ = False"]
 
 
 def test_homology_reduces_each_differential_once(monkeypatch):
