@@ -29,7 +29,10 @@ existing tools and re-implements none of them:
   setting only; the gate is the unseeded suite;
 * ``monoidkit corpus corpus/cases`` of each checkout, one fresh process
   per run, in alternating pairs, with each run's wall time and the
-  sha256 of its stdout.
+  sha256 of its stdout;
+* when both homology workloads run, each side's compiled/pure ratio: the
+  median ``homology-compiled`` throughput over the median ``homology``
+  throughput (ROADMAP's bar for keeping the compiled kernels).
 
 Every figure is read off the tools' own output; the record also names the
 commits, the source hash ``run.py`` prints, the python version and nproc.
@@ -148,6 +151,19 @@ def claim_summary(runs, metric, better):
     }
 
 
+def compiled_over_pure(workloads, roots, metric="throughput_cases_per_ref"):
+    """Per side, the median ``metric`` of ``homology-compiled`` over that of
+    ``homology``: what the compiled kernels buy on the same inputs."""
+    out = {}
+    for side in roots:
+        pure, compiled = (
+            statistics.median(r["metrics"][metric]
+                              for r in workloads[wl]["runs"][side].values())
+            for wl in ("homology", "homology-compiled"))
+        out[side] = {"metric": metric, "ratio": round(compiled / pure, 4)}
+    return out
+
+
 def commit(root):
     # "-dirty" marks uncommitted changes; src_sha256 of each run names the code
     return subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
@@ -219,6 +235,8 @@ def main():
                 seed: {side: res["metrics"][claim_metric] for side, res in sides.items()}
                 for seed, sides in holdout.items()}
             record["claim"] = summary
+    if {"homology", "homology-compiled"} <= set(record["workloads"]):
+        record["compiled_over_pure"] = compiled_over_pure(record["workloads"], roots)
     record["corpus"] = corpus_record(roots)
     record["tier1"] = {side: tier1(root) for side, root in roots.items()}
     with open(args.out, "w") as fh:

@@ -48,6 +48,19 @@ def snf_diagonal(mat):
     return snf_py.snf_diagonal(mat)
 
 
+def snf_diagonal_rows(rows, dense):
+    """Invariant factors of the matrix whose row i is the dict ``rows[i]``
+    ({column: nonzero entry}).
+
+    The pure kernel reduces a copy of the rows.  The compiled one needs
+    row lists, so it calls ``snf_diagonal(dense())``; ``dense`` returns
+    the same matrix dense and is called only then.
+    """
+    if _snf_fast is not None:
+        return snf_diagonal(dense())
+    return snf_py.snf_diagonal_rows(rows)
+
+
 def integer_rank(mat):
     if _snf_fast is not None:
         try:

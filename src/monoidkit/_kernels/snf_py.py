@@ -1,24 +1,30 @@
 """Smith normal form over the integers, pure-Python reference kernel.
 
-Matrices are lists of row lists of Python ints (exact bignum arithmetic).
-One elimination loop, ``_reduce``, serves both entry points: it reduces
-the top-left block of a work matrix in place, so ``snf_with_transforms``
+Dense matrices are lists of row lists of Python ints (exact bignum
+arithmetic); sparse ones are lists of rows {column: nonzero int}.  One
+elimination loop, ``_reduce``, serves every entry point: it reduces the
+top-left block of a work matrix in place, so ``snf_with_transforms``
 records U and V by carrying an identity block to the right of and below
-the input, and ``snf_diagonal`` reduces what is left of the input after a
-sparse unit-pivot pass.  That pass (``_eliminate_unit_pivots``) splits
-off +-1 pivots chosen by least Markowitz cost on a sparse copy, which
-empties most of a 0/+-1 boundary matrix before any dense work (Dumas,
-Heckenbach, Saunders and Welker 2003).  Elimination in ``_reduce`` uses
-extended-gcd 2x2 unimodular blocks, which keeps intermediate growth tame;
-divisibility d1 | d2 | ... is restored by folding a column into its left
-neighbour and re-reducing the 2x2 block.  ``_reduce`` is the one loop the
-compiled twin (``_snf_cy``) mirrors: it follows the same elimination on
-the whole matrix in 64-bit arithmetic and raises ``OverflowError`` when
-entries threaten the safe range; callers fall back to this module in that
-case.
+the input, and the invariant-factor entries reduce what is left of their
+input after a sparse unit-pivot pass.  That pass
+(``_eliminate_unit_pivots``) splits off +-1 pivots chosen by least
+Markowitz cost on sparse rows, which empties most of a 0/+-1 boundary
+matrix before any dense work (Dumas, Heckenbach, Saunders and Welker
+2003).  ``snf_diagonal`` turns a dense matrix into those rows once;
+``snf_diagonal_rows`` starts from a copy of rows the caller keeps (a
+chain complex's differentials), so no dense matrix is built or scanned.
+Elimination in ``_reduce`` uses extended-gcd 2x2 unimodular blocks, which
+keeps intermediate growth tame; divisibility d1 | d2 | ... is restored by
+folding a column into its left neighbour and re-reducing the 2x2 block.
+``_reduce`` is the one loop the compiled twin (``_snf_cy``) mirrors: it
+follows the same elimination on the whole dense matrix in 64-bit
+arithmetic and raises ``OverflowError`` when entries threaten the safe
+range; callers fall back to this module in that case.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 
 def _xgcd(a, b):
@@ -172,26 +178,23 @@ def _cheapest_unit(rows, cols):
     return None if best is None else best[1:]
 
 
-def _eliminate_unit_pivots(mat):
-    """Split off unit pivots of ``mat``; return (count, dense residue).
+def _eliminate_unit_pivots(rows):
+    """Split off unit pivots; return (count, dense residue).
 
-    The matrix is held as sparse rows ({column: value}) with a column ->
-    rows index.  Each step takes the +-1 entry of least Markowitz cost
-    (row nnz - 1) * (column nnz - 1) and subtracts the pivot row from
-    every other row meeting its column, exactly, since the pivot is a
-    unit.  Column operations would then clear the pivot row without
-    touching anything else, so the matrix is equivalent to [1] (+) the
-    rest: the pivot row and column are dropped.  The residue keeps the
-    nonzero rows and the columns they meet.
+    ``rows`` maps a row index to its nonzero sparse row {column: value}
+    and is reduced in place; a column -> rows index is built beside it.
+    Each step takes the +-1 entry of least Markowitz cost (row nnz - 1) *
+    (column nnz - 1) and subtracts the pivot row from every other row
+    meeting its column, exactly, since the pivot is a unit.  Column
+    operations would then clear the pivot row without touching anything
+    else, so the matrix is equivalent to [1] (+) the rest: the pivot row
+    and column are dropped.  The residue keeps the nonzero rows and the
+    columns they meet.
     """
-    rows = {}
-    cols = {}
-    for i, row in enumerate(mat):
-        r = {j: int(v) for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-            for j in r:
-                cols.setdefault(j, set()).add(i)
+    cols = defaultdict(set)
+    for i, r in rows.items():
+        for j in r:
+            cols[j].add(i)
     ones = 0
     while (pivot := _cheapest_unit(rows, cols)) is not None:
         p, q = pivot
@@ -218,18 +221,36 @@ def _eliminate_unit_pivots(mat):
     return ones, [[r.get(j, 0) for j in used] for r in rows.values()]
 
 
-def snf_diagonal(mat):
-    """Invariant factors (the nonzero diagonal of the SNF), d1 | d2 | ...
-
-    Unit pivots are split off on a sparse copy first; ``_reduce`` runs on
-    the dense residue.  Invariant factors are unique, so the result is
-    that of reducing ``mat`` whole.
-    """
-    ones, D = _eliminate_unit_pivots(mat)
-    m = len(D)
-    n = len(D[0]) if m else 0
+def _diagonal(rows):
+    """Invariant factors of the sparse rows ``rows`` ({row: {column:
+    value}}, nonzero rows only), which are consumed: unit pivots are split
+    off first, and ``_reduce`` runs on the dense residue.  Invariant
+    factors are unique, so the result is that of reducing the matrix
+    whole."""
+    ones, D = _eliminate_unit_pivots(rows)
+    if not D:
+        return [1] * ones
+    m, n = len(D), len(D[0])
     _reduce(D, m, n)
     return [1] * ones + [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
+
+
+def snf_diagonal(mat):
+    """Invariant factors (the nonzero diagonal of the SNF), d1 | d2 | ...,
+    of a dense matrix (row lists)."""
+    rows = {}
+    for i, row in enumerate(mat):
+        r = {j: int(v) for j, v in enumerate(row) if v}
+        if r:
+            rows[i] = r
+    return _diagonal(rows)
+
+
+def snf_diagonal_rows(rows):
+    """Invariant factors of the matrix whose row i is the dict ``rows[i]``
+    ({column: nonzero int}); the reduction runs on a copy, so ``rows`` is
+    left as it was."""
+    return _diagonal({i: dict(r) for i, r in enumerate(rows) if r})
 
 
 def integer_rank(mat):

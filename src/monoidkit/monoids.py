@@ -204,12 +204,22 @@ class AffineMonoid:
         bound = self.degree_bound
         if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
             raise ValidationError(f"degree_bound must be an integer >= 1, got {bound!r}")
+        self._generator_set = frozenset(self.generators)
         self._level_sets = {}
         self._cone = None  # geometry.chart_cone builds it on first use
 
     @property
     def is_pc_quotient(self):
         return bool(self.monomial_ideal)
+
+    def _bound(self, bound):
+        """``bound``, or ``degree_bound`` when it is None; an explicit bound
+        must be an int >= 0."""
+        if bound is None:
+            return self.degree_bound
+        if isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
+            raise ValidationError(f"bound must be an integer >= 0, got {bound!r}")
+        return bound
 
     def _packed_level_set(self, bound):
         """``(radius, radix, codes)``: the packed codes of every sum of at
@@ -220,10 +230,7 @@ class AffineMonoid:
         Cached per bound, since the generators never change.  ``bound``
         defaults to ``degree_bound``; an explicit one must be an int >= 0.
         """
-        if bound is None:
-            bound = self.degree_bound
-        elif isinstance(bound, bool) or not isinstance(bound, int) or bound < 0:
-            raise ValidationError(f"bound must be an integer >= 0, got {bound!r}")
+        bound = self._bound(bound)
         found = self._level_sets.get(bound)
         if found is None:
             radius = bound * max((abs(x) for g in self.generators for x in g), default=0)
@@ -270,10 +277,13 @@ class AffineMonoid:
         entry outside [-radius, radius] is rejected before it is packed,
         since outside the box the code is not injective: for generator
         (1, 0) and bound 1 the radix is 3, and (-2, 1) packs to the code
-        of (1, 0).
+        of (1, 0).  A generator is a member for every bound >= 1, so it is
+        answered before any level set is built.
         """
+        vec = tuple(int(x) for x in vec)
+        if vec in self._generator_set and self._bound(bound) >= 1:
+            return True
         radius, radix, codes = self._packed_level_set(bound)
-        vec = [int(x) for x in vec]
         if len(vec) != self.rank or max(map(abs, vec), default=0) > radius:
             return False
         return _pack(vec, radix) in codes

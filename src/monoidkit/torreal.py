@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import _kernels, asets as ak, homological as hm, intlin
+from . import _kernels, asets as ak, homological as hm
 from .abgroup import AbelianGroup
-from .errors import HypothesisViolated, NotAComplex, OracleMismatch
+from .errors import HypothesisViolated, NotAComplex, OracleMismatch, ValidationError
 from .monoids import MonogenicMonoid, generator_names
 
 
@@ -55,38 +55,85 @@ def z_realization(x):
     return rank, labels, gens
 
 
-@dataclass
-class IntegerChainComplex:
-    """Free modules with differentials; d[n]: degree n -> degree n-1.
+def _sparse_rows(mat, rows, cols, n):
+    """d_n as sparse rows, after checking that it is ``rows`` x ``cols``."""
+    if len(mat) != rows or any(len(row) != cols for row in mat):
+        raise ValidationError(
+            f"d_{n} must be a {rows} x {cols} matrix (ranks of C_{n-1} and C_{n})"
+        )
+    return [{j: int(v) for j, v in enumerate(row) if v} for row in mat]
 
-    Construction raises ``NotAComplex`` unless every d_{n-1} d_n = 0.  The
-    check lists the nonzero entries of each differential once, by row, and
-    uses that list on both sides of the products it takes part in; each
-    row of d_{n-1} d_n is summed over those entries alone and must come
-    out all zero, so every entry of every product is checked.  The
-    differentials are fixed once built, and each is reduced at most once.
+
+class IntegerChainComplex:
+    """Free modules with differentials; d_n: degree n -> degree n-1.
+
+    Each d_n is held once, as sparse rows: ``rows[n-1][i]`` is the dict
+    {column: nonzero entry} of row i of d_n.  The constructor takes dense
+    differentials (``diff[n-1]`` is d_n as ``ranks[n-1]`` row lists of
+    length ``ranks[n]``), raises ``ValidationError`` on any other shape,
+    and converts them; the builders in this module make the rows
+    directly.  ``diff`` and ``differential(n)`` are dense views, each
+    matrix built on first request and kept.
+
+    Construction raises ``NotAComplex`` unless every d_{n-1} d_n = 0: each
+    row of d_{n-1} d_n is summed over the nonzero entries of the rows
+    alone and must come out all zero, so every entry of every product is
+    checked.  The differentials are fixed once built, and each is reduced
+    at most once, from a copy of its rows.
     """
 
-    ranks: list
-    diff: list  # diff[n-1] = matrix of d_n
+    def __init__(self, ranks, diff):
+        ranks = list(ranks)
+        if any(r < 0 for r in ranks):
+            raise ValidationError(f"ranks must be nonnegative, got {ranks}")
+        if len(diff) != max(len(ranks) - 1, 0):
+            raise ValidationError(
+                f"{len(ranks)} modules need {max(len(ranks) - 1, 0)} differentials,"
+                f" got {len(diff)}"
+            )
+        self._setup(ranks, [_sparse_rows(mat, ranks[n - 1], ranks[n], n)
+                            for n, mat in enumerate(diff, start=1)])
 
-    def __post_init__(self):
-        # (column, entry) pairs of each row of d_1 .. d_top
-        nonzero = [[[(j, v) for j, v in enumerate(row) if v] for row in mat]
-                   for mat in self.diff[:len(self.ranks) - 1]]
-        for n, (below, above) in enumerate(zip(nonzero, nonzero[1:]), start=2):
+    @classmethod
+    def _from_rows(cls, ranks, rows):
+        """The complex whose d_n has the sparse rows ``rows[n-1]``; the
+        shapes are trusted, so only this module's builders call it."""
+        self = cls.__new__(cls)
+        self._setup(ranks, rows)
+        return self
+
+    def _setup(self, ranks, rows):
+        for n, (below, above) in enumerate(zip(rows, rows[1:]), start=2):
             for row in below:
                 acc = {}
-                for k, v in row:
-                    for j, w in above[k]:
+                for k, v in row.items():
+                    for j, w in above[k].items():
                         acc[j] = acc.get(j, 0) + v * w
                 if any(acc.values()):
                     raise NotAComplex(f"d_{n-1} d_{n} != 0")
+        self.ranks = ranks
+        self.rows = rows
+        self._dense = [None] * len(rows)
         self._factors = {}
 
+    @property
+    def diff(self):
+        """Dense d_1, d_2, ...: ``diff[n-1]`` is d_n as row lists."""
+        return [self.differential(n) for n in range(1, len(self.ranks))]
+
     def differential(self, n):
+        """Dense d_n; the zero matrix outside degrees 1 .. len(ranks) - 1."""
         if 1 <= n < len(self.ranks):
-            return self.diff[n - 1]
+            if self._dense[n - 1] is None:
+                cols = self.ranks[n]
+                mat = []
+                for r in self.rows[n - 1]:
+                    row = [0] * cols
+                    for j, v in r.items():
+                        row[j] = v
+                    mat.append(row)
+                self._dense[n - 1] = mat
+            return self._dense[n - 1]
         rows = self.ranks[n - 1] if 0 <= n - 1 < len(self.ranks) else 0
         cols = self.ranks[n] if 0 <= n < len(self.ranks) else 0
         return [[0] * cols for _ in range(rows)]
@@ -94,7 +141,11 @@ class IntegerChainComplex:
     def invariant_factors(self, n):
         """Invariant factors of d_n, computed on first request and kept."""
         if n not in self._factors:
-            self._factors[n] = tuple(intlin.invariant_factors(self.differential(n)))
+            if 1 <= n < len(self.ranks):
+                self._factors[n] = tuple(_kernels.snf_diagonal_rows(
+                    self.rows[n - 1], lambda: self.differential(n)))
+            else:  # a zero matrix
+                self._factors[n] = ()
         return self._factors[n]
 
 
@@ -102,20 +153,27 @@ def chain_of_simplicial(sset):
     """Realized chain complex with d = alternating sum of the faces.
 
     Face i of level n sends basis cell c to cell ``mapping[c + 1]`` or to
-    the basepoint, so it adds (-1)^i at (mapping[c + 1] - 1, c) of d_n for
-    each c it does not send to the basepoint; no face matrix is built.
+    the basepoint, so it adds (-1)^i at column c of row mapping[c + 1] - 1
+    of d_n for each c it does not send to the basepoint.  The sparse rows
+    are summed in place and an entry is deleted when it cancels to zero;
+    no face matrix and no dense d_n is built.
     """
     ranks = [len(l.carrier) - 1 for l in sset.levels]
     diffs = []
     for n in range(1, len(sset.levels)):
-        mat = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        rows = [{} for _ in range(ranks[n - 1])]
         for i in range(n + 1):
             sign = 1 if i % 2 == 0 else -1
             for c, v in enumerate(sset.face(n, i).mapping[1:]):
                 if v:
-                    mat[v - 1][c] += sign
-        diffs.append(mat)
-    return IntegerChainComplex(ranks, diffs)
+                    r = rows[v - 1]
+                    e = r.get(c, 0) + sign
+                    if e:
+                        r[c] = e
+                    else:  # cancelled; a later face may write it again
+                        del r[c]
+        diffs.append(rows)
+    return IntegerChainComplex._from_rows(ranks, diffs)
 
 
 @dataclass
@@ -170,36 +228,45 @@ def tor_complex_direct(x, exp, trunc=4):
     [k] ->> [m], m <= 1, listed m = 0 first as ``hm.dold_kan_inverse``
     lists its cells, so the matrices are those of ``tor_complex``; by the
     face rules of ``hm.surjection_rules`` each face contributes an
-    identity block, a single action-matrix block, or nothing.  Validated
-    against ``tor_complex`` in the tests; used for the large exhaustive
-    sweeps.
+    identity block, a single action-matrix block, or nothing.  The signs
+    are summed per target block first, so each entry of the sparse rows is
+    written once: the column of point p in a block meets the identity
+    block at row p and the action block at row t^exp . p, which are one
+    entry when p is fixed.  Validated against ``tor_complex`` in the
+    tests; used for the large exhaustive sweeps.
     """
-    m_act = realize_action_matrix(x, exp)
     nx = len(x.carrier) - 1
-    act_entries = [(r, col, v) for r, row in enumerate(m_act)
-                   for col, v in enumerate(row) if v]
+    act = [x.act(exp, p) - 1 for p in range(1, nx + 1)]  # -1: sent to the basepoint
     cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {0, 1}
     for k in range(trunc + 1):
         cells.append([(rule, m) for m in (0, 1) for rule in hm.surjection_rules(k, m)])
     ranks = [len(level) * nx for level in cells]
     diffs = []
     for k in range(1, trunc + 1):
-        rows, cols = ranks[k - 1], ranks[k]
-        mat = [[0] * cols for _ in range(rows)]
+        rows = [{} for _ in range(ranks[k - 1])]
         pos_prev = {(rule.eta, m): b for b, (rule, m) in enumerate(cells[k - 1])}
         for b, (rule, m) in enumerate(cells[k]):
+            blocks = {}  # target block -> [identity sign, action sign]
             for i, (eta2, j) in enumerate(rule.faces):
                 sign = 1 if i % 2 == 0 else -1
                 if j is None:
-                    tb = pos_prev[(eta2, m)]
-                    for d in range(nx):
-                        mat[tb * nx + d][b * nx + d] += sign
+                    blocks.setdefault(pos_prev[(eta2, m)], [0, 0])[0] += sign
                 elif j == 1:  # d_1 = r_1 = t^exp; d_0 = s_1 is zero
-                    tb = pos_prev[(eta2, 0)]
-                    for r, col, v in act_entries:
-                        mat[tb * nx + r][b * nx + col] += sign * v
-        diffs.append(mat)
-    return IntegerChainComplex(ranks, diffs)
+                    blocks.setdefault(pos_prev[(eta2, 0)], [0, 0])[1] += sign
+            for tb, (ident, action) in blocks.items():
+                base = tb * nx
+                for p in range(nx):
+                    col = b * nx + p
+                    if act[p] == p:
+                        if ident + action:
+                            rows[base + p][col] = ident + action
+                        continue
+                    if ident:
+                        rows[base + p][col] = ident
+                    if action and act[p] >= 0:
+                        rows[base + act[p]][col] = action
+        diffs.append(rows)
+    return IntegerChainComplex._from_rows(ranks, diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -135,6 +136,20 @@ near_2_40 = st.sampled_from((0, 1, -1, 2)) | st.builds(
 @settings(max_examples=300, deadline=None)
 def test_snf_diagonal_matches_transform_path(mat):
     check_snf_diagonal(mat)
+
+
+@given(sparse_unit_matrices() | _shaped(st.integers(-9, 9)) | _shaped(near_2_40))
+@settings(max_examples=300, deadline=None)
+def test_snf_diagonal_rows_matches_dense(mat):
+    # the sparse-row entry reduces a copy: same factors, rows left as given
+    rows = [{j: v for j, v in enumerate(row) if v} for row in mat]
+    before = copy.deepcopy(rows)
+    want = snf_py.snf_diagonal(mat)
+    for _ in range(2):
+        assert snf_py.snf_diagonal_rows(rows) == want
+        assert _kernels.snf_diagonal_rows(rows, lambda: mat) == want
+        assert rows == before
+    assert _kernels.snf_diagonal(mat) == want
 
 
 @pytest.mark.parametrize(

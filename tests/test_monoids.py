@@ -408,6 +408,17 @@ def test_explicit_bound_must_be_a_nonnegative_int(bound):
         aff.bounded_elements(bound)
 
 
+def test_generator_is_a_member_without_a_level_set():
+    aff = mk.AffineMonoid("A", 2, [(1, 0), (3, -2)])
+    assert aff.contains((3, -2), 1) and aff.contains([1, 0])
+    assert aff._level_sets == {}
+    assert not aff.contains((3, -2), 0)  # bound 0 holds the identity alone
+    for bound in (-1, "1", True):
+        with pytest.raises(ValidationError, match="bound"):
+            aff.contains((1, 0), bound)
+    assert aff.contains((4, -2), 2) and set(aff._level_sets) == {0, 2}
+
+
 def test_out_of_box_or_wrong_length_vector_is_not_a_member():
     # gens [(1, 0)], bound 1: radius 1, radix 3, and (-2, 1) packs to
     # -2 + 3 = 1, the code of the member (1, 0)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import os
 import random
@@ -15,7 +16,7 @@ from monoidkit import homological as hm
 from monoidkit import monoids as mk
 from monoidkit import torreal as tr
 from monoidkit.abgroup import AbelianGroup
-from monoidkit.errors import HypothesisViolated, NotAComplex
+from monoidkit.errors import HypothesisViolated, NotAComplex, ValidationError
 
 
 def test_realization_rank_and_nilpotent_action():
@@ -210,20 +211,112 @@ def test_complex_check_survives_python_O():
     assert proc.stdout.split("\n")[:-1] == ["raised", "__debug__ = False"]
 
 
+@pytest.mark.parametrize(
+    "ranks, diffs",
+    [
+        ([2, 1], [[[1]]]),  # d_1 has one row for a rank-2 C_0
+        ([1, 1, 1], [[[0, 1]], [[0]]]),  # d_1 is one column too wide
+        ([1, 2, 1], [[[1, 0]], [[1], [1, 0]]]),  # a ragged d_2
+        ([1, 1, 1], [[[0]]]),  # d_2 missing
+        ([1, 1], [[[0]], [[0]]]),  # a differential past the top degree
+        ([-1], []),  # a negative rank
+    ],
+)
+def test_complex_rejects_misshapen_differentials(ranks, diffs):
+    # d_n must be ranks[n-1] x ranks[n]; [2, 1] with d_1 = [[1]] used to be
+    # accepted with H_0 = Z, and [1, 1, 1] raised a bare IndexError
+    with pytest.raises(ValidationError, match="d_|differentials|ranks"):
+        tr.IntegerChainComplex(ranks, diffs)
+
+
+MISSHAPEN_UNDER_O = """
+from monoidkit import torreal as tr
+from monoidkit.errors import ValidationError
+for ranks, diffs in (([2, 1], [[[1]]]), ([1, 1, 1], [[[0, 1]], [[0]]])):
+    try:
+        tr.IntegerChainComplex(ranks, diffs)
+    except ValidationError:
+        print("raised")
+print("__debug__ =", __debug__)
+"""
+
+
+def test_shape_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", MISSHAPEN_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == ["raised", "raised", "__debug__ = False"]
+
+
+def check_rows_match_dense(c):
+    """The sparse rows of each d_n hold exactly the nonzero entries of its
+    dense view, and the invariant factors read from the rows are those of
+    the dense matrix; reducing the rows twice leaves them as they were."""
+    for n in range(len(c.ranks) + 1):
+        dense = c.differential(n)
+        want = tuple(intlin.invariant_factors(dense))
+        if 1 <= n < len(c.ranks):
+            rows = c.rows[n - 1]
+            assert rows == [{j: v for j, v in enumerate(row) if v} for row in dense], n
+            before = copy.deepcopy(rows)
+            for _ in range(2):
+                assert tuple(_kernels.snf_diagonal_rows(rows, lambda: dense)) == want, n
+                assert rows == before, n
+        assert c.invariant_factors(n) == want, n
+
+
+@given(known_complexes())
+@settings(max_examples=100, deadline=None)
+def test_rows_and_dense_agree_on_known_complexes(case):
+    # torsion factors up to 2^40, past the compiled kernel's guard
+    check_rows_match_dense(case[0])
+
+
+def test_rows_and_dense_agree_on_tor_complexes():
+    for n in range(1, 5):
+        for theta_tail in itertools.product(range(n), repeat=n - 1):
+            x = ak.aset_from_theta([0] + list(theta_tail))
+            for k in (1, 2):
+                check_rows_match_dense(tr.tor_complex(x, k, trunc=4)[0])
+                check_rows_match_dense(tr.tor_complex_direct(x, k, trunc=4))
+
+
+@pytest.mark.parametrize(
+    "ranks, diffs",
+    [
+        ([], []),
+        ([0], []),
+        ([3, 0], [[[], [], []]]),
+        ([0, 2], [[]]),
+        ([2, 0, 1, 1], [[[], []], [], [[5]]]),
+        ([1, 1, 1], [[[0]], [[0]]]),
+        ([2, 3, 1], [[[1, -1, 0], [0, 1, -1]], [[1], [1], [1]]]),
+    ],
+)
+def test_rows_and_dense_agree_on_small_and_zero_rank_complexes(ranks, diffs):
+    c = tr.IntegerChainComplex(ranks, diffs)
+    check_rows_match_dense(c)
+    assert c.diff == [[list(row) for row in mat] for mat in diffs]
+
+
 def test_homology_reduces_each_differential_once(monkeypatch):
     # Z^2 -d2-> Z^3 -d1-> Z^2 with H0 = Z, H1 = Z/2 + Z/6, H2 = 0
     torsion = tr.IntegerChainComplex(
         [2, 3, 2], [[[0, 0, 1], [0, 0, 0]], [[2, 0], [0, 6], [0, 0]]]
     )
     chain, _ = tr.tor_complex(ak.aset_from_theta([0, 2, 0, 1]), 1, trunc=4)
-    calls = {"snf_diagonal": 0, "integer_rank": 0}
+    # the complex hands its rows to snf_diagonal_rows; only the compiled
+    # kernel goes on to snf_diagonal, once per reduction
+    calls = {"snf_diagonal_rows": 0, "snf_diagonal": 0, "integer_rank": 0}
 
     def counting(name):
         fn = getattr(_kernels, name)
 
-        def wrapper(mat):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(mat)
+            return fn(*args)
 
         return wrapper
 
@@ -231,13 +324,14 @@ def test_homology_reduces_each_differential_once(monkeypatch):
         monkeypatch.setattr(_kernels, name, counting(name))
     for c in (torsion, chain):
         degrees = range(len(c.ranks) + 1)
-        calls["snf_diagonal"] = 0
+        calls["snf_diagonal_rows"] = calls["snf_diagonal"] = 0
         groups = [tr.smith_homology(c, n) for n in degrees]
-        # d_0 .. d_len(ranks) at most once each; asking again reduces nothing
-        first = calls["snf_diagonal"]
-        assert first <= len(c.ranks) + 1
+        # d_1 .. d_top at most once each; asking again reduces nothing
+        first = dict(calls)
+        assert 1 <= first["snf_diagonal_rows"] <= len(c.ranks) - 1
+        assert first["snf_diagonal"] <= first["snf_diagonal_rows"]
         assert [tr.smith_homology(c, n) for n in degrees] == groups
-        assert calls["snf_diagonal"] == first
+        assert calls == first
     assert calls["integer_rank"] == 0
     groups = [tr.smith_homology(torsion, n) for n in range(4)]
     assert [(h.betti, h.torsion) for h in groups] == [(1, ()), (0, (2, 6)), (0, ()), (0, ())]
@@ -281,7 +375,10 @@ def test_chain_differentials_are_alternating_face_sums():
                             for rows in zip(*faces)
                         ]
                     )
-                assert tr.chain_of_simplicial(sset).diff == want, (tail, k, trunc)
+                chain = tr.chain_of_simplicial(sset)
+                assert chain.diff == want, (tail, k, trunc)
+                # an entry that cancels is dropped from the rows, not kept as 0
+                assert all(v for d in chain.rows for row in d for v in row.values())
 
 
 @pytest.mark.parametrize(
@@ -366,6 +463,7 @@ def test_direct_and_generic_tor_complexes_match():
                 direct = tr.tor_complex_direct(x, k, trunc=4)
                 assert generic.ranks == direct.ranks, (theta_tail, k)
                 assert generic.diff == direct.diff, (theta_tail, k)
+                assert generic.rows == direct.rows, (theta_tail, k)
 
 
 def test_hurewicz_small_cases():
