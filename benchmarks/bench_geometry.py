@@ -12,7 +12,7 @@ caches, one per chart and bound, which every ``contains`` looks up.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly
-computed facet normals, and one ``intlin.solve`` per lattice.  The
+computed facet normals, and a fresh ``Sublattice`` per lattice.  The
 normalization's generators are compared with a greedy reference that
 drops each candidate a trial chart on the others can write.  A mismatch
 raises ``RuntimeError``.
@@ -100,20 +100,19 @@ def check_memberships(aff):
     gens, rank = [list(g) for g in aff.generators], aff.rank
     cone = gm.chart_cone(aff)
     normals = gm.facet_normals(gens, rank)
-    basis = gm.lattice_basis_of(gens, rank)
     span_rank = intlin.rank(gens)
+    lattice = gm.Sublattice(gens, rank)
     for v in box(aff):
         in_span = intlin.rank(gens + [list(v)]) == span_rank
         in_cone = in_span and all(_dot(w, v) >= 0 for w in normals)
-        in_lattice = gm.in_subgroup(basis, v)
+        in_lattice = v in lattice
         seminormal = False
         if in_cone and in_lattice:
             on_face = [
                 g for g in gens
                 if all(_dot(w, g) == 0 for w in normals if _dot(w, v) == 0)
             ]
-            face_basis = gm.lattice_basis_of(on_face, rank) if on_face else []
-            seminormal = gm.in_subgroup(face_basis, v)
+            seminormal = v in gm.Sublattice(on_face, rank)
         for what, want, got in (
             ("span", in_span, cone.in_span(v)),
             ("cone", in_cone, cone.in_cone(v)),

@@ -48,16 +48,28 @@ def snf_diagonal(mat):
     return snf_py.snf_diagonal(mat)
 
 
-def snf_diagonal_rows(rows, dense):
-    """Invariant factors of the matrix whose row i is the dict ``rows[i]``
-    ({column: nonzero entry}).
+def dense_rows(rows, cols):
+    """Row lists of the matrix with ``cols`` columns whose row i is the
+    dict ``rows[i]`` ({column: nonzero entry}): one ``[0] * cols`` pass
+    per row."""
+    mat = []
+    for r in rows:
+        row = [0] * cols
+        for j, v in r.items():
+            row[j] = v
+        mat.append(row)
+    return mat
+
+
+def snf_diagonal_rows(rows, cols):
+    """Invariant factors of the matrix with ``cols`` columns whose row i
+    is the dict ``rows[i]`` ({column: nonzero entry}).
 
     The pure kernel reduces a copy of the rows.  The compiled one needs
-    row lists, so it calls ``snf_diagonal(dense())``; ``dense`` returns
-    the same matrix dense and is called only then.
+    row lists, so the rows are densified here for ``snf_diagonal``.
     """
     if _snf_fast is not None:
-        return snf_diagonal(dense())
+        return snf_diagonal(dense_rows(rows, cols))
     return snf_py.snf_diagonal_rows(rows)
 
 

@@ -169,7 +169,12 @@ def build_action_from_gen_maps(m, carrier, gen_maps, name="X"):
 
 
 def free_aset(m, labels, name=None):
-    """Wedge of one copy of the base per label: the free A-set."""
+    """Wedge of one copy of the base per label: the free A-set.
+
+    Copy k holds the nonzero elements of A in order: element a is the
+    cell ``a[labels[k]]`` at carrier index k(|A|-1) + a, so row b of the
+    action is the regular row of b shifted into each copy.
+    """
     if isinstance(m, MonogenicMonoid):
         raise BoundExceeded(
             "free A-sets over the monogenic base have infinite carriers; "
@@ -178,20 +183,28 @@ def free_aset(m, labels, name=None):
     labels = list(labels)
     if len(set(labels)) != len(labels):
         raise ValidationError("free generator labels must be distinct")
-    carrier = ["0"]
-    index = {}
-    for s in labels:
-        for a in m.nonzero():
-            index[(a, s)] = len(carrier)
-            carrier.append(f"{m.elements[a]}[{s}]")
-    action = [[0] * len(carrier) for _ in m.indices()]
-    for b in m.indices():
-        for (a, s), i in index.items():
-            ba = m.table[b][a]
-            action[b][i] = 0 if ba == ZERO else index[(ba, s)]
-    x = ASet(m, carrier, action=action, name=name or f"{m.name}[{len(labels)}]")
-    x.free_index = index
-    return x
+    width = len(m.elements) - 1
+    carrier = ["0"] + [f"{m.elements[a]}[{s}]" for s in labels for a in m.nonzero()]
+    action = [
+        [0] + [0 if ba == ZERO else k * width + ba
+               for k in range(len(labels)) for ba in row[1:]]
+        for row in m.table
+    ]
+    return ASet(m, carrier, action=action, name=name or f"{m.name}[{len(labels)}]")
+
+
+def free_cover(x, points, labels=None, name=None):
+    """The evaluation morphism P -> X out of the free A-set P on one
+    generator per point: cell a[labels[k]] goes to a.points[k].
+
+    ``labels`` default to the points' carrier names; ``name`` names P.
+    """
+    points = list(points)
+    if labels is None:
+        labels = [x.carrier[p] for p in points]
+    free = free_aset(x.base, labels, name=name)
+    mapping = [0] + [x.act(a, p) for p in points for a in x.base.nonzero()]
+    return ASetMorphism(free, x, mapping)
 
 
 # ---------------------------------------------------------------------------

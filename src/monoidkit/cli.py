@@ -240,12 +240,8 @@ def cmd_resolve(args):
         )
     sizes = [len(l.carrier) for l in comp.levels]
     lines = [f"P{i}: carrier {s}" for i, s in enumerate(sizes)]
-    lines.append(f"complete = {getattr(comp, 'complete', True)}")
-    _emit(
-        args,
-        {"carriers": sizes, "complete": getattr(comp, "complete", True)},
-        lines,
-    )
+    lines.append(f"complete = {comp.complete}")
+    _emit(args, {"carriers": sizes, "complete": comp.complete}, lines)
     return 0
 
 

@@ -132,6 +132,9 @@ def parse_aset(doc, registry=None):
     carrier = list(doc["carrier"])
     if carrier[0] != "0":
         raise ValidationError("carrier must start with the basepoint '0'")
+    if len(set(carrier)) != len(carrier):
+        repeated = next(c for i, c in enumerate(carrier) if c in carrier[:i])
+        raise ValidationError(f"carrier point {repeated!r} is repeated")
     gen_maps = [doc["action"][g] for g in generator_names(base)]
     if isinstance(base, MonogenicMonoid):
         # the generator's row is the whole monogenic action

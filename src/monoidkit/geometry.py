@@ -30,13 +30,6 @@ def lattice_basis_of(gens, rank):
     return intlin.lattice_basis(cols, rank)
 
 
-def in_subgroup(basis_cols, vec):
-    if not basis_cols:
-        return not any(vec)
-    mat = [[c[i] for c in basis_cols] for i in range(len(vec))]
-    return intlin.solve(mat, list(vec)) is not None
-
-
 def _primitive(vec):
     from math import gcd
 
@@ -638,13 +631,13 @@ def height_one_points(scheme):
             for w, g in chart_valuations(chart):
                 by_normal.setdefault((w, g), []).append(ci)
         for (w, g), cis in sorted(by_normal.items()):
-            label = "v" + str(tuple(w)).replace(" ", "")
-            points.append(HeightOnePoint(label, w, g, tuple(sorted(cis))))
+            name = "v" + str(tuple(w)).replace(" ", "")
+            points.append(HeightOnePoint(name, w, g, tuple(sorted(cis))))
     else:
         for ci, chart in enumerate(scheme.charts):
             for w, g in chart_valuations(chart):
-                label = f"c{ci}:v" + str(tuple(w)).replace(" ", "")
-                points.append(HeightOnePoint(label, w, g, (ci,)))
+                name = f"c{ci}:v" + str(tuple(w)).replace(" ", "")
+                points.append(HeightOnePoint(name, w, g, (ci,)))
     return points
 
 

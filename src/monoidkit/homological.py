@@ -38,6 +38,7 @@ class DaComplex:
     r: list  # r[i]: levels[i] -> levels[i-1], i >= 1
     s: list
     min_degree: int = 0
+    complete: bool = True  # False for a resolution cut at its length cap
 
     @property
     def top_degree(self):
@@ -67,6 +68,7 @@ class DaComplex:
             list(self.r),
             list(self.s),
             min_degree=self.min_degree - p,
+            complete=self.complete,
         )
 
     def is_reduced(self):
@@ -251,19 +253,14 @@ def projective_resolution(x, length_cap=3, minimized=True):
     m = x.base
     if isinstance(m, MonogenicMonoid):
         raise BoundExceeded("use free_resolution_monogenic for this base")
-    gens = ak.aset_generators(x)
-    p0 = ak.free_aset(m, [x.carrier[g] for g in gens], name="P0")
-    eps_map = [0] * len(p0.carrier)
-    for (a, label), i in p0.free_index.items():
-        eps_map[i] = x.act(a, x.carrier.index(label))
-    eps = ak.ASetMorphism(p0, x, eps_map)
+    eps = ak.free_cover(x, ak.aset_generators(x), name="P0")
     if not eps.is_surjective():
         raise ValidationError("generator sweep failed to cover the carrier")
 
-    levels = [p0]
+    levels = [eps.source]
     rs, ss = [], []
-    cur = p0
-    cur_eps = eps_map
+    cur = eps.source
+    cur_eps = eps.mapping
 
     for depth in range(length_cap):
         n = len(cur.carrier)
@@ -278,14 +275,12 @@ def projective_resolution(x, length_cap=3, minimized=True):
             break  # the augmentation is already injective: nothing to relate
         # positional labels: carrier names may collide when concatenated
         labels = [f"w{k}" for k in range(len(gen_pairs))]
-        nxt = ak.free_aset(m, labels, name=f"P{depth + 1}")
-        r_map = [0] * len(nxt.carrier)
-        s_map = [0] * len(nxt.carrier)
-        for (a, label), i in nxt.free_index.items():
-            p, q = gen_pairs[int(label[1:])]
-            r_map[i] = cur.act(a, p)
-            s_map[i] = cur.act(a, q)
-        r_mor = ak.ASetMorphism(nxt, cur, r_map)
+        r_mor = ak.free_cover(
+            cur, [p for p, _ in gen_pairs], labels=labels, name=f"P{depth + 1}"
+        )
+        nxt, r_map = r_mor.source, r_mor.mapping
+        # s evaluates the same cells of nxt at the second point of each pair
+        s_map = [0] + [cur.act(a, q) for _, q in gen_pairs for a in m.nonzero()]
         s_mor = ak.ASetMorphism(nxt, cur, s_map)
         levels.append(nxt)
         rs.append(r_mor)
@@ -309,13 +304,8 @@ def projective_resolution(x, length_cap=3, minimized=True):
         cur = nxt
         cur_eps = next_eps
     else:
-        comp = DaComplex(m, levels, rs, ss)
-        comp.complete = False
-        return comp, eps
-
-    comp = DaComplex(m, levels, rs, ss)
-    comp.complete = True
-    return comp, eps
+        return DaComplex(m, levels, rs, ss, complete=False), eps
+    return DaComplex(m, levels, rs, ss), eps
 
 
 def reduced_resolution(x, length_cap=3):
@@ -329,11 +319,8 @@ def reduced_resolution(x, length_cap=3):
     levels = list(comp.levels[: min(2, len(comp.levels))])
     rs = list(comp.r[:1])
     ss = list(comp.s[:1])
-    complete = True
     if len(levels) < 2:
-        out = DaComplex(m, levels, rs, ss)
-        out.complete = True
-        return out, eps
+        return DaComplex(m, levels, rs, ss), eps
     for depth in range(1, length_cap):
         top = levels[depth]
         r_top = rs[depth - 1]
@@ -347,20 +334,13 @@ def reduced_resolution(x, length_cap=3):
             break
         k_aset = ak.sub_aset(top, joint, name=f"K{depth}")
         kg = ak.aset_generators(k_aset)
-        labels = [k_aset.carrier[g] for g in kg]
-        nxt = ak.free_aset(m, labels, name=f"P{depth + 1}")
-        r_map = [0] * len(nxt.carrier)
-        for (a, label), i in nxt.free_index.items():
-            gidx = joint[k_aset.carrier.index(label)]
-            r_map[i] = top.act(a, gidx)
-        levels.append(nxt)
-        rs.append(ak.ASetMorphism(nxt, top, r_map))
-        ss.append(ak.zero_morphism(nxt, top))
+        r_mor = ak.free_cover(top, [joint[g] for g in kg], name=f"P{depth + 1}")
+        levels.append(r_mor.source)
+        rs.append(r_mor)
+        ss.append(ak.zero_morphism(r_mor.source, top))
     else:
-        complete = False
-    out = DaComplex(m, levels, rs, ss)
-    out.complete = complete
-    return out, eps
+        return DaComplex(m, levels, rs, ss, complete=False), eps
+    return DaComplex(m, levels, rs, ss), eps
 
 
 # ---------------------------------------------------------------------------

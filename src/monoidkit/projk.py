@@ -40,12 +40,7 @@ class NotProjective:
 
 def counit(x):
     """The evaluation surjection from the free A-set on the carrier."""
-    free = ak.free_aset(x.base, [x.carrier[p] for p in x.nonzero()])
-    mapping = [0] * len(free.carrier)
-    for (a, label), i in free.free_index.items():
-        p = x.carrier.index(label)
-        mapping[i] = x.act(a, p)
-    return ak.ASetMorphism(free, x, mapping)
+    return ak.free_cover(x, x.nonzero())
 
 
 def counit_section(x):
@@ -328,8 +323,7 @@ def _abelian_factors(elems, mul, ident):
 
 def k1_bruteforce(m, copies):
     """Abelianization of Aut of a free A-set on ``copies`` generators."""
-    a = ak.aset_from_monoid(m)
-    w = ak.wedge([a] * copies) if copies > 1 else a.relabeled("A")
+    w = ak.free_aset(m, range(copies))
     auts = automorphism_group(w)
     elements = [tuple(f.mapping) for f in auts]
     elements.sort()

@@ -72,8 +72,8 @@ class IntegerChainComplex:
     differentials (``diff[n-1]`` is d_n as ``ranks[n-1]`` row lists of
     length ``ranks[n]``), raises ``ValidationError`` on any other shape,
     and converts them; the builders in this module make the rows
-    directly.  ``diff`` and ``differential(n)`` are dense views, each
-    matrix built on first request and kept.
+    directly.  ``differential(n)`` builds a dense copy of d_n on each
+    request.
 
     Construction raises ``NotAComplex`` unless every d_{n-1} d_n = 0: each
     row of d_{n-1} d_n is summed over the nonzero entries of the rows
@@ -113,27 +113,12 @@ class IntegerChainComplex:
                     raise NotAComplex(f"d_{n-1} d_{n} != 0")
         self.ranks = ranks
         self.rows = rows
-        self._dense = [None] * len(rows)
         self._factors = {}
-
-    @property
-    def diff(self):
-        """Dense d_1, d_2, ...: ``diff[n-1]`` is d_n as row lists."""
-        return [self.differential(n) for n in range(1, len(self.ranks))]
 
     def differential(self, n):
         """Dense d_n; the zero matrix outside degrees 1 .. len(ranks) - 1."""
         if 1 <= n < len(self.ranks):
-            if self._dense[n - 1] is None:
-                cols = self.ranks[n]
-                mat = []
-                for r in self.rows[n - 1]:
-                    row = [0] * cols
-                    for j, v in r.items():
-                        row[j] = v
-                    mat.append(row)
-                self._dense[n - 1] = mat
-            return self._dense[n - 1]
+            return _kernels.dense_rows(self.rows[n - 1], self.ranks[n])
         rows = self.ranks[n - 1] if 0 <= n - 1 < len(self.ranks) else 0
         cols = self.ranks[n] if 0 <= n < len(self.ranks) else 0
         return [[0] * cols for _ in range(rows)]
@@ -143,7 +128,7 @@ class IntegerChainComplex:
         if n not in self._factors:
             if 1 <= n < len(self.ranks):
                 self._factors[n] = tuple(_kernels.snf_diagonal_rows(
-                    self.rows[n - 1], lambda: self.differential(n)))
+                    self.rows[n - 1], self.ranks[n]))
             else:  # a zero matrix
                 self._factors[n] = ()
         return self._factors[n]

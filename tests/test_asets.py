@@ -45,6 +45,23 @@ def test_free_aset_cardinality():
         assert ak.validate_aset(f).ok
 
 
+def test_free_aset_is_a_wedge_of_copies_and_free_cover_evaluates():
+    for m in (idem2(), line(3)):
+        a = ak.aset_from_monoid(m)
+        for k in range(1, 4):
+            f = ak.free_aset(m, [f"g{i}" for i in range(k)])
+            assert f.action == ak.wedge([a] * k).action
+    # cell a[label_k] goes to a.points[k] whatever the carrier names: this
+    # X over line3 names both of its nonzero points "p"
+    m = line(3)
+    x = ak.build_action_from_gen_maps(m, ["0", "p", "p"], [[0, 2, 0]])
+    assert ak.validate_aset(x).ok
+    cover = ak.free_cover(x, [2, 1], labels=["u", "v"], name="P")
+    assert cover.source.name == "P" and cover.validate().ok
+    assert cover.source.carrier == ["0", "1[u]", "x[u]", "x^2[u]", "1[v]", "x[v]", "x^2[v]"]
+    assert cover.mapping == [0, 2, 0, 0, 1, 2, 0]
+
+
 def test_free_aset_over_f1_is_pointed_set():
     f = ak.free_aset(F1(), ["a", "b"])
     assert len(f.carrier) == 3

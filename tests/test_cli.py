@@ -57,6 +57,19 @@ def test_validate_garbage_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, documents", [("validate", 1), ("tensor", 2), ("resolve", 1)])
+def test_repeated_carrier_name_exits_2(tmp_path, capsys, command, documents):
+    with open(doc("asets", "line3-regular.json")) as fh:
+        aset = json.load(fh)
+    aset["carrier"] = ["0", "p", "p"]
+    aset["action"] = {"x": [0, 2, 0]}
+    bad = tmp_path / "repeated.json"
+    bad.write_text(json.dumps(aset))
+    code, out = run([command] + [str(bad)] * documents)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: carrier point 'p' is repeated\n"
+
+
 def test_usage_error_exits_1():
     code, _ = run(["no-such-command"])
     assert code == 1

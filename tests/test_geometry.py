@@ -317,8 +317,8 @@ def test_units_preserved_by_seminormalization():
     sn = gm.seminormalize_cancellative(aff)
     u1 = gm.unit_lattice_of_chart(aff)
     u2 = gm.unit_lattice_of_chart(sn)
-    assert all(gm.in_subgroup(u2, v) for v in u1)
-    assert all(gm.in_subgroup(u1, v) for v in u2)
+    assert all(v in gm.Sublattice(u2, aff.rank) for v in u1)
+    assert all(v in gm.Sublattice(u1, aff.rank) for v in u2)
 
 
 def test_seminormalization_of_a_group_chart_builds_no_level_set():

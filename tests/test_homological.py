@@ -144,7 +144,7 @@ def test_projective_resolution_cyclic_quotient():
     assert hm.validate_dacomplex(comp).ok
     # over this truncated base the resolution is periodic, so the window
     # is cut at the cap and exact strictly below its top
-    assert not comp.complete
+    assert not comp.complete and not comp.translate(1).complete
     q, _ = hm.coequalizer(*comp.boundary(1))
     assert ak.is_isomorphic(q, x)
     for n in range(1, comp.top_degree):

@@ -1,6 +1,9 @@
 """Cross-module property sweeps over small exhaustive instances."""
 
+import hashlib
 import itertools
+
+from test_acceptance import corpus_monoids
 
 from monoidkit import asets as ak
 from monoidkit import homological as hm
@@ -237,3 +240,97 @@ def test_wedge_translation_and_window_shifts():
             h1 = hm.homology(c, n + p)
             h2 = hm.homology(shifted, n)
             assert ak.is_isomorphic(h1, h2)
+
+
+def _relabeled(x, s):
+    """s t s^-1 for every stored row t, carrier names following s."""
+    inverse = sorted(range(len(s)), key=s.__getitem__)
+    carrier = [x.carrier[q] for q in inverse]
+    action = [[s[row[q]] for q in inverse] for row in x.action]
+    return ak.ASet(x.base, carrier, action, name=x.name)
+
+
+def _labeling_free_invariants(x, a):
+    dec = pk.decompose_projective(x)
+    return (
+        len(ak.hom_enumerate(x, x)),
+        len(ak.hom_enumerate(x, a)),
+        len(ak.hom_enumerate(a, x)),
+        len(ak.enumerate_congruences(x)),
+        len(ak.enumerate_asubsets(x)),
+        len(ak.tensor(x, x).carrier),
+        len(ak.tensor(x, a).carrier),
+        getattr(dec, "idempotent_multiset", None),
+        pk.rank_vector(x),
+        ak.canonical_key(x),
+    )
+
+
+def test_invariants_survive_every_relabeling():
+    """Every basepoint-fixing relabeling s t s^-1 of each A-set class of
+    the corpus monoids with at most 4 elements, carriers <= 4 (227
+    relabelings, the identity among them), keeps the hom, congruence,
+    A-subset and tensor counts, the projective decomposition, the rank
+    vector and the canonical key.
+
+    Generator counts and resolution sizes are left out: the greedy
+    ``aset_generators`` is not minimal, and 72 of the 227 relabelings
+    change them (ROADMAP item 4).
+    """
+    checked = 0
+    for m in corpus_monoids(max_size=4):
+        a = ak.aset_from_monoid(m)
+        for c in range(1, 5):
+            for x in ak.enumerate_asets(m, c):
+                want = _labeling_free_invariants(x, a)
+                for perm in itertools.permutations(range(1, c)):
+                    y = _relabeled(x, (0,) + perm)
+                    assert ak.validate_aset(y).ok
+                    assert _labeling_free_invariants(y, a) == want, (m.name, x.action, perm)
+                    checked += 1
+    assert checked == 227
+
+
+def test_free_constructions_are_pinned():
+    """One sha256 over the outputs built on free A-sets, for each A-set
+    class of the corpus monoids with at most 5 elements, carriers <= 4
+    (163 classes): the counit, the minimized projective resolution (cap
+    3), the full-pullback one (cap 1) and the reduced resolution, each
+    with its augmentation, every level's name, carrier and action, and
+    every r and s map; and ``k1_bruteforce`` on 1 and 2 copies of each
+    monoid.  The digest was taken while each caller still built its own
+    evaluation map by carrier-name lookups, before they all moved onto
+    the block layout of ``free_aset`` and ``free_cover``."""
+    digest = hashlib.sha256()
+
+    def put(*parts):
+        digest.update(repr(parts).encode() + b"\n")
+
+    def put_map(f):
+        put(f.source.name, f.source.carrier, f.source.action, f.mapping)
+
+    def put_complex(comp, eps):
+        put(comp.complete)
+        put_map(eps)
+        for level in comp.levels:
+            put(level.name, level.carrier, level.action)
+        for f in comp.r + comp.s:
+            put_map(f)
+
+    classes = 0
+    for m in corpus_monoids(max_size=5):
+        for copies in (1, 2):
+            put("k1", m.name, copies, pk.k1_bruteforce(m, copies))
+        for c in range(1, 5):
+            for x in ak.enumerate_asets(m, c):
+                classes += 1
+                put_map(pk.counit(x))
+                for kw in ({}, {"minimized": False, "length_cap": 1}):
+                    put("res", kw)
+                    put_complex(*hm.projective_resolution(x, **kw))
+                put("red")
+                put_complex(*hm.reduced_resolution(x))
+    assert classes == 163
+    assert digest.hexdigest() == (
+        "3fd8d11ff2d2608dd47d287569223daee83904fde7a2bba14c0cb7e777faeb5d"
+    )

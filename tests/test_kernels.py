@@ -147,7 +147,7 @@ def test_snf_diagonal_rows_matches_dense(mat):
     want = snf_py.snf_diagonal(mat)
     for _ in range(2):
         assert snf_py.snf_diagonal_rows(rows) == want
-        assert _kernels.snf_diagonal_rows(rows, lambda: mat) == want
+        assert _kernels.snf_diagonal_rows(rows, len(mat[0]) if mat else 0) == want
         assert rows == before
     assert _kernels.snf_diagonal(mat) == want
 
