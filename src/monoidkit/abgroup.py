@@ -87,8 +87,9 @@ def quotient_group(ambient_dim, ambient_relations, numerator_cols, denominator_c
     ncols = [c for c in numerator_cols if any(c)]
     if not ncols:
         return AbelianGroup(0, ())
-    # basis of N + relation lattice restricted to... work with generators:
-    # group = N / (D + rel), presented on the generators of N.
+    # present N / (D + rel) on the nonzero columns of N, taken as a basis
+    # of N: each column of D and each relation is written in that basis,
+    # and its coefficient vector is one relation of the presentation
     gens = ncols
     k = len(gens)
     gen_mat = [[gens[j][i] for j in range(k)] for i in range(ambient_dim)]

@@ -473,25 +473,28 @@ def tensor(x, y, name=None):
 # hom enumeration
 
 
-def aset_generators(x):
-    """Generating set of carrier indices, greedy in carrier order.
+def aset_generators(x, points=None):
+    """Generating set of the A-subset ``points`` span (all of X when
+    None), as carrier indices, greedy in carrier order.
 
     Each nonzero point not yet reached from an earlier chosen point is
-    kept.  The set generates X but need not be minimal: a point that a
-    later point reaches is kept all the same.
+    kept.  The set generates the subset but need not be minimal: a point
+    that a later point reaches is kept all the same.
     """
     gens = []
     covered = {0}
-    for p in x.nonzero():
+    for p in x.nonzero() if points is None else sorted(points):
         if p not in covered:
             gens.append(p)
-            covered |= _orbit(x, p)
+            covered |= generated_subset(x, [p])
     return gens
 
 
-def _orbit(x, p):
-    out = {p}
-    frontier = [p]
+def generated_subset(x, points):
+    """The A-subset the points generate, with 0: every point reached from
+    one of them along the generator tables."""
+    out = {0, *points}
+    frontier = list(out)
     tables = x.gen_tables()
     while frontier:
         q = frontier.pop()

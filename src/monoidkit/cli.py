@@ -53,9 +53,22 @@ def _load_aset(path, m):
         return docs.parse_aset(json.load(fh), {m.name: m})
 
 
+def _indices_from_arg(names, arg, what):
+    """Indices of the comma-separated names in ``arg``; an unknown name is
+    a ValidationError that says which and where (``what``)."""
+    pos = {n: i for i, n in enumerate(names)}
+    out = []
+    for n in filter(None, (s.strip() for s in arg.split(","))):
+        if n not in pos:
+            raise ValidationError(f"{n!r} is not {what}")
+        out.append(pos[n])
+    return out
+
+
 def _ideal_from_arg(m, arg):
-    names = [s.strip() for s in arg.split(",") if s.strip()]
-    return sp.ideal_generated(m, [m.index_of(n) for n in names])
+    return sp.ideal_generated(
+        m, _indices_from_arg(m.elements, arg, f"an element of the monoid {m.name}")
+    )
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -136,8 +149,8 @@ def cmd_tensor(args):
 
 def cmd_splitcheck(args):
     y = _load(args.total)
-    names = [s.strip() for s in args.sub.split(",") if s.strip()]
-    sub = sorted({0} | {y.carrier.index(n) for n in names})
+    points = _indices_from_arg(y.carrier, args.sub, f"a point of the A-set {y.name}")
+    sub = sorted({0, *points})
     x = ak.sub_aset(y, sub, name="X")
     inc = ak.inclusion_morphism(x, sub, y)
     q, proj = ak.quotient_by_subset(y, sub)

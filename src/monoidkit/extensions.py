@@ -31,19 +31,19 @@ def torsion_pairs(m, x):
 
 
 def torsion_pair_aset(m, x):
-    """The obstruction set as an A-subset of the free A-set on X."""
-    pairs = torsion_pairs(m, x)
-    pos = {pr: i + 1 for i, pr in enumerate(pairs)}
-    carrier = ["0"] + [f"{m.elements[a]}[{x.carrier[p]}]" for a, p in pairs]
-    action = [[0] * len(carrier) for _ in m.indices()]
-    for b in m.indices():
-        for (a, p), i in pos.items():
-            ba = m.table[b][a]
-            action[b][i] = 0 if ba == ZERO else pos.get((ba, p), 0)
-            if ba != ZERO and (ba, p) not in pos:
-                raise ValidationError("torsion pairs not action-closed")
-    z = ak.ASet(m, carrier, action=action, name="Z")
-    z.pair_index = pos
+    """The obstruction set: the kernel of the free cover F(X) -> X, cells
+    a[p] with a.p = 0, as its own A-set.
+
+    ``pair_index`` sends each torsion pair (a, p) to its cell.  With
+    w = |A| - 1, free cell c is the pair ((c - 1) mod w + 1, (c - 1) // w + 1).
+    """
+    cover = ak.free_cover(x, x.nonzero())
+    kernel = cover.kernel_indices()
+    z = ak.sub_aset(cover.source, kernel, name="Z")
+    w = len(m.elements) - 1
+    z.pair_index = {
+        ((c - 1) % w + 1, (c - 1) // w + 1): i for i, c in enumerate(kernel) if c
+    }
     return z
 
 

@@ -332,9 +332,8 @@ def reduced_resolution(x, length_cap=3):
         )
         if joint == [0]:
             break
-        k_aset = ak.sub_aset(top, joint, name=f"K{depth}")
-        kg = ak.aset_generators(k_aset)
-        r_mor = ak.free_cover(top, [joint[g] for g in kg], name=f"P{depth + 1}")
+        # the joint kernel of two equivariant maps is an A-subset of top
+        r_mor = ak.free_cover(top, ak.aset_generators(top, joint), name=f"P{depth + 1}")
         levels.append(r_mor.source)
         rs.append(r_mor)
         ss.append(ak.zero_morphism(r_mor.source, top))

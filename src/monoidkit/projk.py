@@ -68,8 +68,7 @@ def wedge_components(x):
 def cyclic_on_idempotent(m, e):
     """The A-set Ae inside A."""
     a = ak.aset_from_monoid(m)
-    orbit = sorted({m.table[b][e] for b in m.indices()} | {0})
-    return ak.sub_aset(a, orbit, name=f"A{m.elements[e]}")
+    return ak.sub_aset(a, ak.generated_subset(a, [e]), name=f"A{m.elements[e]}")
 
 
 def decompose_projective(x):

@@ -1,5 +1,7 @@
 """Ideals and the prime spectrum of finite monoids.
 
+An ideal is an A-subset of A acting on itself, so closure, generators
+and the ideal lattice come from the A-subset code of ``asets``.
 Primes are searched among ideals generated by subsets of the generator
 set (every prime is generated by the generators it contains); a full
 lattice sweep validates this on small tables.  Primary decomposition
@@ -11,6 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .asets import (
+    aset_from_monoid,
+    aset_generators,
+    enumerate_asubsets,
+    generated_subset,
+)
 from .errors import ImproperIdeal, OracleMismatch
 from .monoids import FiniteMonoid, ZERO, nilpotents, quotient as monoid_quotient
 
@@ -34,7 +42,7 @@ class Ideal:
         return self.base.one not in self.elements
 
     def generator_names(self):
-        gens = minimal_ideal_generators(self.base, self.elements)
+        gens = aset_generators(aset_from_monoid(self.base), self.elements)
         if not gens:
             return ["0"]
         return [self.base.elements[g] for g in sorted(gens)]
@@ -47,52 +55,22 @@ class Ideal:
 
 
 def ideal_generated(m, gens):
-    """Smallest ideal containing ``gens`` (always contains 0)."""
+    """Smallest ideal containing ``gens``: the A-subset of A they generate
+    (always contains 0)."""
     idx = [g if isinstance(g, int) else m.index_of(g) for g in gens]
-    out = {ZERO}
-    for g in idx:
-        for a in m.indices():
-            out.add(m.table[a][g])
-    return Ideal(m, frozenset(out))
-
-
-def minimal_ideal_generators(m, elements):
-    gens = []
-    covered = {ZERO}
-    for x in sorted(elements):
-        if x not in covered:
-            gens.append(x)
-            covered |= {m.table[a][x] for a in m.indices()}
-            covered.add(x)
-    return gens
+    return Ideal(m, frozenset(generated_subset(aset_from_monoid(m), idx)))
 
 
 def all_ideals(m):
-    """Every ideal of a finite monoid, canonically ordered.
-
-    Enumerated by closing each subset of the nonzero non-unit elements; on
-    tables of the sizes we handle (<= a few hundred ideals) this is fine.
-    """
-    candidates = [x for x in m.nonzero() if x != m.one and not _is_unit(m, x)]
-    seen = set()
-    out = []
-    for r in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, r):
-            ideal = ideal_generated(m, combo)
-            if ideal.elements not in seen:
-                seen.add(ideal.elements)
-                out.append(ideal)
-    out.sort(key=lambda i: (len(i.elements), i.sorted_elements()))
-    return out
+    """Every proper ideal of a finite monoid, ordered by size and then by
+    elements: the A-subsets of A that miss 1."""
+    subsets = enumerate_asubsets(aset_from_monoid(m), bound=len(m.elements))
+    return [Ideal(m, frozenset(s)) for s in subsets if m.one not in s]
 
 
 def _elements(ideal):
     """Element set of an Ideal or of a plain collection of indices."""
     return ideal.elements if isinstance(ideal, Ideal) else frozenset(ideal)
-
-
-def _is_unit(m, x):
-    return any(m.table[x][b] == m.one for b in m.indices())
 
 
 def is_prime(m, ideal):

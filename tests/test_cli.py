@@ -262,3 +262,20 @@ def test_tor1_rejects_bad_base_or_element(capsys, aset, elem, message):
     code, out = run(["tor1", doc("asets", aset), "--elem", elem])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["primary", doc("monoids", "plane22.json"), "--ideal", "z"],
+         "'z' is not an element of the monoid plane22"),
+        (["assprimes", doc("monoids", "plane22.json"), "--ideal", "x, nope"],
+         "'nope' is not an element of the monoid plane22"),
+        (["splitcheck", doc("asets", "line3-regular.json"), "--sub", "x,nope"],
+         "'nope' is not a point of the A-set reg3"),
+    ],
+)
+def test_unknown_names_are_named(capsys, argv, message):
+    code, out = run(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"

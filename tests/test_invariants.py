@@ -6,9 +6,11 @@ import itertools
 from test_acceptance import corpus_monoids
 
 from monoidkit import asets as ak
+from monoidkit import extensions as ex
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
 from monoidkit import projk as pk
+from monoidkit import spectra as sp
 
 
 def F1():
@@ -260,6 +262,8 @@ def _labeling_free_invariants(x, a):
         len(ak.enumerate_asubsets(x)),
         len(ak.tensor(x, x).carrier),
         len(ak.tensor(x, a).carrier),
+        len(ex.ext_enumerate(x, a)),
+        len(ex.ext_enumerate(a, x)),
         getattr(dec, "idempotent_multiset", None),
         pk.rank_vector(x),
         ak.canonical_key(x),
@@ -270,8 +274,8 @@ def test_invariants_survive_every_relabeling():
     """Every basepoint-fixing relabeling s t s^-1 of each A-set class of
     the corpus monoids with at most 4 elements, carriers <= 4 (227
     relabelings, the identity among them), keeps the hom, congruence,
-    A-subset and tensor counts, the projective decomposition, the rank
-    vector and the canonical key.
+    A-subset, tensor and extension counts, the projective decomposition,
+    the rank vector and the canonical key.
 
     Generator counts and resolution sizes are left out: the greedy
     ``aset_generators`` is not minimal, and 72 of the 227 relabelings
@@ -289,6 +293,52 @@ def test_invariants_survive_every_relabeling():
                     assert _labeling_free_invariants(y, a) == want, (m.name, x.action, perm)
                     checked += 1
     assert checked == 227
+
+
+def _relabeled_monoid(m, s):
+    """The same monoid with element a moved to index s[a]; names and
+    generators follow the move."""
+    inverse = sorted(range(len(s)), key=s.__getitem__)
+    elements = [m.elements[a] for a in inverse]
+    table = [[s[m.table[a][b]] for b in inverse] for a in inverse]
+    return mk.FiniteMonoid(m.name, elements, table, [s[g] for g in m.generators])
+
+
+def _spectral_invariants(m):
+    ideals = sp.all_ideals(m)
+    primes = sp.mspec(m)
+    return (
+        len(ideals),
+        sorted(len(p.elements) for p in primes),
+        sp.dimension(m),
+        sorted(
+            (
+                sorted(len(c.elements) for c in sp.primary_decomposition(m, i)),
+                len(sp.associated_primes(m, i)),
+            )
+            for i in ideals
+        ),
+    )
+
+
+def test_spectra_survive_every_relabeling():
+    """Every relabeling of the elements other than 0 and 1 of the corpus
+    monoids with 3 to 5 elements (33 relabelings, the identity among
+    them), generators moved along, keeps the number of proper ideals, the
+    prime sizes, the dimension, and for each proper ideal the sizes of
+    its primary components and the number of its associated primes."""
+    checked = 0
+    for m in corpus_monoids(max_size=5):
+        n = len(m.elements)
+        if n < 3:
+            continue
+        want = _spectral_invariants(m)
+        for perm in itertools.permutations(range(2, n)):
+            r = _relabeled_monoid(m, (0, 1) + perm)
+            assert mk.validate(r).ok
+            assert _spectral_invariants(r) == want, (m.name, perm)
+            checked += 1
+    assert checked == 33
 
 
 def test_free_constructions_are_pinned():
@@ -333,4 +383,64 @@ def test_free_constructions_are_pinned():
     assert classes == 163
     assert digest.hexdigest() == (
         "3fd8d11ff2d2608dd47d287569223daee83904fde7a2bba14c0cb7e777faeb5d"
+    )
+
+
+def test_asubset_constructions_are_pinned():
+    """One sha256 over the ideals, the cyclic pieces Ae and the torsion
+    pairs.  For every corpus finite-table monoid: each entry of
+    ``all_ideals`` and of ``mspec`` (string and elements), the primary
+    decomposition and associated primes of each proper ideal, the
+    principal ideal of every element, and the name, carrier and action of
+    ``cyclic_on_idempotent`` at each nonzero idempotent.  For each A-set
+    class X of the corpus monoids with at most 4 elements, carriers <= 4
+    (61 classes): the torsion-pair A-set as an order-free record (sorted
+    cell names, and the name of b.a[p] for each pair and element b), and
+    for (X, A), (A, X) and (X, X) the sorted (phi items, E carrier,
+    E action) of every extension.  The digest was taken while spectra,
+    projk and extensions still closed ideals, orbits and torsion pairs by
+    hand, before they moved onto the A-subset code of ``asets``."""
+    digest = hashlib.sha256()
+
+    def put(*parts):
+        digest.update(repr(parts).encode() + b"\n")
+
+    def ideals(items):
+        return [(str(i), i.sorted_elements()) for i in items]
+
+    for m in corpus_monoids():
+        lattice = sp.all_ideals(m)
+        put(m.name, ideals(lattice), ideals(sp.mspec(m)))
+        for i in lattice:
+            if i.is_proper:
+                put(ideals(sp.primary_decomposition(m, i)))
+                put(ideals(sp.associated_primes(m, i)))
+        put(ideals(sp.ideal_generated(m, [a]) for a in m.indices()))
+        for e in mk.idempotents(m):
+            if e != 0:
+                p = pk.cyclic_on_idempotent(m, e)
+                put(p.name, p.carrier, p.action)
+
+    def extensions(x, y):
+        return sorted(
+            (sorted(e.phi_table.items()), e.e.carrier, e.e.action)
+            for e in ex.ext_enumerate(x, y)
+        )
+
+    classes = 0
+    for m in corpus_monoids(max_size=4):
+        a = ak.aset_from_monoid(m)
+        for c in range(1, 5):
+            for x in ak.enumerate_asets(m, c):
+                classes += 1
+                z = ex.torsion_pair_aset(m, x)
+                put(sorted(z.carrier), sorted(
+                    (pair, b, z.carrier[z.act(b, i)])
+                    for pair, i in z.pair_index.items()
+                    for b in m.indices()
+                ))
+                put(extensions(x, a), extensions(a, x), extensions(x, x))
+    assert classes == 61
+    assert digest.hexdigest() == (
+        "e35cfaea2b6ae967e0f7722e0b6795886a98832e68ac6042c1b43d83d6163aa0"
     )

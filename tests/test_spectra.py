@@ -1,5 +1,7 @@
 import pytest
 
+from test_acceptance import corpus_monoids
+
 from monoidkit import monoids as mk
 from monoidkit import spectra as sp
 from monoidkit.errors import ImproperIdeal
@@ -26,6 +28,15 @@ def test_ideal_generated():
     assert sp.ideal_generated(m, []).names() == ["0"]
     assert sp.ideal_generated(m, ["x"]).names() == ["0", "x", "x^2"]
     assert not sp.ideal_generated(m, ["1"]).is_proper
+
+
+def test_all_ideals_are_proper():
+    # over the zero monoid 1 = 0, so its one ideal is the unit ideal
+    zero = mk.build_from_presentation([], [("1", "0")])
+    assert sp.all_ideals(zero) == []
+    for m in corpus_monoids():
+        ideals = sp.all_ideals(m)
+        assert ideals and all(i.is_proper for i in ideals), m.name
 
 
 def test_mspec_f1():
