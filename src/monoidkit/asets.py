@@ -6,8 +6,9 @@ of carrier rows, ``action``: a finite-table base has one row per element
 generator t.  Constructions map every stored row the same way and never
 ask which base they are over; only ``ASet.act``, ``ASet.gen_tables``, the
 axioms in ``validate_aset``, the row count of ``zero_aset``, the oracle
-``congruence_closure_naive``, the base check of ``find_isomorphism`` and
-the finite-table constructions ``aset_from_monoid``, ``free_aset`` and
+``congruence_closure_naive``, the base check of ``find_isomorphism``,
+``build_action_from_gen_maps``, the generator maps of ``enumerate_asets``
+and the finite-table constructions ``aset_from_monoid``, ``free_aset`` and
 ``localize_aset`` read the base kind.  Quotients,
 tensor products and coequalizers all reduce to the congruence-closure
 kernel: merge seed pairs, then keep merging generator translates.
@@ -15,6 +16,7 @@ kernel: merge seed pairs, then keep merging generator translates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -143,11 +145,15 @@ def aset_from_theta(theta, base=None, name="X"):
 
 
 def build_action_from_gen_maps(m, carrier, gen_maps, name="X"):
-    """Full action grid from per-generator carrier maps (finite base).
+    """Full action from per-generator carrier maps.
 
-    The grid for a general element composes the generator maps along any
-    word for it; validity is checked by the caller via validate_aset.
+    Over a finite base the grid for a general element composes the
+    generator maps along any word for it; over the monogenic base the
+    generator's map is the whole action.  Validity is checked by the
+    caller via validate_aset.
     """
+    if isinstance(m, MonogenicMonoid):
+        return ASet(m, carrier, gen_maps, name=name)
     n = len(carrier)
     words = m.words_from_generators()
     action = [[0] * n for _ in m.indices()]
@@ -663,51 +669,28 @@ def is_isomorphic(x, y):
 
 
 def canonical_theta_key(theta):
-    """Complete isomorphism invariant of a based self-map.
+    """Complete isomorphism invariant of a based self-map: the first map of
+    its class in ``itertools.product`` order, so two keys are equal iff
+    the maps are conjugate by a bijection of the carrier fixing 0.
 
-    Encodes the functional graph: trees hanging on cycles get sorted
-    nested-tuple encodings, cycles are rotated to their minimal form, and
-    components are sorted; the basepoint's component is distinguished.
+    Read from the orbit pass of ``enumerate_asets`` over the monogenic
+    base, built once per carrier size.  That pass maps all c^(c-1) based
+    self-maps, so carriers past 7 raise ``BoundExceeded``.
     """
-    n = len(theta)
-    children = {p: [] for p in range(n)}
-    on_cycle = [False] * n
-    # find cycle nodes: iterate each node n steps
-    for p in range(n):
-        q = p
-        for _ in range(n):
-            q = theta[q]
-        on_cycle[q] = True
-    for p in range(n):
-        if not on_cycle[p]:
-            children[theta[p]].append(p)
+    theta = tuple(theta)
+    if len(theta) > 7:
+        raise BoundExceeded(f"carrier {len(theta)} exceeds the based-map class bound 7")
+    rep = _based_map_classes(len(theta)).get(theta) if theta else None
+    if rep is None:
+        raise ValidationError(f"{list(theta)} is not a based self-map")
+    return rep
 
-    def tree_code(p):
-        return tuple(sorted(tree_code(c) for c in children[p]))
 
-    comps = []
-    seen = set()
-    base_code = None
-    for p in range(n):
-        if not on_cycle[p] or p in seen:
-            continue
-        cycle = [p]
-        q = theta[p]
-        while q != p:
-            cycle.append(q)
-            q = theta[q]
-        seen.update(cycle)
-        codes = [tree_code(c) for c in cycle]
-        if 0 in cycle:
-            # rotate so the basepoint leads; its cycle is a fixed point
-            i = cycle.index(0)
-            base_code = tuple(codes[i:] + codes[:i])
-        else:
-            rotations = [
-                tuple(codes[i:] + codes[:i]) for i in range(len(codes))
-            ]
-            comps.append(min(rotations))
-    return (n, base_code, tuple(sorted(comps)))
+@functools.lru_cache(maxsize=None)
+def _based_map_classes(c):
+    """Every based self-map on c points -> the first map of its class."""
+    first = _table_classes(MonogenicMonoid(), c, up_to_iso=True)[1]
+    return {t: rep for (t,), (rep,) in first.items()}
 
 
 def canonical_key(x):
@@ -832,28 +815,39 @@ def _generator_map_candidates(m, g, c):
 
 
 def enumerate_asets(m, carrier_size, up_to_iso=True):
-    """Every A-set structure on a carrier of the given size (finite base).
+    """Every A-set structure on a carrier of the given size.
 
-    Enumerates compatible per-generator self-maps, derives the full grid
-    along generator words, and keeps the grids that satisfy all axioms.
+    Over a finite base, enumerates compatible per-generator self-maps,
+    derives the full grid along generator words, and keeps the grids
+    that satisfy all axioms.  Over the monogenic base t is free, so its
+    maps are every based self-map, in ``itertools.product`` order.
 
     With ``up_to_iso`` each kept tuple of generator maps marks its whole
-    orbit as seen: every relabeling s t s^-1 of its maps by a bijection s
-    of the carrier that fixes the basepoint, which is exactly its
-    isomorphism class.  A relabeled valid table is valid and meets the
-    same power relations, so it comes up in the product and is skipped
-    before any work is done on it.  The result is the first table of each
-    class in product order, the same list that deduplicating every valid
-    table by ``canonical_key`` gives.
+    orbit: every relabeling s t s^-1 of its maps by a bijection s of the
+    carrier that fixes the basepoint, which is exactly its isomorphism
+    class.  A relabeled valid table is valid and meets the same power
+    relations, so it comes up in the product and is skipped before any
+    work is done on it.  The result is the first table of each class in
+    product order, the same list that deduplicating every valid table by
+    ``canonical_key`` gives.
     """
-    c = carrier_size
+    return _table_classes(m, carrier_size, up_to_iso)[0]
+
+
+def _table_classes(m, c, up_to_iso):
+    """The kept A-sets of ``enumerate_asets``, and (with ``up_to_iso``) the
+    one orbit pass behind them: a dict sending every valid tuple of
+    generator maps to the first tuple of its class."""
     carrier = ["0"] + [f"p{i}" for i in range(1, c)]
-    if len(m.elements) == 1:
+    if isinstance(m, MonogenicMonoid):
+        per_gen = [[(0,) + tail for tail in itertools.product(range(c), repeat=c - 1)]]
+    elif len(m.elements) == 1:
         # over the zero monoid only the one-point carrier is consistent
-        return [ASet(m, ["0"], action=[[0]], name="S1")] if c == 1 else []
-    if not m.generators:
-        return [ASet(m, carrier, action=[[0] * c, list(range(c))], name=f"S{c}")]
-    per_gen = [_generator_map_candidates(m, g, c) for g in m.generators]
+        return ([ASet(m, ["0"], action=[[0]], name="S1")] if c == 1 else []), {}
+    elif not m.generators:
+        return [ASet(m, carrier, action=[[0] * c, list(range(c))], name=f"S{c}")], {}
+    else:
+        per_gen = [_generator_map_candidates(m, g, c) for g in m.generators]
     # (s, s^-1) for each relabeling; t becomes s t s^-1 = [s[t[q]] for q in s^-1]
     relabelings = []
     if up_to_iso:
@@ -861,9 +855,9 @@ def enumerate_asets(m, carrier_size, up_to_iso=True):
             s = (0,) + perm
             relabelings.append((s, sorted(range(c), key=s.__getitem__)))
     out = []
-    seen = set()
+    first = {}
     for combo in itertools.product(*per_gen):
-        if combo in seen:
+        if combo in first:
             continue
         # commuting actions are necessary in a commutative base
         ok = True
@@ -879,10 +873,12 @@ def enumerate_asets(m, carrier_size, up_to_iso=True):
             continue
         if not validate_aset(x).ok:
             continue
-        for s, inverse in relabelings:
-            seen.add(tuple(tuple(s[t[q]] for q in inverse) for t in combo))
+        # zip each map's relabelings back into the relabeled tuples
+        conjugates = [[tuple([s[t[q]] for q in inverse]) for s, inverse in relabelings]
+                      for t in combo]
+        first.update(dict.fromkeys(zip(*conjugates), combo))
         out.append(x)
-    return out
+    return out, first
 
 
 def enumerate_asubsets(x, bound=DEFAULT_ENUM_BOUND):

@@ -43,14 +43,13 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _load(path, registry=None):
-    return docs.load_document(path, registry)
+MONOID = ("finite-table", "presentation")  # the document kinds of finite monoids
 
 
-def _load_aset(path, m):
-    """An A-set document over the monoid ``m``; any other kind is rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return docs.parse_aset(json.load(fh), {m.name: m})
+def _load(path, *kinds, registry=None):
+    """The document at ``path``; with ``kinds``, a document of any other
+    kind is a ValidationError naming the expected and the actual kind."""
+    return docs.load_document(path, registry, kinds or None)
 
 
 def _indices_from_arg(names, arg, what):
@@ -93,7 +92,7 @@ def cmd_validate(args):
 
 
 def cmd_spec(args):
-    m = _load(args.monoid)
+    m = _load(args.monoid, *MONOID)
     primes = sp.mspec(m)
     lines = [str(p) for p in primes]
     _emit(args, {"primes": lines, "dimension": sp.dimension(m)}, lines)
@@ -101,7 +100,7 @@ def cmd_spec(args):
 
 
 def cmd_primary(args):
-    m = _load(args.monoid)
+    m = _load(args.monoid, *MONOID)
     ideal = _ideal_from_arg(m, args.ideal)
     comps = sp.primary_decomposition(m, ideal)
     lines = [str(c) for c in comps]
@@ -110,7 +109,7 @@ def cmd_primary(args):
 
 
 def cmd_assprimes(args):
-    m = _load(args.monoid)
+    m = _load(args.monoid, *MONOID)
     ideal = _ideal_from_arg(m, args.ideal)
     primes = sp.associated_primes(m, ideal)
     lines = [str(p) for p in primes]
@@ -124,8 +123,8 @@ def _require_same_base(x, y):
 
 
 def cmd_hom(args):
-    x = _load(args.source)
-    y = _load(args.target)
+    x = _load(args.source, "aset")
+    y = _load(args.target, "aset")
     _require_same_base(x, y)
     homs = ak.hom_enumerate(x, y)
     lines = [",".join(map(str, h.mapping)) for h in homs]
@@ -135,8 +134,8 @@ def cmd_hom(args):
 
 
 def cmd_tensor(args):
-    x = _load(args.left)
-    y = _load(args.right)
+    x = _load(args.left, "aset")
+    y = _load(args.right, "aset")
     _require_same_base(x, y)
     t = ak.tensor(x, y)
     _emit(
@@ -148,7 +147,7 @@ def cmd_tensor(args):
 
 
 def cmd_splitcheck(args):
-    y = _load(args.total)
+    y = _load(args.total, "aset")
     points = _indices_from_arg(y.carrier, args.sub, f"a point of the A-set {y.name}")
     sub = sorted({0, *points})
     x = ak.sub_aset(y, sub, name="X")
@@ -167,7 +166,7 @@ def cmd_splitcheck(args):
 
 
 def cmd_k0(args):
-    m = _load(args.monoid)
+    m = _load(args.monoid, *MONOID)
     ring = pk.k0(m)
     lines = [str(ring.invariants())]
     _emit(
@@ -179,14 +178,14 @@ def cmd_k0(args):
 
 
 def cmd_k1(args):
-    m = _load(args.monoid)
+    m = _load(args.monoid, *MONOID)
     pres = pk.k1(m)
     _emit(args, {"group": str(pres.invariants())}, [str(pres.invariants())])
     return 0
 
 
 def cmd_g0(args):
-    m = _load(args.monoid)
+    m = _load(args.monoid, *MONOID)
     seeds = []
     if args.universe:
         for fname in sorted(os.listdir(args.universe)):
@@ -210,8 +209,8 @@ def cmd_g0(args):
 
 
 def cmd_devissage(args):
-    m = _load(args.monoid)
-    x = _load(args.aset)
+    m = _load(args.monoid, *MONOID)
+    x = _load(args.aset, "aset")
     ideal = _ideal_from_arg(m, args.ideal)
     rep = pk.devissage_check(m, sorted(ideal.elements), x)
     payload = {
@@ -224,7 +223,7 @@ def cmd_devissage(args):
 
 
 def cmd_homology(args):
-    comp = _load(args.complex)
+    comp = _load(args.complex, "dacomplex")
     degrees = [args.degree] if args.degree is not None else list(
         range(comp.min_degree, comp.top_degree + 1)
     )
@@ -239,7 +238,7 @@ def cmd_homology(args):
 
 
 def cmd_resolve(args):
-    x = _load(args.aset)
+    x = _load(args.aset, "aset")
     if isinstance(x.base, MonogenicMonoid):
         comp, eps = hml.free_resolution_monogenic(x)
         lines = [f"P{i}: {len(lbls)} generators" for i, lbls in enumerate(comp.level_labels)]
@@ -259,7 +258,7 @@ def cmd_resolve(args):
 
 
 def cmd_moore(args):
-    sset = _load(args.simplicial)
+    sset = _load(args.simplicial, "simplicial")
     comp = hml.moore(sset)
     sizes = [len(l.carrier) for l in comp.levels]
     _emit(args, {"carriers": sizes}, [f"N{i}: carrier {s}" for i, s in enumerate(sizes)])
@@ -267,7 +266,7 @@ def cmd_moore(args):
 
 
 def cmd_dk(args):
-    comp = _load(args.complex)
+    comp = _load(args.complex, "dacomplex")
     sset = hml.dold_kan_inverse(comp, args.trunc)
     report = hml.validate_simplicial(sset)
     sizes = [len(l.carrier) for l in sset.levels]
@@ -281,8 +280,8 @@ def cmd_dk(args):
 
 
 def cmd_adjcheck(args):
-    comp = _load(args.complex)
-    sset = _load(args.simplicial)
+    comp = _load(args.complex, "dacomplex")
+    sset = _load(args.simplicial, "simplicial")
     rep = hml.adjunction_check(comp, sset)
     payload = {
         "simplicial_count": rep.simplicial_count,
@@ -295,7 +294,7 @@ def cmd_adjcheck(args):
 
 
 def cmd_tor1(args):
-    x = _load(args.aset)
+    x = _load(args.aset, "aset")
     if not isinstance(x.base, MonogenicMonoid):
         raise HypothesisViolated("monogenic base required")
     (gen,) = generator_names(x.base)
@@ -316,7 +315,7 @@ def cmd_tor1(args):
 
 
 def cmd_chainhom(args):
-    sset = _load(args.simplicial)
+    sset = _load(args.simplicial, "simplicial")
     chain = tr.chain_of_simplicial(sset)
     degrees = [args.degree] if args.degree is not None else list(
         range(len(chain.ranks))
@@ -335,9 +334,10 @@ def cmd_chainhom(args):
 
 
 def cmd_ext(args):
-    m = _load(args.monoid)
-    x = _load_aset(args.quot, m)
-    y = _load_aset(args.sub, m)
+    m = _load(args.monoid, *MONOID)
+    registry = {m.name: m}
+    x = _load(args.quot, "aset", registry=registry)
+    y = _load(args.sub, "aset", registry=registry)
     exts = ex.ext_enumerate(x, y)
     lines = [f"{len(exts)} extensions"]
     payload = {"count": len(exts), "phi": []}
@@ -357,8 +357,8 @@ def cmd_ext(args):
 
 
 def cmd_sqz(args):
-    m = _load(args.monoid)
-    x = _load_aset(args.aset, m)
+    m = _load(args.monoid, *MONOID)
+    x = _load(args.aset, "aset", registry={m.name: m})
     results = ex.squarezero_enumerate(m, x)
     lines = [f"{len(results)} square-zero extensions"]
     payload = {"count": len(results), "cocycles": []}
@@ -386,21 +386,21 @@ def cmd_sqz(args):
 
 
 def cmd_cl(args):
-    scheme = _load(args.scheme)
+    scheme = _load(args.scheme, "scheme")
     pres = gm.class_group(scheme)
     _emit(args, {"group": str(pres.invariants())}, [str(pres.invariants())])
     return 0
 
 
 def cmd_pic(args):
-    scheme = _load(args.scheme)
+    scheme = _load(args.scheme, "scheme")
     group = gm.pic(scheme)
     _emit(args, {"group": str(group)}, [str(group)])
     return 0
 
 
 def cmd_normalize(args):
-    aff = _load(args.monoid)
+    aff = _load(args.monoid, "affine")
     if aff.is_pc_quotient:
         comps = gm.normalize_pc(aff)
         payload = {

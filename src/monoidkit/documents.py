@@ -136,13 +136,7 @@ def parse_aset(doc, registry=None):
         repeated = next(c for i, c in enumerate(carrier) if c in carrier[:i])
         raise ValidationError(f"carrier point {repeated!r} is repeated")
     gen_maps = [doc["action"][g] for g in generator_names(base)]
-    if isinstance(base, MonogenicMonoid):
-        # the generator's row is the whole monogenic action
-        x = ak.ASet(base, carrier, gen_maps, name=doc.get("name", "X"))
-    else:
-        x = ak.build_action_from_gen_maps(
-            base, carrier, gen_maps, name=doc.get("name", "X")
-        )
+    x = ak.build_action_from_gen_maps(base, carrier, gen_maps, name=doc.get("name", "X"))
     report = ak.validate_aset(x)
     if not report.ok:
         raise ValidationError(f"invalid aset: {report}")
@@ -277,10 +271,17 @@ def scheme_to_doc(scheme):
     return doc
 
 
-def load_document(path, registry=None):
+def load_document(path, registry=None, kinds=None):
+    """Parse the document at ``path``.  With ``kinds``, a document of any
+    other kind is a ValidationError naming the expected and the actual
+    kind."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kinds is not None and kind not in kinds:
+        raise ValidationError(
+            f"{path}: expected a {' or '.join(kinds)} document, got kind {kind!r}"
+        )
     if kind in ("finite-table", "presentation", "monogenic", "affine"):
         return parse_monoid(doc)
     if kind == "aset":

@@ -51,6 +51,7 @@ class FiniteMonoid:
             generators = _minimal_generators(self)
         self.generators = list(generators)
         self._index = {e: i for i, e in enumerate(self.elements)}
+        self._ideals = None  # spectra.all_ideals builds it on first use
 
     # -- basic arithmetic ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from . import asets as ak
 from . import spectra as sp
 from .abgroup import AbelianGroup, GroupPresentation
-from .errors import NotNilpotent, OracleMismatch
+from .errors import BoundExceeded, NotNilpotent, OracleMismatch
 from .monoids import FiniteMonoid, ZERO, idempotents, quotient as monoid_quotient, units
 from .monoids import localize
 
@@ -371,14 +371,23 @@ class G0Result:
 
 
 def _closed_universe(seeds, middle_bound):
-    """Close under A-subsets and subset-quotients; dedupe up to iso."""
+    """Close under A-subsets and subset-quotients; dedupe up to iso.
+
+    A seed with more than ``middle_bound`` nonzero points raises
+    ``BoundExceeded``; sub-objects and quotients are never larger than
+    the A-set they come from, so no other A-set can pass the bound.
+    """
+    for x in seeds:
+        if len(x.carrier) > middle_bound + 1:
+            raise BoundExceeded(
+                f"seed {x.name} has {len(x.carrier) - 1} nonzero points, "
+                f"past the bound {middle_bound}"
+            )
     classes = {}
     order = []
     work = list(seeds)
     while work:
         x = work.pop()
-        if len(x.carrier) > middle_bound + 1:
-            continue
         key = ak.canonical_key(x)
         if key in classes:
             continue

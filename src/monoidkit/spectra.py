@@ -63,9 +63,12 @@ def ideal_generated(m, gens):
 
 def all_ideals(m):
     """Every proper ideal of a finite monoid, ordered by size and then by
-    elements: the A-subsets of A that miss 1."""
-    subsets = enumerate_asubsets(aset_from_monoid(m), bound=len(m.elements))
-    return [Ideal(m, frozenset(s)) for s in subsets if m.one not in s]
+    elements: the A-subsets of A that miss 1.  The lattice is swept once
+    per monoid and kept on it; each call returns a fresh list."""
+    if m._ideals is None:
+        subsets = enumerate_asubsets(aset_from_monoid(m), bound=len(m.elements))
+        m._ideals = tuple(Ideal(m, frozenset(s)) for s in subsets if m.one not in s)
+    return list(m._ideals)
 
 
 def _elements(ideal):

@@ -8,7 +8,7 @@ from test_acceptance import corpus_monoids
 from monoidkit import _kernels
 from monoidkit import asets as ak
 from monoidkit import monoids as mk
-from monoidkit.errors import BoundExceeded, NotAES, NotASubset
+from monoidkit.errors import BoundExceeded, NotAES, NotASubset, ValidationError
 
 
 def F1():
@@ -645,26 +645,53 @@ def test_fixed_points_are_not_a_two_cycle():
 
 
 def test_enumeration_keeps_the_first_table_of_each_class():
-    # oracle: every labeled table deduplicated by canonical_key, in order
+    # oracle: every labeled table deduplicated by canonical_key, in order;
+    # the monogenic base's tables are every based self-map
     digest = hashlib.sha256()
-    for m in corpus_monoids(max_size=5):
-        for c in range(1, 6):
-            first = {}
-            for x in ak.enumerate_asets(m, c, up_to_iso=False):
-                first.setdefault(ak.canonical_key(x), x)
-            kept = ak.enumerate_asets(m, c)
-            keys = [ak.canonical_key(x) for x in kept]
-            assert len(set(keys)) == len(keys), (m.name, c)
-            assert [(x.carrier, x.action, x.name) for x in kept] == [
-                (x.carrier, x.action, x.name) for x in first.values()
-            ], (m.name, c)
-            for x in kept:
-                digest.update(repr((m.name, x.carrier, x.action, x.name)).encode())
+    cases = [(m, c) for m in corpus_monoids(max_size=5) for c in range(1, 6)]
+    cases += [(mk.MonogenicMonoid(), c) for c in range(1, 7)]
+    for m, c in cases:
+        first = {}
+        for x in ak.enumerate_asets(m, c, up_to_iso=False):
+            first.setdefault(ak.canonical_key(x), x)
+        kept = ak.enumerate_asets(m, c)
+        keys = [ak.canonical_key(x) for x in kept]
+        assert len(set(keys)) == len(keys), (m.name, c)
+        assert [(x.carrier, x.action, x.name) for x in kept] == [
+            (x.carrier, x.action, x.name) for x in first.values()
+        ], (m.name, c)
+        if isinstance(m, mk.MonogenicMonoid):
+            continue  # the digest below pins the corpus monoids' tables
+        for x in kept:
+            digest.update(repr((m.name, x.carrier, x.action, x.name)).encode())
     # which table stands for each class is what callers index by position
     # (the perfbench `finite` inputs among them): pin the 446 kept tables
     assert digest.hexdigest() == (
         "f351496b37ebbe046da33d122da5216b51ca1a8c1f4a6e7c7e21a5a216596f35"
     )
+
+
+def test_based_self_maps_fall_into_121_and_338_classes():
+    # t is free, so every based self-map is a table; the class counts are
+    # those of perfbench/theta_reps.json
+    monogenic = mk.MonogenicMonoid()
+    assert len(ak.enumerate_asets(monogenic, 5, up_to_iso=False)) == 5**4
+    assert [len(ak.enumerate_asets(monogenic, c)) for c in (6, 7)] == [121, 338]
+
+
+def test_canonical_theta_key_is_the_first_map_of_the_class():
+    monogenic = mk.MonogenicMonoid()
+    for c in range(1, 6):
+        reps = [tuple(x.action[0]) for x in ak.enumerate_asets(monogenic, c)]
+        assert [ak.canonical_theta_key(r) for r in reps] == reps
+        for x in ak.enumerate_asets(monogenic, c, up_to_iso=False):
+            key = ak.canonical_theta_key(x.action[0])
+            assert key in reps and ak.is_isomorphic(x, ak.aset_from_theta(list(key)))
+    with pytest.raises(BoundExceeded):
+        ak.canonical_theta_key([0] * 8)
+    for theta in ([], [1, 0], [0, 2]):
+        with pytest.raises(ValidationError):
+            ak.canonical_theta_key(theta)
 
 
 def test_localization_sweep():

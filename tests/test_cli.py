@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -55,6 +56,8 @@ def test_validate_garbage_exits_2(tmp_path):
                                "mul": [[0, 0], [0, 0]]}))
     code, out = run(["validate", str(bad)])
     assert code == 2
+    bad.write_text("[]")  # not an object, so of no kind
+    assert run(["validate", str(bad)]) == (2, "")
 
 
 @pytest.mark.parametrize("command, documents", [("validate", 1), ("tensor", 2), ("resolve", 1)])
@@ -197,6 +200,63 @@ def test_ext_rejects_a_document_of_another_kind(capsys):
     argv = EXT_ARGV[:3] + [doc("monoids", "line2.json")] + EXT_ARGV[4:]
     assert run(argv) == (2, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+FINITE = "finite-table or presentation"
+MONOID_DOC = doc("monoids", "line3.json")
+ASET_DOC = doc("asets", "tchain.json")
+# every subcommand that reads documents of fixed kinds, given another kind
+WRONG_KIND = [
+    (["spec", ASET_DOC], FINITE, "aset"),
+    (["primary", ASET_DOC, "--ideal", "x"], FINITE, "aset"),
+    (["assprimes", ASET_DOC, "--ideal", "x"], FINITE, "aset"),
+    (["k0", ASET_DOC], FINITE, "aset"),
+    (["k1", ASET_DOC], FINITE, "aset"),
+    (["g0", ASET_DOC], FINITE, "aset"),
+    (["devissage", MONOID_DOC, "--ideal", "x", "--aset", MONOID_DOC], "aset", "finite-table"),
+    (["ext", MONOID_DOC, "--quot", MONOID_DOC, "--sub", MONOID_DOC], "aset", "finite-table"),
+    (["sqz", doc("monoids", "freeline.json"), "--aset", ASET_DOC], FINITE, "monogenic"),
+    (["hom", MONOID_DOC, MONOID_DOC], "aset", "finite-table"),
+    (["tensor", MONOID_DOC, MONOID_DOC], "aset", "finite-table"),
+    (["splitcheck", MONOID_DOC, "--sub", "x"], "aset", "finite-table"),
+    (["resolve", MONOID_DOC], "aset", "finite-table"),
+    (["tor1", MONOID_DOC, "--elem", "t"], "aset", "finite-table"),
+    (["homology", ASET_DOC], "dacomplex", "aset"),
+    (["dk", ASET_DOC, "--trunc", "2"], "dacomplex", "aset"),
+    (["adjcheck", ASET_DOC, ASET_DOC], "dacomplex", "aset"),
+    (["moore", ASET_DOC], "simplicial", "aset"),
+    (["chainhom", ASET_DOC], "simplicial", "aset"),
+    (["cl", MONOID_DOC], "scheme", "finite-table"),
+    (["pic", doc("monoids", "numsg23.json")], "scheme", "affine"),
+    (["normalize", MONOID_DOC], "affine", "finite-table"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, actual", WRONG_KIND, ids=[a[0] for a, _, _ in WRONG_KIND])
+def test_a_document_of_the_wrong_kind_exits_2(capsys, argv, expected, actual):
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(f": expected a {expected} document, got kind {actual!r}\n")
+
+
+def test_every_document_subcommand_checks_its_kind():
+    (subcommands,) = [
+        a.choices for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    # validate takes every kind, corpus a directory
+    assert sorted(argv[0] for argv, _, _ in WRONG_KIND) == sorted(
+        set(subcommands) - {"validate", "corpus"}
+    )
+
+
+def test_g0_seed_past_the_bound_exits_3(capsys):
+    assert run(["g0", MONOID_DOC, "--bound", "2"]) == (3, "")
+    assert capsys.readouterr().err == (
+        "bound exceeded: seed line3 has 3 nonzero points, past the bound 2\n"
+    )
+    assert run(["g0", MONOID_DOC, "--bound", "3"]) == (0, "Z\nuniverse 627b899c96f7921a\n")
 
 
 def test_corpus_runner_all_pass():

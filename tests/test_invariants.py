@@ -318,6 +318,8 @@ def _spectral_invariants(m):
             )
             for i in ideals
         ),
+        pk.k0(m).invariants(),
+        pk.k1(m).invariants(),
     )
 
 
@@ -325,8 +327,9 @@ def test_spectra_survive_every_relabeling():
     """Every relabeling of the elements other than 0 and 1 of the corpus
     monoids with 3 to 5 elements (33 relabelings, the identity among
     them), generators moved along, keeps the number of proper ideals, the
-    prime sizes, the dimension, and for each proper ideal the sizes of
-    its primary components and the number of its associated primes."""
+    prime sizes, the dimension, for each proper ideal the sizes of its
+    primary components and the number of its associated primes, and the
+    groups K0 and K1."""
     checked = 0
     for m in corpus_monoids(max_size=5):
         n = len(m.elements)

@@ -3,6 +3,7 @@ import pytest
 from test_acceptance import corpus_monoids
 
 from monoidkit import monoids as mk
+from monoidkit.asets import enumerate_asubsets
 from monoidkit import spectra as sp
 from monoidkit.errors import ImproperIdeal
 
@@ -37,6 +38,19 @@ def test_all_ideals_are_proper():
     for m in corpus_monoids():
         ideals = sp.all_ideals(m)
         assert ideals and all(i.is_proper for i in ideals), m.name
+
+
+def test_ideal_lattice_is_swept_once_per_monoid(monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(sp, "enumerate_asubsets",
+                        lambda *a, **k: sweeps.append(1) or enumerate_asubsets(*a, **k))
+    m = corpus_monoids()[0]
+    first = sp.all_ideals(m)
+    for i in first:
+        sp.primary_decomposition(m, i)
+        sp.associated_primes(m, i)
+    first.clear()  # callers get a fresh list
+    assert sp.all_ideals(m) and len(sweeps) == 1
 
 
 def test_mspec_f1():
