@@ -621,7 +621,7 @@ def main(argv=None, standalone=True):
         except BoundExceeded as exc:
             print(f"bound exceeded: {exc}", file=sys.stderr)
             code = 3
-        except (ValidationError, MonoidKitError, FileNotFoundError, KeyError,
+        except (ValidationError, MonoidKitError, OSError, KeyError,
                 ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = 2

@@ -772,8 +772,11 @@ def _combine(basis_cols, coeff_cols, dim):
 
 
 def _tagged_torsion_units(chart, torsion):
-    """Torsion units of a unit-tagged chart: tags of nonnegative
-    combinations with zero lattice part, within the degree bound."""
+    """Generators of the torsion units of a unit-tagged chart: the nonzero
+    tags of nonnegative combinations with zero lattice part, within the
+    degree bound.  The tags need not form a subgroup; Cart and Pic add each
+    torsion order times e_t, so the tags span the same lattice as the
+    subgroup they generate."""
     gens = chart.generators
     tags = chart.unit_tags
     u = len(torsion)
@@ -791,19 +794,7 @@ def _tagged_torsion_units(chart, torsion):
             rec(idx + 1, nv, nt)
 
     rec(0, [0] * chart.rank, [0] * u)
-    # subgroup generated by the found tags
-    out = set()
-    frontier = list(found)
-    while frontier:
-        t = frontier.pop()
-        if t in out:
-            continue
-        out.add(t)
-        for s in list(out):
-            combo = tuple((a + b) % o for a, b, o in zip(t, s, torsion))
-            if combo not in out:
-                frontier.append(combo)
-    return sorted(v for v in out if any(v))
+    return sorted(t for t in found if any(t))
 
 
 def pic(scheme):

@@ -10,6 +10,7 @@ of A-sets whose relations come from subset/quotient exact sequences.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from . import asets as ak
@@ -249,106 +250,59 @@ def automorphism_group(x):
 def abelianization_invariants(elements, compose):
     """Invariants of G/[G,G] for a finite group given by a composition map.
 
-    Structural computation: close the commutators into a normal subgroup,
-    pass to cosets, then repeatedly split off a cyclic factor generated by
-    an element of maximal order (always a direct factor in a finite
-    abelian group).
+    ``elements`` lists the group with the identity first.  A generating set
+    S is taken greedily in list order, and G is presented on one generator
+    e_a per element by its Cayley graph over S: e_1 = 0 and
+    e_a + e_g = e_(ag) for each a in G and g in S (Magnus-Karrass-Solitar,
+    *Combinatorial Group Theory*, 1966, section 2.3).  These relations
+    present G, so read as abelian relations they present G/[G,G], whose
+    invariants the Smith reduction gives.
     """
-    ident = elements[0]
-    inverse = {}
-    for a in elements:
-        for b in elements:
-            if compose(a, b) == ident:
-                inverse[a] = b
-                break
-
-    commutators = {
-        compose(compose(a, b), compose(inverse[a], inverse[b]))
-        for a in elements
-        for b in elements
-    }
-    subgroup = {ident}
-    frontier = list(commutators)
-    while frontier:
-        g = frontier.pop()
-        if g in subgroup:
+    pos = {a: i for i, a in enumerate(elements)}
+    gens = []
+    reached = {elements[0]}
+    for g in elements:
+        if g in reached:
             continue
-        subgroup.add(g)
-        frontier.extend(compose(g, h) for h in list(subgroup))
-
-    reps, lookup = _cosets(elements, compose, subgroup)
-    mul = {(a, b): lookup[compose(a, b)] for a in reps for b in reps}
-    factors = _abelian_factors(reps, mul, lookup[ident])
-    # peeled largest-first; reversing yields the divisibility chain
-    factors = tuple(f for f in reversed(factors) if f > 1)
-    return AbelianGroup(0, factors)
-
-
-def _cosets(members, compose, subgroup):
-    seen = {}
-    reps = []
-    lookup = {}
-    for a in members:
-        key = frozenset(compose(a, s) for s in subgroup)
-        if key not in seen:
-            seen[key] = a
-            reps.append(a)
-        lookup[a] = seen[key]
-    return reps, lookup
-
-
-def _abelian_factors(elems, mul, ident):
-    if len(elems) == 1:
-        return []
-
-    def order(a):
-        k, x = 1, a
-        while x != ident:
-            x = mul[(x, a)]
-            k += 1
-        return k
-
-    best = max(elems, key=order)
-    o = order(best)
-    cyc = {ident}
-    x = best
-    while x != ident:
-        cyc.add(x)
-        x = mul[(x, best)]
-    reps, lookup = _cosets(elems, lambda a, b: mul[(a, b)], cyc)
-    new_mul = {(a, b): lookup[mul[(a, b)]] for a in reps for b in reps}
-    return [o] + _abelian_factors(reps, new_mul, lookup[ident])
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            a = frontier.pop()
+            for h in gens:
+                b = compose(a, h)
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    n = len(elements)
+    rows = [[1] + [0] * (n - 1)]
+    for a in elements:
+        for g in gens:
+            row = [0] * n
+            row[pos[a]] += 1
+            row[pos[g]] += 1
+            row[pos[compose(a, g)]] -= 1
+            rows.append(row)
+    return GroupPresentation(n, rows).invariants()
 
 
 def k1_bruteforce(m, copies):
     """Abelianization of Aut of a free A-set on ``copies`` generators."""
     w = ak.free_aset(m, range(copies))
-    auts = automorphism_group(w)
-    elements = [tuple(f.mapping) for f in auts]
-    elements.sort()
-    ident = tuple(range(len(w.carrier)))
-    elements.remove(ident)
-    elements.insert(0, ident)
+    # sorted, so the identity comes first: it is the least bijection
+    elements = [tuple(f.mapping) for f in automorphism_group(w)]
 
     def compose(f, g):
         return tuple(f[v] for v in g)
 
     # sanity: the group order matches |units|^n * n!
     order = len(elements)
-    expect = (len(units(m)) ** copies) * _factorial(copies)
+    expect = (len(units(m)) ** copies) * math.factorial(copies)
     if order != expect:
         raise OracleMismatch(
             f"Aut of {copies} copies of {m.name} has order {order}, "
             f"|units|^n * n! = {expect}"
         )
     return abelianization_invariants(elements, compose)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,17 @@ def test_g0_seed_past_the_bound_exits_3(capsys):
     assert run(["g0", MONOID_DOC, "--bound", "3"]) == (0, "Z\nuniverse 627b899c96f7921a\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["corpus", MONOID_DOC], ["g0", MONOID_DOC, "--universe", MONOID_DOC]],
+    ids=["corpus", "g0-universe"],
+)
+def test_a_file_where_a_directory_is_expected_exits_2(capsys, argv):
+    assert run(argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Not a directory" in err
+
+
 def test_corpus_runner_all_pass():
     code, out = run(["corpus", os.path.join(CORPUS, "cases")])
     assert code == 0

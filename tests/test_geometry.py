@@ -1,5 +1,6 @@
 import ast
 import glob
+import hashlib
 import importlib.util
 import itertools
 import os
@@ -501,6 +502,43 @@ def test_torsion_units_flow_into_pic():
     x = gm.GluedScheme(1, [ax, ainv], unit_orders=[2], glue="generic")
     p = gm.pic(x)
     assert p == AbelianGroup(1, (2,))
+
+
+def test_tagged_cart_and_pic_are_pinned():
+    """One sha256 over Cart and Pic of 585 two-chart schemes glued along
+    the generic point: unit orders 2, 3, 4 and 6, every pair of tags on
+    the two generators, degree bounds 1-3, and the generator shapes
+    (1),(-1) / (1),(1) / (1),(2) with the second chart negated.  The
+    digest was taken while each chart's torsion units were still closed
+    into the subgroup the found tags generate."""
+    digest = hashlib.sha256()
+    schemes = 0
+    for order in (2, 3, 4, 6):
+        for tags in itertools.product(range(order), repeat=2):
+            for bound in (1, 2, 3):
+                for shape in ((1, -1), (1, 1), (1, 2)):
+                    charts = [
+                        AffineMonoid(
+                            name, 1, [(sign * g,) for g in shape],
+                            unit_orders=[order], unit_tags=[(t,) for t in tags],
+                            degree_bound=bound,
+                        )
+                        for name, sign in (("U", 1), ("V", -1))
+                    ]
+                    x = gm.GluedScheme(1, charts, unit_orders=[order], glue="generic")
+                    cart, pic = gm.cartier_and_pic(x)
+                    digest.update(repr((order, tags, bound, shape, cart, pic)).encode())
+                    schemes += 1
+    assert schemes == 585
+    assert digest.hexdigest() == (
+        "6afa5e7551944ba034d78273ef0a03c66318e1e396691fb044e48d911d8867cf"
+    )
+    # Z/4 with tags (1), (0) at bound 1 finds only the tags 0 and 1, which
+    # is no subgroup; Cart and Pic add 4 e_t, so the tag 1 spans it all
+    chart = AffineMonoid(
+        "U", 1, [(1,), (-1,)], unit_orders=[4], unit_tags=[(1,), (0,)], degree_bound=1
+    )
+    assert gm._tagged_torsion_units(chart, [4]) == [(1,)]
 
 
 def test_cartier_of_affine():

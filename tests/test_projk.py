@@ -193,6 +193,54 @@ def test_k1_bruteforce_oracle():
         assert inv == formula
 
 
+def _compose(f, g):
+    return tuple(f[v] for v in g)
+
+
+def _permutation_group(*gens):
+    """The permutations the generators close to, sorted: the identity,
+    the least permutation, comes first."""
+    ident = tuple(range(len(gens[0])))
+    group = {ident}
+    frontier = [ident]
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = _compose(a, g)
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return sorted(group)
+
+
+def test_abelianization_known_answers():
+    # groups that are not Aut of a free A-set, as permutation tuples;
+    # Q8 acts on 1, i, j, k, -1, -i, -j, -k by right multiplication
+    q8 = _permutation_group((1, 4, 7, 2, 5, 0, 3, 6), (2, 3, 4, 5, 6, 7, 0, 1))
+    cases = [
+        (_permutation_group((0,)), 1, ()),
+        (_permutation_group((1, 0, 2), (1, 2, 0)), 6, (2,)),  # S3
+        (_permutation_group((1, 2, 0, 3), (1, 0, 3, 2)), 12, (3,)),  # A4
+        (_permutation_group((1, 0, 2, 3), (1, 2, 3, 0)), 24, (2,)),  # S4
+        (_permutation_group((1, 2, 3, 0), (0, 3, 2, 1)), 8, (2, 2)),  # D4
+        (q8, 8, (2, 2)),
+        (_permutation_group((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)), 8, (2, 4)),
+    ]
+    for elements, order, torsion in cases:
+        assert len(elements) == order
+        assert pk.abelianization_invariants(elements, _compose) == AbelianGroup(0, torsion)
+        # the answer does not depend on the order after the identity
+        reordered = elements[:1] + elements[:0:-1]
+        assert pk.abelianization_invariants(reordered, _compose) == AbelianGroup(0, torsion)
+    # Q8, unlike D4, has one element of order 2
+    assert sum(_compose(a, a) == q8[0] for a in q8[1:]) == 1
+    # in sorted order S4's first two non-identity elements, the
+    # transpositions (2 3) and (1 2), generate only S3, so the greedy
+    # generating set takes a third element although S4 is 2-generated
+    s4 = cases[3][0]
+    assert len(_permutation_group(s4[1], s4[2])) == 6
+
+
 def test_automorphism_group_matches_bijection_filter():
     # the old definition: every hom X -> X that is a bijection
     for classes in corpus_classes():
