@@ -736,24 +736,15 @@ def localize_aset(x, s_gens, name=None):
         raise UnsupportedBackend("localize finite-table based A-sets")
     loc, hom = localize_monoid(m, s_gens)
     s = multiplicative_set(m, s_gens)
-    nodes, pos, reps = fraction_classes(x.act, len(x.carrier), s)
-    ordered = sorted(set(reps))  # the zero class holds node 0 = (0, s[0])
-    cls_pos = {r: i for i, r in enumerate(ordered)}
-    fractions = [nodes[r] for r in ordered]
-    carrier = ["0"] + [
-        x.carrier[p] if t == m.one else f"{x.carrier[p]}/{m.elements[t]}"
-        for p, t in fractions[1:]
-    ]
-    # (a/s).(p/t) = (a.p)/(s t), with a/s the least fraction of each
+    fractions, carrier, cls = fraction_classes(m, s, x.act, x.carrier)
+    # (a/sv).(p/t) = (a.p)/(sv t), with a/sv the least fraction of each
     # element of the localized base
     action = [
-        [cls_pos[reps[pos[(x.act(a, p), m.table[sv][t])]]] for p, t in fractions]
+        [cls[(x.act(a, p), m.table[sv][t])] for p, t in fractions]
         for a, sv in loc.fractions
     ]
     xs = ASet(loc, carrier, action=action, name=name or f"{x.name}_S")
-    unit = ASetMorphism(
-        x, xs, [cls_pos[reps[pos[(p, m.one)]]] for p in range(len(x.carrier))]
-    )
+    unit = ASetMorphism(x, xs, [cls[(p, m.one)] for p in range(len(x.carrier))])
     report = validate_aset(xs)
     if not report.ok:
         raise ValidationError(f"localized action ill-defined: {report}")

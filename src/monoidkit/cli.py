@@ -117,15 +117,19 @@ def cmd_assprimes(args):
     return 0
 
 
-def _require_same_base(x, y):
-    if docs.monoid_to_doc(x.base) != docs.monoid_to_doc(y.base):
-        raise ValidationError("the two A-sets live over different bases")
+def _require_same_base(m, x, path):
+    """The A-set ``x``, loaded from ``path``, must live over the monoid
+    ``m``: a ValidationError naming the document otherwise."""
+    if docs.monoid_to_doc(x.base) != docs.monoid_to_doc(m):
+        raise ValidationError(
+            f"{path}: the A-set {x.name} lives over {x.base.name}, not over {m.name}"
+        )
 
 
 def cmd_hom(args):
     x = _load(args.source, "aset")
     y = _load(args.target, "aset")
-    _require_same_base(x, y)
+    _require_same_base(x.base, y, args.target)
     homs = ak.hom_enumerate(x, y)
     lines = [",".join(map(str, h.mapping)) for h in homs]
     _emit(args, {"count": len(homs), "maps": lines},
@@ -136,7 +140,7 @@ def cmd_hom(args):
 def cmd_tensor(args):
     x = _load(args.left, "aset")
     y = _load(args.right, "aset")
-    _require_same_base(x, y)
+    _require_same_base(x.base, y, args.right)
     t = ak.tensor(x, y)
     _emit(
         args,
@@ -190,8 +194,10 @@ def cmd_g0(args):
     if args.universe:
         for fname in sorted(os.listdir(args.universe)):
             if fname.endswith(".json"):
-                obj = _load(os.path.join(args.universe, fname))
+                path = os.path.join(args.universe, fname)
+                obj = _load(path)
                 if isinstance(obj, ak.ASet):
+                    _require_same_base(m, obj, path)
                     seeds.append(obj)
     if not seeds:
         seeds = [ak.aset_from_monoid(m)]
@@ -211,6 +217,7 @@ def cmd_g0(args):
 def cmd_devissage(args):
     m = _load(args.monoid, *MONOID)
     x = _load(args.aset, "aset")
+    _require_same_base(m, x, args.aset)
     ideal = _ideal_from_arg(m, args.ideal)
     rep = pk.devissage_check(m, sorted(ideal.elements), x)
     payload = {
@@ -337,7 +344,9 @@ def cmd_ext(args):
     m = _load(args.monoid, *MONOID)
     registry = {m.name: m}
     x = _load(args.quot, "aset", registry=registry)
+    _require_same_base(m, x, args.quot)
     y = _load(args.sub, "aset", registry=registry)
+    _require_same_base(m, y, args.sub)
     exts = ex.ext_enumerate(x, y)
     lines = [f"{len(exts)} extensions"]
     payload = {"count": len(exts), "phi": []}
@@ -359,6 +368,7 @@ def cmd_ext(args):
 def cmd_sqz(args):
     m = _load(args.monoid, *MONOID)
     x = _load(args.aset, "aset", registry={m.name: m})
+    _require_same_base(m, x, args.aset)
     results = ex.squarezero_enumerate(m, x)
     lines = [f"{len(results)} square-zero extensions"]
     payload = {"count": len(results), "cocycles": []}

@@ -651,81 +651,36 @@ def _require_table(m, op):
 # congruences, quotients, products
 
 
-@dataclass
-class MonoidCongruence:
-    """Equivalence on the element set closed under multiplication."""
-
-    base: FiniteMonoid
-    reps: list[int]  # representative index per element
-
-    def classes(self):
-        buckets = {}
-        for x, r in enumerate(self.reps):
-            buckets.setdefault(r, []).append(x)
-        return [sorted(v) for _, v in sorted(buckets.items())]
-
-    def validate(self):
-        m = self.base
-        n = len(m.elements)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self.reps[a] == self.reps[b]:
-                    for c in range(n):
-                        if self.reps[m.table[c][a]] != self.reps[m.table[c][b]]:
-                            raise NotACongruence(
-                                f"classes of {m.elements[a]},{m.elements[b]} break at "
-                                f"{m.elements[c]}"
-                            )
-
-
-def congruence_from_pairs(m, pairs):
-    """Congruence generated by element-index pairs."""
-    tables = [m.table[a] for a in m.nonzero()]
-    reps = _kernels.closure(len(m.elements), tables, list(pairs))
-    return MonoidCongruence(m, reps)
-
-
 def quotient(m, by):
     """Quotient by a congruence or by an ideal (elements sent to zero).
 
-    Returns (quotient monoid, projection hom).
+    A congruence on A is one of A acting on itself, as
+    ``congruence_closure(aset_from_monoid(m), pairs)`` returns it; an
+    ideal is a collection of elements (indices or names).  The quotient
+    is ``quotient_aset`` of A: classes are ordered by their least
+    elements and named after them, and a class multiplies by the action
+    row of any of its elements.  Returns (quotient monoid, projection).
     """
+    from . import asets
+
     _require_table(m, "quotient")
-    if isinstance(by, MonoidCongruence):
+    a = asets.aset_from_monoid(m)
+    if isinstance(by, asets.ASetCongruence):
+        if not asets._is_congruence(a.gen_tables(), by.reps):
+            raise NotACongruence(f"{by.classes()} is not a congruence of {m.name}")
         cong = by
-        cong.validate()
     else:
-        ideal = sorted(set(x if isinstance(x, int) else m.index_of(x) for x in by))
-        for x in ideal:
-            for a in m.indices():
-                if m.table[a][x] not in ideal:
-                    raise NotAnIdeal(
-                        f"{m.elements[m.table[a][x]]} escapes the ideal"
-                    )
+        ideal = {x if isinstance(x, int) else m.index_of(x) for x in by}
         if ZERO not in ideal:
             raise NotAnIdeal("an ideal must contain 0")
-        cong = congruence_from_pairs(m, [(x, ZERO) for x in ideal])
-
-    reps = cong.reps
-    zero_rep = reps[ZERO]
-    one_rep = reps[m.one]
-    if zero_rep == one_rep:
-        q = FiniteMonoid(f"{m.name}/~", ["0"], [[0]], [])
-        mapping = [0] * len(m.elements)
-        return q, MonoidHom(m, q, mapping)
-
-    # keep the base monoid's canonical order on representative indices
-    ordered = [zero_rep, one_rep] + sorted(set(reps) - {zero_rep, one_rep})
-    pos = {r: i for i, r in enumerate(ordered)}
-    elements = ["0"] + [m.elements[r] for r in ordered[1:]]
-    n = len(ordered)
-    table = [[0] * n for _ in range(n)]
-    for i, r in enumerate(ordered):
-        for j, s in enumerate(ordered):
-            table[i][j] = pos[reps[m.table[r][s]]]
-    q = FiniteMonoid(f"{m.name}/~", elements, table)
-    mapping = [pos[reps[x]] for x in m.indices()]
-    return q, MonoidHom(m, q, mapping)
+        escaped = asets.generated_subset(a, ideal) - ideal
+        if escaped:
+            raise NotAnIdeal(f"{m.elements[min(escaped)]} escapes the ideal")
+        cong = [(x, ZERO) for x in ideal]
+    q, proj = asets.quotient_aset(a, cong)
+    row = dict(zip(proj.mapping, q.action))
+    quot = FiniteMonoid(q.name, q.carrier, [row[i] for i in range(len(q.carrier))])
+    return quot, MonoidHom(m, quot, proj.mapping)
 
 
 def smash_product(a, b, name=None):
@@ -901,25 +856,42 @@ def multiplicative_set(m, s_gens):
     return sorted(m.submonoid_closure(s_gens))
 
 
-def fraction_classes(act, n, s):
-    """Fractions p/t of the carrier {0..n-1} at the sorted multiplicative
-    set ``s``, where ``act(a, p)`` is a.p: p/t = q/u iff v.u.p = v.t.q for
-    some v in s.
+def fraction_classes(m, s, act, names):
+    """Fractions p/t of the carrier {0..len(names)-1} at the sorted
+    multiplicative set ``s`` of ``m``, where ``act(a, p)`` is a.p and p/t
+    = q/u iff v.u.p = v.t.q for some v in s.  The one place that orders
+    and names fractions, of A and of its A-sets alike.
 
-    Returns (nodes, pos, reps): the nodes (p, t) in lexicographic order,
-    their positions, and each node's closure representative.  The closure
-    keeps each class's least index, so ``nodes[reps[i]]`` is the least
-    fraction of node i's class.
+    Returns the least fraction (p, t) of each class in lexicographic
+    order (the zero class, holding 0/t, first); the class names, "0" for
+    the zero class, ``names[p]`` for p/1 and ``names[p]/t`` otherwise;
+    and the map (p, t) -> class index.
+
+    s is finite, so the idempotent power e of the product of s lies in
+    v.s for every v in s, and e.t.t' = e for some t' in s.  Hence p/t =
+    q/u iff e.u.p = e.t.q iff e.t'.p = e.u'.q: the point e.t'.p keys
+    the class of p/t.
     """
-    nodes = [(p, t) for p in range(n) for t in s]
-    pos = {nd: i for i, nd in enumerate(nodes)}
-    pairs = []
-    for i, (p, t) in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            q, u = nodes[j]
-            if any(act(v, act(u, p)) == act(v, act(t, q)) for v in s):
-                pairs.append((i, j))
-    return nodes, pos, _kernels.closure(len(nodes), [], pairs)
+    x = m.one
+    for t in s:
+        x = m.table[x][t]
+    e = x
+    while m.table[e][e] != e:
+        e = m.table[e][x]
+    inverse = {t: next(v for v in s if m.table[e][m.table[t][v]] == e) for t in s}
+    fractions, cls, index = [], {}, {}
+    for p in range(len(names)):
+        for t in s:
+            key = act(m.table[e][inverse[t]], p)
+            if key not in index:
+                index[key] = len(fractions)
+                fractions.append((p, t))
+            cls[(p, t)] = index[key]
+    carrier = ["0"] + [
+        names[p] if t == m.one else f"{names[p]}/{m.elements[t]}"
+        for p, t in fractions[1:]
+    ]
+    return fractions, carrier, cls
 
 
 def localize(m, s_gens, name=None):
@@ -928,33 +900,19 @@ def localize(m, s_gens, name=None):
     Returns (localized monoid, canonical hom a -> a/1).  An explicitly
     zero generator raises ZeroInS; a set whose closure reaches zero
     collapses everything to the zero monoid.  Element i of the result is
-    the class of its least fraction ``fractions[i]`` = (a, t), named a/t.
+    the class of its least fraction ``fractions[i]``, named as
+    ``fraction_classes`` names it.
     """
     _require_table(m, "localize")
     s = multiplicative_set(m, s_gens)
-    if ZERO in s:
-        q = FiniteMonoid(name or f"{m.name}_loc", ["0"], [[0]], [])
-        q.fractions = [(ZERO, s[0])]
-        return q, MonoidHom(m, q, [0] * len(m.elements))
-
-    nodes, pos, reps = fraction_classes(m.mul, len(m.elements), s)
-    zero_rep = reps[pos[(ZERO, s[0])]]
-    one_rep = reps[pos[(m.one, m.one)]]  # 1 is always in the closure
-    ordered = [zero_rep, one_rep] + sorted(set(reps) - {zero_rep, one_rep})
-    rename = {r: i for i, r in enumerate(ordered)}
-    fractions = [nodes[r] for r in ordered]
-    names = ["0", "1"] + [
-        m.elements[a] if t == m.one else f"{m.elements[a]}/{m.elements[t]}"
-        for a, t in fractions[2:]
-    ]
+    fractions, names, cls = fraction_classes(m, s, m.mul, m.elements)
     table = [
-        [rename[reps[pos[(m.table[a][b], m.table[t][u])]]] for b, u in fractions]
+        [cls[(m.table[a][b], m.table[t][u])] for b, u in fractions]
         for a, t in fractions
     ]
     loc = FiniteMonoid(name or f"{m.name}_loc", names, table)
     loc.fractions = fractions
-    hom = MonoidHom(m, loc, [rename[reps[pos[(a, m.one)]]] for a in m.indices()])
-    return loc, hom
+    return loc, MonoidHom(m, loc, [cls[(a, m.one)] for a in m.indices()])
 
 
 def is_zero_prime(m):

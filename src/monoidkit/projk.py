@@ -327,7 +327,11 @@ class G0Result:
 def _closed_universe(seeds, middle_bound):
     """Close under A-subsets and subset-quotients; dedupe up to iso.
 
-    A seed with more than ``middle_bound`` nonzero points raises
+    Returns (key, representative, pieces) per class in key order, where
+    ``pieces`` holds the (sub key, quotient key) pair of each A-subset of
+    the representative, so every canonical key is taken once.  The
+    representative is the first A-set of its class taken off the work
+    stack.  A seed with more than ``middle_bound`` nonzero points raises
     ``BoundExceeded``; sub-objects and quotients are never larger than
     the A-set they come from, so no other A-set can pass the bound.
     """
@@ -338,24 +342,22 @@ def _closed_universe(seeds, middle_bound):
                 f"past the bound {middle_bound}"
             )
     classes = {}
-    order = []
-    work = list(seeds)
+    work = [(ak.canonical_key(x), x) for x in seeds]
     while work:
-        x = work.pop()
-        key = ak.canonical_key(x)
+        key, x = work.pop()
         if key in classes:
             continue
-        classes[key] = x
-        order.append(key)
+        pieces = []
         for sub in ak.enumerate_asubsets(x, bound=middle_bound + 1):
-            work.append(ak.sub_aset(x, sub))
-            q, _ = ak.quotient_by_subset(x, sub)
-            work.append(q)
-    order.sort()
-    return [(key, classes[key]) for key in order]
+            parts = [ak.sub_aset(x, sub), ak.quotient_by_subset(x, sub)[0]]
+            keys = [ak.canonical_key(y) for y in parts]
+            pieces.append(tuple(keys))
+            work.extend(zip(keys, parts))
+        classes[key] = (x, pieces)
+    return [(key, *classes[key]) for key in sorted(classes)]
 
 
-def g0(m_or_seeds, universe=None, middle_bound=6):
+def g0(seeds, middle_bound=6):
     """Grothendieck-style group on a closed universe of A-sets.
 
     One relation [X] = [X'] + [X/X'] per A-subset X' of each class
@@ -363,29 +365,22 @@ def g0(m_or_seeds, universe=None, middle_bound=6):
     such a relation (the image of the left map is an A-subset).  The
     result is an approximation from below, reported with a universe hash.
     """
-    if universe is None:
-        seeds = m_or_seeds
-    else:
-        seeds = universe
     closed = _closed_universe(seeds, middle_bound)
-    index = {key: i for i, (key, _) in enumerate(closed)}
+    index = {key: i for i, (key, _, _) in enumerate(closed)}
     rels = []
-    for key, x in closed:
-        xi = index[key]
-        for sub in ak.enumerate_asubsets(x, bound=middle_bound + 1):
-            s = ak.sub_aset(x, sub)
-            q, _ = ak.quotient_by_subset(x, sub)
+    for i, (_, _, pieces) in enumerate(closed):
+        for sub_key, quotient_key in pieces:
             row = [0] * len(closed)
-            row[xi] += 1
-            row[index[ak.canonical_key(s)]] -= 1
-            row[index[ak.canonical_key(q)]] -= 1
+            row[i] += 1
+            row[index[sub_key]] -= 1
+            row[index[quotient_key]] -= 1
             rels.append(row)
-    labels = [x.name or f"X{i}" for i, (_, x) in enumerate(closed)]
-    blob = repr([key for key, _ in closed]).encode()
+    labels = [x.name or f"X{i}" for i, (_, x, _) in enumerate(closed)]
+    blob = repr([key for key, _, _ in closed]).encode()
     return G0Result(
         presentation=GroupPresentation(len(closed), rels, generator_labels=labels),
         class_labels=labels,
-        class_reps=[x for _, x in closed],
+        class_reps=[x for _, x, _ in closed],
         universe_hash=hashlib.sha256(blob).hexdigest()[:16],
         class_index=index,
     )

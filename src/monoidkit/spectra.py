@@ -20,7 +20,7 @@ from .asets import (
     generated_subset,
 )
 from .errors import ImproperIdeal, OracleMismatch
-from .monoids import FiniteMonoid, ZERO, nilpotents, quotient as monoid_quotient
+from .monoids import FiniteMonoid, ZERO, nilpotents
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,20 @@ def radical(m, ideal):
 
 
 def is_primary(m, ideal):
-    """Every zero divisor of the quotient is nilpotent there."""
+    """Every zero divisor modulo the ideal lies in its radical.
+
+    This is primary in the quotient's terms without building it: a is a
+    zero divisor of A/I when a and some b lie outside I and ab lies in
+    I, and a is nilpotent in A/I exactly when some power of a lies in I.
+    """
     els = _elements(ideal)
     if m.one in els:
         raise ImproperIdeal("primary ideals are proper")
-    q, hom = monoid_quotient(m, sorted(els))
-    nilp = set(nilpotents(q))
-    for a in q.nonzero():
-        if any(q.table[a][b] == ZERO for b in q.nonzero()):
-            if a not in nilp:
-                return False
-    return True
+    rad = radical(m, els).elements
+    outside = [a for a in m.indices() if a not in els]
+    return all(
+        a in rad or all(m.table[a][b] not in els for b in outside) for a in outside
+    )
 
 
 def mspec(m):

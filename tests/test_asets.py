@@ -694,6 +694,32 @@ def test_canonical_theta_key_is_the_first_map_of_the_class():
             ak.canonical_theta_key(theta)
 
 
+def test_fraction_classes_match_their_definition():
+    # oracle: p/t and q/u share a class iff v.u.p = v.t.q for some v in S,
+    # tried on every pair of fractions, for every multiplicative set of
+    # each corpus monoid and X = A or an A-set class of carrier <= 4; each
+    # class is listed by its least fraction, in lexicographic order
+    checked = 0
+    for m in corpus_monoids():
+        regular = ak.aset_from_monoid(m)
+        classes = [regular] + [x for c in range(1, 5) for x in ak.enumerate_asets(m, c)]
+        sets = {
+            tuple(mk.multiplicative_set(m, list(g)))
+            for k in range(len(m.elements)) for g in itertools.combinations(m.nonzero(), k)
+        }
+        for s in sorted(sets):
+            for x in classes:
+                fractions, _, cls = mk.fraction_classes(m, list(s), x.act, x.carrier)
+                nodes = sorted(cls)
+                for (p, t), (q, u) in itertools.combinations(nodes, 2):
+                    related = any(x.act(v, x.act(u, p)) == x.act(v, x.act(t, q)) for v in s)
+                    assert (cls[(p, t)] == cls[(q, u)]) == related, (m.name, s, x.action)
+                assert fractions == [min(nd for nd in nodes if cls[nd] == i)
+                                     for i in range(len(fractions))]
+                checked += 1
+    assert checked == 2002
+
+
 def test_localization_sweep():
     # every S generated by at most two nonzero elements of each small corpus
     # monoid: A_S is A localized as an A-set, the unit map X -> X_S is

@@ -251,6 +251,48 @@ def test_every_document_subcommand_checks_its_kind():
     )
 
 
+LINE2_REG = doc("asets", "line2-regular.json")
+LINE3_REG = doc("asets", "line3-regular.json")
+LINE2_DOC = doc("monoids", "line2.json")
+
+# (argv, the A-set document over the wrong base, its name, its base, the monoid)
+WRONG_BASE = [
+    (["devissage", MONOID_DOC, "--ideal", "x", "--aset", LINE2_REG],
+     LINE2_REG, "reg2", "line2", "line3"),
+    (["devissage", LINE2_DOC, "--ideal", "x", "--aset", LINE3_REG],
+     LINE3_REG, "reg3", "line3", "line2"),
+    (["ext", MONOID_DOC, "--quot", LINE2_REG, "--sub", LINE3_REG],
+     LINE2_REG, "reg2", "line2", "line3"),
+    (["ext", MONOID_DOC, "--quot", LINE3_REG, "--sub", LINE2_REG],
+     LINE2_REG, "reg2", "line2", "line3"),
+    (["sqz", MONOID_DOC, "--aset", LINE2_REG], LINE2_REG, "reg2", "line2", "line3"),
+    (["sqz", LINE2_DOC, "--aset", ASET_DOC], ASET_DOC, "tchain", "N", "line2"),
+    (["g0", MONOID_DOC, "--universe", doc("asets")], LINE2_REG, "reg2", "line2", "line3"),
+    (["hom", LINE2_REG, LINE3_REG], LINE3_REG, "reg3", "line3", "line2"),
+    (["tensor", LINE3_REG, LINE2_REG], LINE2_REG, "reg2", "line2", "line3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, path, aset, base, monoid", WRONG_BASE,
+    ids=[f"{a[0]}-{i}" for i, (a, *_) in enumerate(WRONG_BASE)],
+)
+def test_an_aset_over_the_wrong_base_exits_2(capsys, argv, path, aset, base, monoid):
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {path}: the A-set {aset} lives over {base}, not over {monoid}\n"
+    )
+
+
+def test_g0_universe_over_the_right_base_runs(tmp_path):
+    # line3's own regular A-set is accepted, and gives the seedless answer
+    with open(LINE3_REG) as src:
+        (tmp_path / "line3-regular.json").write_text(src.read())
+    expected = run(["g0", MONOID_DOC])
+    assert expected == (0, "Z\nuniverse 627b899c96f7921a\n")
+    assert run(["g0", MONOID_DOC, "--universe", str(tmp_path)]) == expected
+
+
 def test_g0_seed_past_the_bound_exits_3(capsys):
     assert run(["g0", MONOID_DOC, "--bound", "2"]) == (3, "")
     assert capsys.readouterr().err == (

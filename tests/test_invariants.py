@@ -307,7 +307,12 @@ def _relabeled_monoid(m, s):
 def _spectral_invariants(m):
     ideals = sp.all_ideals(m)
     primes = sp.mspec(m)
+    universe = pk.g0([ak.aset_from_monoid(m)], middle_bound=len(m.elements))
     return (
+        sorted(len(mk.quotient(m, i.sorted_elements())[0].elements) for i in ideals),
+        sorted(len(mk.localize(m, [a])[0].elements) for a in m.nonzero()),
+        universe.invariants(),
+        len(universe.class_reps),
         len(ideals),
         sorted(len(p.elements) for p in primes),
         sp.dimension(m),
@@ -326,10 +331,12 @@ def _spectral_invariants(m):
 def test_spectra_survive_every_relabeling():
     """Every relabeling of the elements other than 0 and 1 of the corpus
     monoids with 3 to 5 elements (33 relabelings, the identity among
-    them), generators moved along, keeps the number of proper ideals, the
-    prime sizes, the dimension, for each proper ideal the sizes of its
-    primary components and the number of its associated primes, and the
-    groups K0 and K1."""
+    them), generators moved along, keeps the sizes of the quotients A/I
+    over the proper ideals I, the sizes of the localizations at each
+    nonzero element, G0 of the universe A generates and its class count,
+    the number of proper ideals, the prime sizes, the dimension, for each
+    proper ideal the sizes of its primary components and the number of
+    its associated primes, and the groups K0 and K1."""
     checked = 0
     for m in corpus_monoids(max_size=5):
         n = len(m.elements)
@@ -446,4 +453,48 @@ def test_asubset_constructions_are_pinned():
     assert classes == 61
     assert digest.hexdigest() == (
         "e35cfaea2b6ae967e0f7722e0b6795886a98832e68ac6042c1b43d83d6163aa0"
+    )
+
+
+def test_quotients_and_fractions_are_pinned():
+    """One sha256 over the quotients and fractions of every corpus
+    finite-table monoid: A/I for each proper ideal I and A/~ for the
+    congruence each pair of elements generates (186 quotients), A_S for
+    each S generated by at most two nonzero elements (145 localizations),
+    and X_S for the same S and each X among A and the A-set classes of
+    carrier <= 3 (1,226 A-set localizations); names, elements, tables,
+    generators, fractions and maps.  The digest was taken while monoid
+    congruences, quotients and fractions still had their own code in
+    ``monoids``, before they moved onto ``congruence_closure``,
+    ``quotient_aset`` and the one ``fraction_classes``."""
+    digest = hashlib.sha256()
+
+    def put(*parts):
+        digest.update(repr(parts).encode() + b"\n")
+
+    def put_monoid(q, hom):
+        put(q.name, q.elements, q.table, q.generators, getattr(q, "fractions", None),
+            hom.mapping)
+
+    counts = [0, 0, 0]
+    for m in corpus_monoids():
+        a = ak.aset_from_monoid(m)
+        for i in sp.all_ideals(m):
+            put_monoid(*mk.quotient(m, i.sorted_elements()))
+            counts[0] += 1
+        for pair in itertools.combinations(m.indices(), 2):
+            put_monoid(*mk.quotient(m, ak.congruence_closure(a, [pair])))
+            counts[0] += 1
+        classes = [a] + [x for c in range(1, 4) for x in ak.enumerate_asets(m, c)]
+        for k in range(3):
+            for s in itertools.combinations(m.nonzero(), k):
+                put_monoid(*mk.localize(m, list(s)))
+                counts[1] += 1
+                for x in classes:
+                    xs, hom, unit = ak.localize_aset(x, list(s))
+                    put(xs.name, xs.carrier, xs.action, hom.mapping, unit.mapping)
+                    counts[2] += 1
+    assert counts == [186, 145, 1226]
+    assert digest.hexdigest() == (
+        "2cb74ff7936354ed3d5c67241c152f0a767615f72dd15fea7c194a66d5de5f33"
     )

@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monoidkit import asets as ak
 from monoidkit import monoids as mk
-from monoidkit.errors import BoundExceeded, ValidationError, ZeroInS, ZeroNotPrime
+from monoidkit.errors import (
+    BoundExceeded,
+    NotACongruence,
+    NotAnIdeal,
+    ValidationError,
+    ZeroInS,
+    ZeroNotPrime,
+)
 
 
 def F1():
@@ -173,7 +181,7 @@ def test_quotient_by_congruence():
     m = mk.build_from_presentation(["x"], [("x^3", "x")])
     x = m.index_of("x")
     x2 = m.index_of("x^2")
-    cong = mk.congruence_from_pairs(m, [(x2, x)])
+    cong = ak.congruence_closure(ak.aset_from_monoid(m), [(x2, x)])
     q, hom = mk.quotient(m, cong)
     assert sorted(q.elements) == ["0", "1", "x"]
     xq = q.index_of("x")
@@ -183,8 +191,8 @@ def test_quotient_by_congruence():
 def test_quotient_congruence_collapse_to_zero():
     # over F1[x]/(x^3), merging x^2 with x drags x to 0 by closure
     m = truncated_line(3)
-    cong = mk.congruence_from_pairs(m, [(m.index_of("x^2"), m.index_of("x"))])
-    q, _ = mk.quotient(m, cong)
+    pair = (m.index_of("x^2"), m.index_of("x"))
+    q, _ = mk.quotient(m, ak.congruence_closure(ak.aset_from_monoid(m), [pair]))
     assert q.elements == ["0", "1"]
 
 
@@ -194,6 +202,32 @@ def test_quotient_by_ideal():
     assert sorted(q.elements) == ["0", "1", "x"]
     xq = q.index_of("x")
     assert q.mul(xq, xq) == 0
+
+
+def test_quotient_by_a_set_that_is_no_ideal_raises():
+    m = truncated_line(3)
+    x, x2 = m.index_of("x"), m.index_of("x^2")
+    with pytest.raises(NotAnIdeal, match="an ideal must contain 0"):
+        mk.quotient(m, [x2])
+    with pytest.raises(NotAnIdeal, match="x\\^2 escapes the ideal"):
+        mk.quotient(m, [0, x])
+    with pytest.raises(NotAnIdeal, match="must contain 0"):
+        mk.quotient(m, [])
+    # names work as well as indices
+    q, _ = mk.quotient(m, ["0", "x^2"])
+    assert q.elements == ["0", "1", "x"]
+
+
+def test_quotient_by_a_partition_that_is_no_congruence_raises():
+    m = truncated_line(3)
+    x, x2 = m.index_of("x"), m.index_of("x^2")
+    reps = list(range(len(m.elements)))
+    reps[x2] = 1  # x^2 ~ 1, but x.x^2 = 0 and x.1 = x stay apart
+    with pytest.raises(NotACongruence):
+        mk.quotient(m, ak.ASetCongruence(ak.aset_from_monoid(m), reps))
+    reps[x2], reps[x] = 0, 0  # x ~ x^2 ~ 0 is the ideal (x)
+    q, hom = mk.quotient(m, ak.ASetCongruence(ak.aset_from_monoid(m), reps))
+    assert q.elements == ["0", "1"] and hom.mapping == [0, 1, 0, 0]
 
 
 # -- products ----------------------------------------------------------------
