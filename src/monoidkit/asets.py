@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import (
     BoundExceeded,
+    NotACongruence,
     NotAES,
     NotASubset,
     OracleMismatch,
@@ -341,10 +342,22 @@ def congruence_closure_naive(x, pairs):
     return ASetCongruence(x, reps)
 
 
+def _require_labels(x, reps):
+    """A congruence on ``x`` labels each point with a point of ``x``:
+    ``NotACongruence`` for labels of another length or out of range."""
+    n = len(x.carrier)
+    if len(reps) != n or not all(0 <= r < n for r in reps):
+        raise NotACongruence(
+            f"a congruence on {x.name} labels each of its {n} points with "
+            f"one of them, not {reps}"
+        )
+
+
 def quotient_aset(x, cong_or_pairs, name=None):
     """Quotient by a congruence; returns (Q, projection)."""
     if isinstance(cong_or_pairs, ASetCongruence):
         cong = cong_or_pairs
+        _require_labels(x, cong.reps)
     else:
         cong = congruence_closure(x, cong_or_pairs)
     reps = cong.reps

@@ -15,17 +15,12 @@ import sys
 
 from . import asets as ak
 from . import documents as docs
-from . import extensions as ex
-from . import geometry as gm
-from . import homological as hml
-from . import projk as pk
-from . import spectra as sp
-from . import torreal as tr
 from .errors import BoundExceeded, HypothesisViolated, MonoidKitError, ValidationError
 from .monoids import (
     FiniteMonoid,
     MonogenicMonoid,
     generator_names,
+    same_monoid,
     validate as validate_monoid,
 )
 
@@ -65,6 +60,8 @@ def _indices_from_arg(names, arg, what):
 
 
 def _ideal_from_arg(m, arg):
+    from . import spectra as sp
+
     return sp.ideal_generated(
         m, _indices_from_arg(m.elements, arg, f"an element of the monoid {m.name}")
     )
@@ -79,12 +76,15 @@ def cmd_validate(args):
         report = validate_monoid(obj)
     elif isinstance(obj, ak.ASet):
         report = ak.validate_aset(obj)
-    elif isinstance(obj, hml.DaComplex):
-        report = hml.validate_dacomplex(obj)
-    elif isinstance(obj, hml.TruncSimplicialASet):
-        report = hml.validate_simplicial(obj)
     else:
-        report = None
+        from . import homological as hml  # loaded already if obj is a complex
+
+        if isinstance(obj, hml.DaComplex):
+            report = hml.validate_dacomplex(obj)
+        elif isinstance(obj, hml.TruncSimplicialASet):
+            report = hml.validate_simplicial(obj)
+        else:
+            report = None
     ok = report.ok if report is not None else True
     _emit(args, {"valid": ok, "violations": str(report) if report else "valid"},
           ["valid" if ok else f"invalid: {report}"])
@@ -92,6 +92,8 @@ def cmd_validate(args):
 
 
 def cmd_spec(args):
+    from . import spectra as sp
+
     m = _load(args.monoid, *MONOID)
     primes = sp.mspec(m)
     lines = [str(p) for p in primes]
@@ -100,6 +102,8 @@ def cmd_spec(args):
 
 
 def cmd_primary(args):
+    from . import spectra as sp
+
     m = _load(args.monoid, *MONOID)
     ideal = _ideal_from_arg(m, args.ideal)
     comps = sp.primary_decomposition(m, ideal)
@@ -109,6 +113,8 @@ def cmd_primary(args):
 
 
 def cmd_assprimes(args):
+    from . import spectra as sp
+
     m = _load(args.monoid, *MONOID)
     ideal = _ideal_from_arg(m, args.ideal)
     primes = sp.associated_primes(m, ideal)
@@ -120,7 +126,7 @@ def cmd_assprimes(args):
 def _require_same_base(m, x, path):
     """The A-set ``x``, loaded from ``path``, must live over the monoid
     ``m``: a ValidationError naming the document otherwise."""
-    if docs.monoid_to_doc(x.base) != docs.monoid_to_doc(m):
+    if not same_monoid(x.base, m):
         raise ValidationError(
             f"{path}: the A-set {x.name} lives over {x.base.name}, not over {m.name}"
         )
@@ -170,6 +176,8 @@ def cmd_splitcheck(args):
 
 
 def cmd_k0(args):
+    from . import projk as pk
+
     m = _load(args.monoid, *MONOID)
     ring = pk.k0(m)
     lines = [str(ring.invariants())]
@@ -182,6 +190,8 @@ def cmd_k0(args):
 
 
 def cmd_k1(args):
+    from . import projk as pk
+
     m = _load(args.monoid, *MONOID)
     pres = pk.k1(m)
     _emit(args, {"group": str(pres.invariants())}, [str(pres.invariants())])
@@ -189,6 +199,8 @@ def cmd_k1(args):
 
 
 def cmd_g0(args):
+    from . import projk as pk
+
     m = _load(args.monoid, *MONOID)
     seeds = []
     if args.universe:
@@ -215,6 +227,8 @@ def cmd_g0(args):
 
 
 def cmd_devissage(args):
+    from . import projk as pk
+
     m = _load(args.monoid, *MONOID)
     x = _load(args.aset, "aset")
     _require_same_base(m, x, args.aset)
@@ -230,6 +244,8 @@ def cmd_devissage(args):
 
 
 def cmd_homology(args):
+    from . import homological as hml
+
     comp = _load(args.complex, "dacomplex")
     degrees = [args.degree] if args.degree is not None else list(
         range(comp.min_degree, comp.top_degree + 1)
@@ -245,6 +261,8 @@ def cmd_homology(args):
 
 
 def cmd_resolve(args):
+    from . import homological as hml
+
     x = _load(args.aset, "aset")
     if isinstance(x.base, MonogenicMonoid):
         comp, eps = hml.free_resolution_monogenic(x)
@@ -265,6 +283,8 @@ def cmd_resolve(args):
 
 
 def cmd_moore(args):
+    from . import homological as hml
+
     sset = _load(args.simplicial, "simplicial")
     comp = hml.moore(sset)
     sizes = [len(l.carrier) for l in comp.levels]
@@ -273,6 +293,8 @@ def cmd_moore(args):
 
 
 def cmd_dk(args):
+    from . import homological as hml
+
     comp = _load(args.complex, "dacomplex")
     sset = hml.dold_kan_inverse(comp, args.trunc)
     report = hml.validate_simplicial(sset)
@@ -287,6 +309,8 @@ def cmd_dk(args):
 
 
 def cmd_adjcheck(args):
+    from . import homological as hml
+
     comp = _load(args.complex, "dacomplex")
     sset = _load(args.simplicial, "simplicial")
     rep = hml.adjunction_check(comp, sset)
@@ -301,6 +325,8 @@ def cmd_adjcheck(args):
 
 
 def cmd_tor1(args):
+    from . import torreal as tr
+
     x = _load(args.aset, "aset")
     if not isinstance(x.base, MonogenicMonoid):
         raise HypothesisViolated("monogenic base required")
@@ -322,6 +348,8 @@ def cmd_tor1(args):
 
 
 def cmd_chainhom(args):
+    from . import torreal as tr
+
     sset = _load(args.simplicial, "simplicial")
     chain = tr.chain_of_simplicial(sset)
     degrees = [args.degree] if args.degree is not None else list(
@@ -341,6 +369,8 @@ def cmd_chainhom(args):
 
 
 def cmd_ext(args):
+    from . import extensions as ex
+
     m = _load(args.monoid, *MONOID)
     registry = {m.name: m}
     x = _load(args.quot, "aset", registry=registry)
@@ -366,6 +396,8 @@ def cmd_ext(args):
 
 
 def cmd_sqz(args):
+    from . import extensions as ex
+
     m = _load(args.monoid, *MONOID)
     x = _load(args.aset, "aset", registry={m.name: m})
     _require_same_base(m, x, args.aset)
@@ -396,6 +428,8 @@ def cmd_sqz(args):
 
 
 def cmd_cl(args):
+    from . import geometry as gm
+
     scheme = _load(args.scheme, "scheme")
     pres = gm.class_group(scheme)
     _emit(args, {"group": str(pres.invariants())}, [str(pres.invariants())])
@@ -403,6 +437,8 @@ def cmd_cl(args):
 
 
 def cmd_pic(args):
+    from . import geometry as gm
+
     scheme = _load(args.scheme, "scheme")
     group = gm.pic(scheme)
     _emit(args, {"group": str(group)}, [str(group)])
@@ -410,6 +446,8 @@ def cmd_pic(args):
 
 
 def cmd_normalize(args):
+    from . import geometry as gm
+
     aff = _load(args.monoid, "affine")
     if aff.is_pc_quotient:
         comps = gm.normalize_pc(aff)

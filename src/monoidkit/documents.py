@@ -7,15 +7,14 @@ from __future__ import annotations
 import json
 
 from . import asets as ak
-from . import homological as hm
 from .errors import ValidationError
-from .geometry import GluedScheme
 from .monoids import (
     AffineMonoid,
     FiniteMonoid,
     MonogenicMonoid,
     build_from_presentation,
     generator_names,
+    monoid_to_doc,
     validate as validate_monoid,
 )
 
@@ -87,35 +86,6 @@ def parse_monoid(doc):
     raise ValidationError(f"unknown monoid kind {kind!r}")
 
 
-def monoid_to_doc(m):
-    if isinstance(m, FiniteMonoid):
-        return {
-            "kind": "finite-table",
-            "name": m.name,
-            "elements": list(m.elements),
-            "mul": [list(r) for r in m.table],
-            "generators": [m.elements[g] for g in m.generators],
-        }
-    if isinstance(m, MonogenicMonoid):
-        return {"kind": "monogenic", "name": m.name, "generator": m.generator_name}
-    if isinstance(m, AffineMonoid):
-        doc = {
-            "kind": "affine",
-            "name": m.name,
-            "rank": m.rank,
-            "generators": [list(g) for g in m.generators],
-            "degree_bound": m.degree_bound,
-        }
-        if m.unit_orders:
-            doc["unit_group"] = list(m.unit_orders)
-        if m.unit_tags is not None:
-            doc["unit_tags"] = [list(t) for t in m.unit_tags]
-        if m.monomial_ideal:
-            doc["monomial_ideal"] = [list(v) for v in m.monomial_ideal]
-        return doc
-    raise ValidationError(f"cannot serialize {type(m).__name__}")
-
-
 def parse_aset(doc, registry=None):
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -157,6 +127,8 @@ def aset_to_doc(x):
 
 
 def parse_dacomplex(doc, registry=None):
+    from . import homological as hm
+
     if isinstance(doc, str):
         doc = json.loads(doc)
     _check_fields(doc, {"kind", "name", "levels", "r", "s"}, "dacomplex")
@@ -176,6 +148,8 @@ def parse_dacomplex(doc, registry=None):
 
 
 def parse_simplicial(doc, registry=None):
+    from . import homological as hm
+
     if isinstance(doc, str):
         doc = json.loads(doc)
     _check_fields(
@@ -213,6 +187,8 @@ def simplicial_to_doc(sset, name="S"):
 
 
 def parse_scheme(doc):
+    from .geometry import GluedScheme
+
     if isinstance(doc, str):
         doc = json.loads(doc)
     _check_fields(

@@ -302,6 +302,46 @@ def _pack(vec, radix):
 
 
 # ---------------------------------------------------------------------------
+# defining data
+
+
+def monoid_to_doc(m):
+    """The defining data of ``m`` as a JSON document (the document kinds
+    ``finite-table``, ``monogenic`` and ``affine``)."""
+    if isinstance(m, FiniteMonoid):
+        return {
+            "kind": "finite-table",
+            "name": m.name,
+            "elements": list(m.elements),
+            "mul": [list(r) for r in m.table],
+            "generators": [m.elements[g] for g in m.generators],
+        }
+    if isinstance(m, MonogenicMonoid):
+        return {"kind": "monogenic", "name": m.name, "generator": m.generator_name}
+    if isinstance(m, AffineMonoid):
+        doc = {
+            "kind": "affine",
+            "name": m.name,
+            "rank": m.rank,
+            "generators": [list(g) for g in m.generators],
+            "degree_bound": m.degree_bound,
+        }
+        if m.unit_orders:
+            doc["unit_group"] = list(m.unit_orders)
+        if m.unit_tags is not None:
+            doc["unit_tags"] = [list(t) for t in m.unit_tags]
+        if m.monomial_ideal:
+            doc["monomial_ideal"] = [list(v) for v in m.monomial_ideal]
+        return doc
+    raise ValidationError(f"cannot serialize {type(m).__name__}")
+
+
+def same_monoid(a, b):
+    """Whether ``a`` and ``b`` have the same defining data, name included."""
+    return a is b or monoid_to_doc(a) == monoid_to_doc(b)
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -666,6 +706,7 @@ def quotient(m, by):
     _require_table(m, "quotient")
     a = asets.aset_from_monoid(m)
     if isinstance(by, asets.ASetCongruence):
+        asets._require_labels(a, by.reps)
         if not asets._is_congruence(a.gen_tables(), by.reps):
             raise NotACongruence(f"{by.classes()} is not a congruence of {m.name}")
         cong = by

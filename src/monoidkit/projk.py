@@ -9,16 +9,22 @@ of A-sets whose relations come from subset/quotient exact sequences.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
 from . import asets as ak
 from . import spectra as sp
 from .abgroup import AbelianGroup, GroupPresentation
-from .errors import BoundExceeded, NotNilpotent, OracleMismatch
-from .monoids import FiniteMonoid, ZERO, idempotents, quotient as monoid_quotient, units
-from .monoids import localize
+from .errors import BoundExceeded, NotNilpotent, OracleMismatch, ValidationError
+from .monoids import (
+    FiniteMonoid,
+    ZERO,
+    idempotents,
+    localize,
+    quotient as monoid_quotient,
+    same_monoid,
+    units,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +370,16 @@ def g0(seeds, middle_bound=6):
     representative X; every admissible exact sequence with middle X gives
     such a relation (the image of the left map is an A-subset).  The
     result is an approximation from below, reported with a universe hash.
+    The seeds must live over one monoid: a ValidationError otherwise.
     """
+    import hashlib
+
+    for x in seeds[1:]:
+        if not same_monoid(x.base, seeds[0].base):
+            raise ValidationError(
+                f"G0 seeds over different monoids: {seeds[0].name} lives over "
+                f"{seeds[0].base.name}, {x.name} over {x.base.name}"
+            )
     closed = _closed_universe(seeds, middle_bound)
     index = {key: i for i, (key, _, _) in enumerate(closed)}
     rels = []
@@ -404,6 +419,10 @@ class DevissageReport:
 
 def devissage_check(m, ideal_elements, x, middle_bound=6):
     """[X] = sum of the filtration quotients [I^i X / I^{i+1} X] in G0."""
+    if not same_monoid(x.base, m):
+        raise ValidationError(
+            f"the A-set {x.name} lives over {x.base.name}, not over {m.name}"
+        )
     ideal = sorted(set(ideal_elements) | {ZERO})
     power = set(ideal)
     nilpotency = 1

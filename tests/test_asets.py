@@ -8,7 +8,13 @@ from test_acceptance import corpus_monoids
 from monoidkit import _kernels
 from monoidkit import asets as ak
 from monoidkit import monoids as mk
-from monoidkit.errors import BoundExceeded, NotAES, NotASubset, ValidationError
+from monoidkit.errors import (
+    BoundExceeded,
+    NotACongruence,
+    NotAES,
+    NotASubset,
+    ValidationError,
+)
 
 
 def F1():
@@ -747,3 +753,12 @@ def test_localization_sweep():
     assert digest.hexdigest() == (
         "84fe5400e1b90dd8a1232f20a706e50a31236e0f0e3581e2b62f4f42a41941aa"
     )
+
+
+@pytest.mark.parametrize("reps", [[0, 1], [0, 1, 2, 3, 3], [0, 1, 2, -1]])
+def test_quotient_aset_by_labels_of_the_wrong_shape_raises(reps):
+    """A congruence of another length, or with a label that is no point of
+    X, is refused before the quotient is built."""
+    x = ak.aset_from_monoid(line(3))
+    with pytest.raises(NotACongruence, match="labels each of its 4 points"):
+        ak.quotient_aset(x, ak.ASetCongruence(x, reps))

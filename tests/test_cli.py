@@ -38,6 +38,34 @@ def standalone(argv, **env):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# the operation modules a subcommand imports when it runs, and what they pull in
+LAZY = ["monoidkit.extensions", "monoidkit.geometry", "monoidkit.homological",
+        "monoidkit.projk", "monoidkit.spectra", "monoidkit.torreal", "hashlib"]
+
+
+def loaded_by(code):
+    """Which of ``LAZY`` a fresh process loads while it runs ``code``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = (f"import sys\nbefore = set(sys.modules)\n{code}\n"
+             f"import json\nprint(json.dumps(sorted(set({LAZY!r}) & set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_operation_module():
+    assert loaded_by("import monoidkit.cli") == set()
+
+
+def test_a_subcommand_loads_only_its_operation_modules():
+    argv = ["k0", doc("monoids", "idem2.json")]
+    loaded = loaded_by(f"from monoidkit import cli\ncli.main({argv!r}, standalone=False)")
+    assert "monoidkit.projk" in loaded
+    assert not loaded & {"monoidkit.torreal", "monoidkit.extensions"}
+
+
 def test_spec_idem2():
     code, out = run(["spec", doc("monoids", "idem2.json")])
     assert code == 0

@@ -230,6 +230,14 @@ def test_quotient_by_a_partition_that_is_no_congruence_raises():
     assert q.elements == ["0", "1"] and hom.mapping == [0, 1, 0, 0]
 
 
+@pytest.mark.parametrize("reps", [[0, 1], [0, 1, 2, 3, 3], [0, 1, 2, 4]])
+def test_quotient_by_labels_of_the_wrong_shape_raises(reps):
+    """Labels must name a point of A for each point of A (4 on F1[x]/(x^3))."""
+    m = truncated_line(3)
+    with pytest.raises(NotACongruence, match="labels each of its 4 points"):
+        mk.quotient(m, ak.ASetCongruence(ak.aset_from_monoid(m), reps))
+
+
 # -- products ----------------------------------------------------------------
 
 

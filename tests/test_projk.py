@@ -1,5 +1,6 @@
 import itertools
 
+import pytest
 from test_asets import corpus_classes
 
 from monoidkit import asets as ak
@@ -7,6 +8,7 @@ from monoidkit import monoids as mk
 from monoidkit import projk as pk
 from monoidkit import spectra as sp
 from monoidkit.abgroup import AbelianGroup
+from monoidkit.errors import ValidationError
 
 
 def F1():
@@ -291,6 +293,23 @@ def test_g0_truncated_line_is_z_with_devissage():
     assert rep.identity_holds
     assert rep.quotients_are_base_quotient_sets
     assert rep.nilpotency == 3
+
+
+def test_g0_and_devissage_refuse_seeds_over_different_monoids():
+    """canonical_key ignores the base, so a line2 A-set would merge into a
+    line3 class: G0 refuses the mix and names both monoids."""
+    line2 = mk.build_from_presentation(["x"], [("x^2", "0")], name="line2")
+    line3 = mk.build_from_presentation(["x"], [("x^3", "0")], name="line3")
+    a2, a3 = ak.aset_from_monoid(line2), ak.aset_from_monoid(line3)
+    with pytest.raises(ValidationError, match="over line2.* over line3"):
+        pk.g0([a2, a3], middle_bound=4)
+    with pytest.raises(ValidationError, match="over line3, not over line2"):
+        pk.devissage_check(line2, [0], a3)
+    # the same defining data is the same base, even as another object
+    twin = mk.build_from_presentation(["x"], [("x^3", "0")], name="line3")
+    assert pk.g0([a3, ak.aset_from_monoid(twin)], middle_bound=4).invariants() == (
+        pk.g0([a3], middle_bound=4).invariants()
+    )
 
 
 def test_devissage_zero_ideal_trivial():
