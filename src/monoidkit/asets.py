@@ -354,10 +354,14 @@ def _require_labels(x, reps):
 
 
 def quotient_aset(x, cong_or_pairs, name=None):
-    """Quotient by a congruence; returns (Q, projection)."""
+    """Quotient by a congruence, or by the one that pairs generate;
+    returns (Q, projection).  ``NotACongruence`` for labels that are not
+    a congruence on ``x``."""
     if isinstance(cong_or_pairs, ASetCongruence):
         cong = cong_or_pairs
         _require_labels(x, cong.reps)
+        if not _is_congruence(x.gen_tables(), cong.reps):
+            raise NotACongruence(f"{cong.classes()} is not a congruence of {x.name}")
     else:
         cong = congruence_closure(x, cong_or_pairs)
     reps = cong.reps

@@ -1,9 +1,10 @@
 """Extensions of A-sets and square-zero monoid extensions.
 
-An extension of X by Y is determined by where the torsion pairs of the
-free A-set on X are sent into Y, subject to a shuffling compatibility;
-square-zero monoid extensions are classified by symmetric-or-not cochain
-data vanishing off the zero products, subject to associativity.
+Both classifications are A-set maps out of one quotient.  An extension
+of X by Y is a map to Y out of the torsion pairs of the free A-set on X,
+glued along the shuffle condition; a square-zero monoid extension by X
+is a map to X out of the free A-set on the zero-product pairs, glued
+along the associativity relations.
 """
 
 from __future__ import annotations
@@ -49,32 +50,22 @@ def torsion_pair_aset(m, x):
 
 def _compatible_phi_maps(m, x, y):
     """All equivariant phi on the torsion pairs with the shuffle condition:
-    the value at (ab)[p] must match the value at a[bp] whenever bp != 0."""
+    the value at (ab)[p] (0 when ab = 0) matches the value at a[bp]
+    whenever bp != 0.  These are the maps out of Z/~, Z glued along those
+    cells, read on Z through the projection, sorted by mapping."""
     z = torsion_pair_aset(m, x)
-    out = []
-    for phi in ak.hom_enumerate(z, y):
-        ok = True
-        for a in m.nonzero():
-            for b in m.nonzero():
-                for p in x.nonzero():
-                    bp = x.act(b, p)
-                    if bp == 0:
-                        continue
-                    ab = m.table[a][b]
-                    if x.act(ab, p) != 0:
-                        continue  # neither side is a torsion pair
-                    lhs = 0 if ab == ZERO else phi(z.pair_index[(ab, p)])
-                    rhs = phi(z.pair_index[(a, bp)])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append((z, phi))
-    return out
+    glue = []
+    for a in m.nonzero():
+        for b in m.nonzero():
+            ab = m.table[a][b]
+            for p in x.nonzero():
+                bp = x.act(b, p)
+                if bp != 0 and x.act(ab, p) == 0:
+                    lhs = 0 if ab == ZERO else z.pair_index[(ab, p)]
+                    glue.append((lhs, z.pair_index[(a, bp)]))
+    q, proj = ak.quotient_aset(z, glue)
+    maps = sorted([g[c] for c in proj.mapping] for g in ak._equivariant_maps(q, y))
+    return [(z, ak.ASetMorphism(z, y, f)) for f in maps]
 
 
 @dataclass
@@ -93,9 +84,6 @@ def _materialize(m, x, y, z, phi):
         f"x:{x.carrier[p]}" for p in x.nonzero()
     ]
 
-    def y_at(i):
-        return 0 if i == 0 else i
-
     def x_at(p):
         return 0 if p == 0 else ny - 1 + p
 
@@ -103,7 +91,7 @@ def _materialize(m, x, y, z, phi):
     phi_table = {}
     for a in m.indices():
         for i in y.nonzero():
-            action[a][y_at(i)] = y_at(y.act(a, i))
+            action[a][i] = y.act(a, i)
         for p in x.nonzero():
             ap = x.act(a, p)
             if ap != 0:
@@ -112,13 +100,13 @@ def _materialize(m, x, y, z, phi):
                 action[a][x_at(p)] = 0
             else:
                 v = phi(z.pair_index[(a, p)])
-                action[a][x_at(p)] = y_at(v)
+                action[a][x_at(p)] = v
                 phi_table[(a, p)] = v
     e = ak.ASet(m, carrier, action=action, name="E")
     report = ak.validate_aset(e)
     if not report.ok:
         raise ValidationError(f"extension action invalid: {report}")
-    include = ak.ASetMorphism(y, e, [y_at(i) for i in range(ny)])
+    include = ak.ASetMorphism(y, e, list(range(ny)))
     project = ak.ASetMorphism(e, x, [0] * ny + list(range(1, nx)))
     ak.validate_aes(include, project)
     return Extension(e, include, project, phi_table)
@@ -151,18 +139,15 @@ def ext_count_bruteforce(x, y):
     m = x.base
     pairs = torsion_pairs(m, x)
     ny = len(y.carrier)
+    carrier = ["0"] + [f"c{i}" for i in range(1, ny + len(x.carrier) - 1)]
+
+    def x_at(p):
+        return 0 if p == 0 else ny - 1 + p
+
     count = 0
     for combo in itertools.product(range(ny), repeat=len(pairs)):
         choice = dict(zip(pairs, combo))
-        carrier_len = ny + len(x.carrier) - 1
-
-        def y_at(i):
-            return i
-
-        def x_at(p):
-            return 0 if p == 0 else ny - 1 + p
-
-        action = [[0] * carrier_len for _ in m.indices()]
+        action = [[0] * len(carrier) for _ in m.indices()]
         for a in m.indices():
             for i in y.nonzero():
                 action[a][i] = y.act(a, i)
@@ -174,9 +159,7 @@ def ext_count_bruteforce(x, y):
                     action[a][x_at(p)] = 0
                 else:
                     action[a][x_at(p)] = choice[(a, p)]
-        cand = ak.ASet(m, [f"c{i}" for i in range(carrier_len)], action=action)
-        cand.carrier[0] = "0"
-        if ak.validate_aset(cand).ok:
+        if ak.validate_aset(ak.ASet(m, carrier, action=action)).ok:
             count += 1
     return count
 
@@ -252,43 +235,29 @@ def zero_product_pairs(m):
     ]
 
 
-def cocycle_faces(m, x, f, a, b, c):
-    """The four boundary values of a 2-cochain at a triple.
+def cocycle_relations(m, pairs):
+    """The cells a cocycle must send to one point, as pairs of cells of
+    ``free_aset(m, range(len(pairs)))``: cell s[k] is s.f(pairs[k]).
 
-    f maps zero-product pairs to X (zero elsewhere); returns the list
-    [a.f(b,c), f(ab,c), f(a,bc), c.f(a,b)] of carrier indices.
+    At each triple of nonzero a, b, c with abc = 0, associativity of
+    ``squarezero_table`` equates (ab)c, which is c.f(a,b) when ab = 0 and
+    f(ab,c) otherwise, with a(bc), which is a.f(b,c) when bc = 0 and
+    f(a,bc) otherwise.
     """
-
-    def fv(p, q):
-        if m.table[p][q] != ZERO or p == ZERO or q == ZERO:
-            return 0
-        return f.get((p, q), 0)
-
-    return [
-        x.act(a, fv(b, c)),
-        fv(m.table[a][b], c),
-        fv(a, m.table[b][c]),
-        x.act(c, fv(a, b)),
-    ]
-
-
-def is_cocycle(m, x, f):
-    """The possibly-nonzero even face equals the possibly-nonzero odd face
-    at every triple; at most one of each can be nonzero for cochains
-    supported on zero products."""
-    for a in m.indices():
-        for b in m.indices():
-            for c in m.indices():
-                d0, d1, d2, d3 = cocycle_faces(m, x, f, a, b, c)
-                evens = {v for v in (d0, d2) if v != 0}
-                odds = {v for v in (d1, d3) if v != 0}
-                if len(evens) > 1 or len(odds) > 1:
-                    return False
-                e = next(iter(evens)) if evens else 0
-                o = next(iter(odds)) if odds else 0
-                if e != o:
-                    return False
-    return True
+    w = len(m.elements) - 1
+    at = {pr: k * w for k, pr in enumerate(pairs)}  # s[pr] is cell at[pr] + s
+    relations = []
+    for a in m.nonzero():
+        for b in m.nonzero():
+            ab = m.table[a][b]
+            for c in m.nonzero():
+                bc = m.table[b][c]
+                if m.table[ab][c] != ZERO:
+                    continue
+                left = at[(a, b)] + c if ab == ZERO else at[(ab, c)] + m.one
+                right = at[(b, c)] + a if bc == ZERO else at[(a, bc)] + m.one
+                relations.append((left, right))
+    return relations
 
 
 def squarezero_table(m, x, f):
@@ -321,20 +290,43 @@ def squarezero_table(m, x, f):
 
 
 def squarezero_enumerate(m, x):
-    """All square-zero extensions of the base by the A-set.
+    """All square-zero extensions of the base by the A-set, as (cochain,
+    table) in ``itertools.product`` order of the cochain values.
 
-    Enumerates cochains supported on the zero-product pairs, keeps the
-    associative ones, and verifies each against the cocycle discipline.
+    A cochain on the zero-product pairs is a map to X out of the free
+    A-set on those pairs, and it is a cocycle when it respects
+    ``cocycle_relations``: the cocycles are the maps out of the quotient.
+    Each table found must be associative.
     """
     pairs = zero_product_pairs(m)
+    free = ak.free_aset(m, range(len(pairs)))
+    q, proj = ak.quotient_aset(free, cocycle_relations(m, pairs))
+    w = len(m.elements) - 1
+    ones = [proj(k * w + m.one) for k in range(len(pairs))]
     results = []
-    for combo in itertools.product(
-        range(len(x.carrier)), repeat=len(pairs)
-    ):
+    for combo in sorted(tuple(g[c] for c in ones) for g in ak._equivariant_maps(q, x)):
+        f = {pr: v for pr, v in zip(pairs, combo) if v}
+        table = squarezero_table(m, x, f)
+        if not table.is_associative():
+            raise OracleMismatch(f"cocycle {f} gives a non-associative table")
+        results.append((f, table))
+    return results
+
+
+def squarezero_bruteforce(m, x):
+    """Oracle: every cochain on the zero-product pairs in
+    ``itertools.product`` order, kept when its table is associative.
+    On each one, associativity must agree with sending both cells of every
+    ``cocycle_relations`` pair to one point."""
+    pairs = zero_product_pairs(m)
+    relations = cocycle_relations(m, pairs)
+    results = []
+    for combo in itertools.product(range(len(x.carrier)), repeat=len(pairs)):
         f = {pr: v for pr, v in zip(pairs, combo) if v}
         table = squarezero_table(m, x, f)
         associative = table.is_associative()
-        if associative != is_cocycle(m, x, f):
+        cells = [0] + [x.act(s, v) for v in combo for s in m.nonzero()]
+        if associative != all(cells[p] == cells[q] for p, q in relations):
             raise OracleMismatch(
                 f"cochain {f}: associative {associative}, cocycle {not associative}"
             )

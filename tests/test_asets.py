@@ -762,3 +762,14 @@ def test_quotient_aset_by_labels_of_the_wrong_shape_raises(reps):
     x = ak.aset_from_monoid(line(3))
     with pytest.raises(NotACongruence, match="labels each of its 4 points"):
         ak.quotient_aset(x, ak.ASetCongruence(x, reps))
+
+
+def test_quotient_aset_by_labels_that_are_no_congruence_raises():
+    """On F1[x]/(x^3), labelling x^2 with 1 glues x^2 to 1 while x sends
+    them to 0 and x apart: no congruence, so no quotient is built."""
+    m = line(3)
+    x = ak.aset_from_monoid(m)
+    with pytest.raises(NotACongruence, match="is not a congruence"):
+        ak.quotient_aset(x, ak.ASetCongruence(x, [0, 1, 2, 1]))
+    q, proj = ak.quotient_aset(x, ak.ASetCongruence(x, [0, 1, 0, 0]))
+    assert ak.validate_aset(q).ok and proj.validate().ok and q.carrier == ["0", "1"]

@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from monoidkit import asets as ak
 from monoidkit import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -213,6 +214,28 @@ def test_sqz_command():
     code, out = run(SQZ_ARGV)
     assert code == 0
     assert out.splitlines()[0] == "2 square-zero extensions"
+
+
+def test_sqz_on_mixed23(tmp_path):
+    """mixed23 has one A-set class of carrier 2 and 2^18 cochains on it,
+    of which 4 are cocycles; each table printed is associative."""
+    from monoidkit import documents as docs
+    from monoidkit import extensions as ex
+
+    with open(doc("monoids", "mixed23.json")) as fh:
+        m = docs.parse_monoid(json.load(fh))
+    (x,) = ak.enumerate_asets(m, 2)
+    path = tmp_path / "mixed23-c2.json"
+    path.write_text(json.dumps(docs.aset_to_doc(x)))
+    argv = ["sqz", doc("monoids", "mixed23.json"), "--aset", str(path)]
+    code, out = run(argv)
+    assert code == 0 and out.splitlines()[0] == "4 square-zero extensions"
+    code, out = run(["--json"] + argv)
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == len(payload["cocycles"]) == 4
+    for cocycle in payload["cocycles"]:
+        t = cocycle["table"]
+        assert ex.RawMonoidTable("E", t["elements"], t["mul"]).is_associative()
 
 
 def test_ext_and_sqz_close_their_documents():

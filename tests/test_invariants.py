@@ -307,7 +307,8 @@ def _relabeled_monoid(m, s):
 def _spectral_invariants(m):
     ideals = sp.all_ideals(m)
     primes = sp.mspec(m)
-    universe = pk.g0([ak.aset_from_monoid(m)], middle_bound=len(m.elements))
+    regular = ak.aset_from_monoid(m)
+    universe = pk.g0([regular], middle_bound=len(m.elements))
     return (
         sorted(len(mk.quotient(m, i.sorted_elements())[0].elements) for i in ideals),
         sorted(len(mk.localize(m, [a])[0].elements) for a in m.nonzero()),
@@ -325,6 +326,15 @@ def _spectral_invariants(m):
         ),
         pk.k0(m).invariants(),
         pk.k1(m).invariants(),
+        sorted(
+            (
+                len(ex.squarezero_enumerate(m, x)),
+                len(ex.ext_enumerate(x, regular)),
+                len(ex.ext_enumerate(regular, x)),
+            )
+            for c in range(1, 4)
+            for x in ak.enumerate_asets(m, c)
+        ),
     )
 
 
@@ -336,7 +346,9 @@ def test_spectra_survive_every_relabeling():
     nonzero element, G0 of the universe A generates and its class count,
     the number of proper ideals, the prime sizes, the dimension, for each
     proper ideal the sizes of its primary components and the number of
-    its associated primes, and the groups K0 and K1."""
+    its associated primes, the groups K0 and K1, and over the A-set
+    classes X of carrier <= 3 the sorted counts of square-zero extensions
+    of A by X and of extensions of X by A and of A by X."""
     checked = 0
     for m in corpus_monoids(max_size=5):
         n = len(m.elements)
