@@ -5,6 +5,8 @@ a compiled Cython extension and a pure-Python twin.  The compiled version
 is preferred when importable; ``MONOIDKIT_PURE=1`` forces the fallback.
 The compiled SNF works in 64-bit arithmetic and raises ``OverflowError``
 on large entries, so its wrapper retries with the bignum twin per call.
+``generating_pairs`` (the seeds of a congruence that are not implied by
+the seeds before them) exists only in pure Python.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ def closure(n, gen_tables, pairs):
     if _closure_fast is not None:
         return _closure_fast.closure(n, gen_tables, pairs)
     return closure_py.closure(n, gen_tables, pairs)
+
+
+def generating_pairs(n, gen_tables, pairs):
+    return closure_py.generating_pairs(n, gen_tables, pairs)
 
 
 def connected_components(n, edges):

@@ -118,9 +118,10 @@ def ext_enumerate(x, y):
     out = []
     for z, phi in _compatible_phi_maps(m, x, y):
         ext = _materialize(m, x, y, z, phi)
-        # round trip: the action on torsion pairs recovers phi
-        for (a, p), v in ext.phi_table.items():
-            w = phi(z.pair_index[(a, p)])
+        # round trip: the built action on each torsion pair recovers phi
+        for (a, p), cell in z.pair_index.items():
+            v = ext.e.action[a][len(y.carrier) - 1 + p]
+            w = phi(cell)
             if w != v:
                 raise OracleMismatch(
                     f"extension acts on torsion pair {(a, p)} by {v}, phi by {w}"

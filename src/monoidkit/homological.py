@@ -103,9 +103,9 @@ def validate_dacomplex(c) -> ValidationReport:
 
 def coequalizer(f, g):
     """Coequalizer of a parallel pair; returns (Q, projection)."""
-    if f.target is not g.target:
-        raise NotAComplex("parallel pair must share a target")
-    pairs = [(f(p), g(p)) for p in range(len(f.source.carrier))]
+    if f.source is not g.source or f.target is not g.target:
+        raise NotAComplex("parallel pair must share a source and a target")
+    pairs = list(zip(f.mapping, g.mapping))
     return ak.quotient_aset(f.target, pairs, name=f"coeq({f.target.name})")
 
 
@@ -220,19 +220,15 @@ def _fiber_pairs(mapping, n, include_diagonal):
 def _congruence_generators(x, eps_mapping):
     """Small generating set of the fiber congruence of a surjection.
 
-    Greedy smallest-first over distinct-fiber pairs; the closure is
-    verified to reproduce the full fiber partition.
+    Greedy smallest-first over distinct-fiber pairs: a pair is kept when
+    the pairs kept before it do not already generate it, all in one
+    union-find pass.  The closure is verified to reproduce the full fiber
+    partition.
     """
     n = len(x.carrier)
     fiber_pairs = _fiber_pairs(eps_mapping, n, include_diagonal=False)
     full = ak.congruence_closure_naive(x, fiber_pairs).reps
-
-    chosen = []
-    reps = list(range(n))
-    for p, q in sorted(fiber_pairs):
-        if reps[p] != reps[q]:
-            chosen.append((p, q))
-            reps = ak.congruence_closure(x, chosen).reps
+    chosen, reps = _kernels.generating_pairs(n, x.gen_tables(), sorted(fiber_pairs))
     if reps != full:
         raise OracleMismatch(
             f"generators {chosen} close to {reps}, the fibers of {eps_mapping} "

@@ -257,14 +257,15 @@ def abelianization_invariants(elements, compose):
     """Invariants of G/[G,G] for a finite group given by a composition map.
 
     ``elements`` lists the group with the identity first.  A generating set
-    S is taken greedily in list order, and G is presented on one generator
-    e_a per element by its Cayley graph over S: e_1 = 0 and
-    e_a + e_g = e_(ag) for each a in G and g in S (Magnus-Karrass-Solitar,
-    *Combinatorial Group Theory*, 1966, section 2.3).  These relations
-    present G, so read as abelian relations they present G/[G,G], whose
-    invariants the Smith reduction gives.
+    S is taken greedily in list order.  One breadth-first pass from the
+    identity over S builds a spanning tree of the Cayley graph and gives
+    each element a word vector in Z^S.  The tree edges are Tietze
+    eliminations, so G is presented on S by one relation per non-tree edge
+    a -> ag: word(a) + e_g = word(ag) (Magnus-Karrass-Solitar,
+    *Combinatorial Group Theory*, 1966, sections 1.5 and 2.3).  Read as
+    abelian relations they present G/[G,G], whose invariants the Smith
+    reduction gives.
     """
-    pos = {a: i for i, a in enumerate(elements)}
     gens = []
     reached = {elements[0]}
     for g in elements:
@@ -279,16 +280,24 @@ def abelianization_invariants(elements, compose):
                 if b not in reached:
                     reached.add(b)
                     frontier.append(b)
-    n = len(elements)
-    rows = [[1] + [0] * (n - 1)]
-    for a in elements:
-        for g in gens:
-            row = [0] * n
-            row[pos[a]] += 1
-            row[pos[g]] += 1
-            row[pos[compose(a, g)]] -= 1
-            rows.append(row)
-    return GroupPresentation(n, rows).invariants()
+    words = {elements[0]: (0,) * len(gens)}
+    queue = [elements[0]]
+    rows = set()
+    for a in queue:  # grows while it is read: a breadth-first pass
+        word = words[a]
+        for j, g in enumerate(gens):
+            step = list(word)
+            step[j] += 1
+            b = compose(a, g)
+            target = words.get(b)
+            if target is None:
+                words[b] = tuple(step)
+                queue.append(b)
+            else:
+                row = tuple(s - t for s, t in zip(step, target))
+                if any(row):
+                    rows.add(row)
+    return GroupPresentation(len(gens), [list(r) for r in sorted(rows)]).invariants()
 
 
 def k1_bruteforce(m, copies):

@@ -1,10 +1,12 @@
 import itertools
 
+import pytest
 from test_acceptance import corpus_monoids
 
 from monoidkit import asets as ak
 from monoidkit import extensions as ex
 from monoidkit import monoids as mk
+from monoidkit.errors import OracleMismatch
 
 
 def F1():
@@ -105,6 +107,25 @@ def test_every_extension_validates_as_aes():
     for e in ex.ext_enumerate(x, y):
         assert ak.validate_aset(e.e).ok
         ak.validate_aes(e.include, e.project)  # raises on failure
+
+
+def test_ext_round_trip_reads_the_built_action(monkeypatch):
+    # one wrong cell on the torsion pair (x, u) of the built E must be caught
+    m = line(2)
+    x = two_point_torsion_aset(m)
+    y = ak.aset_from_monoid(m)
+    ny = len(y.carrier)
+    real = ex._materialize
+
+    def corrupt(*args):
+        ext = real(*args)
+        row = ext.e.action[m.index_of("x")]
+        row[ny] = (row[ny] + 1) % ny  # the cell x.u, moved to another Y point
+        return ext
+
+    monkeypatch.setattr(ex, "_materialize", corrupt)
+    with pytest.raises(OracleMismatch):
+        ex.ext_enumerate(x, y)
 
 
 def test_torsion_free_quotient_admits_only_split():

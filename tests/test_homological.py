@@ -6,7 +6,7 @@ import pytest
 from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
-from monoidkit.errors import NotReduced, OracleMismatch
+from monoidkit.errors import NotAComplex, NotReduced, OracleMismatch
 
 
 def F1():
@@ -115,6 +115,14 @@ def test_homology_two_term():
     h1 = hm.homology(c, 1)
     # over the truncation x^2 * x^2 = 0, so the kernel is (x^2, x^3)
     assert len(h1.carrier) == 3
+
+
+def test_coequalizer_refuses_a_pair_that_is_not_parallel():
+    # sources of different sizes: no pair of points to glue is meant
+    y = pointed_set(3)
+    for x in (pointed_set(2), pointed_set(4)):
+        with pytest.raises(NotAComplex):
+            hm.coequalizer(ak.zero_morphism(pointed_set(3), y), ak.zero_morphism(x, y))
 
 
 def test_homology_all_zero_maps():

@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_asets import corpus_classes
 
 from monoidkit import _kernels, intlin
+from monoidkit import asets as ak
+from monoidkit import homological as hm
 from monoidkit._kernels import closure_py, snf_py
 
 try:
@@ -240,19 +243,24 @@ def closure_oracle(n, tables, pairs):
     return [find(x) for x in range(n)]
 
 
-@given(st.data())
-@settings(max_examples=80, deadline=None)
-def test_closure_matches_oracle(data):
-    n = data.draw(st.integers(2, 9))
-    k = data.draw(st.integers(0, 3))
-    tables = [
-        [data.draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(k)
-    ]
-    npairs = data.draw(st.integers(0, 6))
+@st.composite
+def closure_inputs(draw):
+    """(n, action tables on {0..n-1}, seed pairs)."""
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(0, 3))
+    tables = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(k)]
+    npairs = draw(st.integers(0, 6))
     pairs = [
-        (data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)))
+        (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
         for _ in range(npairs)
     ]
+    return n, tables, pairs
+
+
+@given(closure_inputs())
+@settings(max_examples=80, deadline=None)
+def test_closure_matches_oracle(case):
+    n, tables, pairs = case
     got = _kernels.closure(n, tables, pairs)
     want = closure_oracle(n, tables, pairs)
     # compare partitions
@@ -265,6 +273,39 @@ def test_closure_matches_oracle(data):
         assert got[x] == min(members)
     # plain connectivity is the closure under no tables, minimal representatives too
     assert _kernels.connected_components(n, pairs) == _kernels.closure(n, [], pairs)
+
+
+def greedy_generating_pairs(n, tables, pairs):
+    """The seeds not implied by the seeds kept before them, re-closing
+    anew after each kept seed (slow reference)."""
+    kept = []
+    reps = list(range(n))
+    for p, q in pairs:
+        if reps[p] != reps[q]:
+            kept.append((p, q))
+            reps = closure_oracle(n, tables, kept)
+    return kept
+
+
+@given(closure_inputs())
+@settings(max_examples=80, deadline=None)
+def test_generating_pairs_matches_greedy_oracle(case):
+    n, tables, pairs = case
+    kept, reps = _kernels.generating_pairs(n, tables, pairs)
+    assert kept == greedy_generating_pairs(n, tables, pairs)
+    assert reps == closure_oracle(n, tables, pairs)
+
+
+def test_congruence_generators_match_greedy_oracle():
+    # the fibers of each corpus class's free cover, as a resolution takes them
+    for classes in corpus_classes():
+        for x in classes:
+            eps = ak.free_cover(x, ak.aset_generators(x))
+            cover = eps.source
+            n = len(cover.carrier)
+            fiber_pairs = hm._fiber_pairs(eps.mapping, n, include_diagonal=False)
+            want = greedy_generating_pairs(n, cover.gen_tables(), sorted(fiber_pairs))
+            assert hm._congruence_generators(cover, eps.mapping) == want, x.name
 
 
 @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")

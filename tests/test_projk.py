@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from test_asets import corpus_classes
@@ -7,7 +8,7 @@ from monoidkit import asets as ak
 from monoidkit import monoids as mk
 from monoidkit import projk as pk
 from monoidkit import spectra as sp
-from monoidkit.abgroup import AbelianGroup
+from monoidkit.abgroup import AbelianGroup, GroupPresentation
 from monoidkit.errors import ValidationError
 
 
@@ -215,11 +216,12 @@ def _permutation_group(*gens):
     return sorted(group)
 
 
-def test_abelianization_known_answers():
-    # groups that are not Aut of a free A-set, as permutation tuples;
-    # Q8 acts on 1, i, j, k, -1, -i, -j, -k by right multiplication
+def _named_groups():
+    """(elements, order, torsion of the abelianization) for groups that are
+    not Aut of a free A-set, as permutation tuples; Q8 acts on
+    1, i, j, k, -1, -i, -j, -k by right multiplication."""
     q8 = _permutation_group((1, 4, 7, 2, 5, 0, 3, 6), (2, 3, 4, 5, 6, 7, 0, 1))
-    cases = [
+    return [
         (_permutation_group((0,)), 1, ()),
         (_permutation_group((1, 0, 2), (1, 2, 0)), 6, (2,)),  # S3
         (_permutation_group((1, 2, 0, 3), (1, 0, 3, 2)), 12, (3,)),  # A4
@@ -228,6 +230,10 @@ def test_abelianization_known_answers():
         (q8, 8, (2, 2)),
         (_permutation_group((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)), 8, (2, 4)),
     ]
+
+
+def test_abelianization_known_answers():
+    cases = _named_groups()
     for elements, order, torsion in cases:
         assert len(elements) == order
         assert pk.abelianization_invariants(elements, _compose) == AbelianGroup(0, torsion)
@@ -235,12 +241,62 @@ def test_abelianization_known_answers():
         reordered = elements[:1] + elements[:0:-1]
         assert pk.abelianization_invariants(reordered, _compose) == AbelianGroup(0, torsion)
     # Q8, unlike D4, has one element of order 2
+    q8 = cases[5][0]
     assert sum(_compose(a, a) == q8[0] for a in q8[1:]) == 1
     # in sorted order S4's first two non-identity elements, the
     # transpositions (2 3) and (1 2), generate only S3, so the greedy
     # generating set takes a third element although S4 is 2-generated
     s4 = cases[3][0]
     assert len(_permutation_group(s4[1], s4[2])) == 6
+
+
+def cayley_abelianization(elements, compose):
+    """The full Cayley presentation (slow reference): one generator e_a per
+    element, e_1 = 0, and e_a + e_g = e_(ag) for every a in G and every g
+    in the greedy generating set S."""
+    pos = {a: i for i, a in enumerate(elements)}
+    gens = []
+    reached = {elements[0]}
+    for g in elements:
+        if g in reached:
+            continue
+        gens.append(g)
+        frontier = list(reached)
+        while frontier:
+            a = frontier.pop()
+            for h in gens:
+                b = compose(a, h)
+                if b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    n = len(elements)
+    rows = [[1] + [0] * (n - 1)]
+    for a in elements:
+        for g in gens:
+            row = [0] * n
+            row[pos[a]] += 1
+            row[pos[g]] += 1
+            row[pos[compose(a, g)]] -= 1
+            rows.append(row)
+    return GroupPresentation(n, rows).invariants()
+
+
+def test_abelianization_matches_cayley_presentation():
+    rng = random.Random(26)
+    groups = [elements for elements, _, _ in _named_groups()]
+    while len(groups) < 7 + 24:
+        degree = rng.randint(3, 7)
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]
+        elements = _permutation_group(*gens)
+        if 3 < len(elements) <= 200:
+            groups.append(elements)
+    for elements in groups:
+        rest = elements[1:]
+        rng.shuffle(rest)
+        shuffled = elements[:1] + rest
+        assert pk.abelianization_invariants(shuffled, _compose) == cayley_abelianization(
+            shuffled, _compose
+        ), (len(elements), shuffled[:4])
 
 
 def test_automorphism_group_matches_bijection_filter():
