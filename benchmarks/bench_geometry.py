@@ -6,9 +6,13 @@ zonotope box like k^rank, while the saturation keeps its shape, so the
 sweep shows what each box point costs.  For every scaled chart it prints
 the number of box points, the wall time of ``seminormalize_cancellative``
 plus ``normalize_affine`` on a fresh chart, how many ``facet_normals``
-and ``intlin.rank`` calls those two made, and how many level sets they
-filled: the packed sets ``AffineMonoid._packed_level_set`` builds and
-caches, one per chart and bound, which every ``contains`` looks up.
+calls and Smith forms (``intlin.snf``) those two made, and how many level
+sets they filled: the packed sets ``AffineMonoid._packed_level_set``
+builds and caches, one per chart and bound, which every ``contains``
+looks up.  Both outputs share the chart's cone record, so the chart's
+normals are computed once; its Smith forms are the complement's kernel,
+the lattice's one Smith form and the unit lattice's kernel, plus one
+lattice per face the seminormal membership asks about.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly
@@ -133,7 +137,7 @@ def main():
     args = ap.parse_args()
 
     print(f"{'chart':12} {'scale':>5} {'box pts':>8} {'time (ms)':>10}"
-          f" {'facet_normals':>14} {'intlin.rank':>12} {'level sets':>11}")
+          f" {'facet_normals':>14} {'Smith forms':>12} {'level sets':>11}")
     for label, base in CHARTS:
         rank = len(base[0])
         for k in range(1, args.max_scale + 1):
@@ -141,7 +145,7 @@ def main():
             best = None
             for _ in range(args.repeat):
                 aff = AffineMonoid(f"{label}*{k}", rank, gens)
-                with counting((gm, "facet_normals"), (intlin, "rank")) as counts, \
+                with counting((gm, "facet_normals"), (intlin, "snf")) as counts, \
                         counting_level_sets() as filled:
                     t0 = time.perf_counter()
                     gm.seminormalize_cancellative(aff)
@@ -155,7 +159,7 @@ def main():
                     f"{aff.name}: normalization {nor.generators}, greedy {want}"
                 )
             print(f"{label:12} {k:5d} {len(box(aff)):8d} {1000 * best:10.2f}"
-                  f" {counts['facet_normals']:14d} {counts['rank']:12d} {filled[0]:11d}")
+                  f" {counts['facet_normals']:14d} {counts['snf']:12d} {filled[0]:11d}")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,42 @@ def _primitive(vec):
 
 
 def _dot(w, vec):
-    return sum(a * b for a, b in zip(w, vec))
+    return sum(map(operator.mul, w, vec))
+
+
+def _det(mat):
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact."""
+    m = [list(row) for row in mat]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
+
+
+def _cofactors(rows, rank):
+    """The vector w with w_j = (-1)^j det(rows without column j), for
+    rank - 1 rows of length rank.  Expanding det([x; rows]) along x gives
+    <w, x>, so w is orthogonal to every row, and w = 0 iff the rows are
+    dependent."""
+    return [
+        (-1) ** j * _det([row[:j] + row[j + 1:] for row in rows])
+        for j in range(rank)
+    ]
 
 
 def facet_normals(gens, rank, orth=None):
@@ -51,6 +86,12 @@ def facet_normals(gens, rank, orth=None):
     Normals are taken inside the rational span of the generators; every
     generator pairs nonnegatively and some generator pairs positively.
     ``orth`` is the span's orthogonal complement, when the caller has it.
+
+    A facet holds dim - 1 independent generators, and the normal of their
+    span inside the generator span is the cofactor vector of those
+    generators and the complement rows.  A dependent subset gives the
+    zero vector and is skipped; any other candidate is a facet normal
+    unless it takes both signs on the generators.
     """
     gens = [tuple(g) for g in gens]
     if orth is None:
@@ -59,26 +100,18 @@ def facet_normals(gens, rank, orth=None):
     if dim == 0:
         return []
     normals = set()
-    # candidate hyperplanes: spans of (dim-1)-subsets of generators, kept
-    # inside the generator span by the orthogonal-complement rows
-    for combo in itertools.combinations(gens, dim - 1):
-        mat = [list(c) for c in combo] + orth
-        for cand in intlin.kernel_basis(mat or [[0] * rank]):
-            w = _primitive(cand)
-            vals = [_dot(w, g) for g in gens]
-            if not any(vals) or min(vals) < 0 < max(vals):
-                continue  # w vanishes on the cone or cuts through it
-            sign = 1 if min(vals) >= 0 else -1
-            zeros = [g for g, v in zip(gens, vals) if v == 0]
-            if _span_dimension(zeros, rank) == dim - 1:
-                normals.add(tuple(sign * x for x in w))
+    for combo in itertools.combinations(sorted(set(gens)), dim - 1):
+        w = _primitive(_cofactors([list(c) for c in combo] + orth, rank))
+        if not any(w):
+            continue  # dependent subset
+        # w lies in the span and is not orthogonal to it, so some
+        # generator pairs nonzero with it
+        vals = [_dot(w, g) for g in gens]
+        if min(vals) < 0 < max(vals):
+            continue  # w cuts through the cone
+        sign = 1 if min(vals) >= 0 else -1
+        normals.add(tuple(sign * x for x in w))
     return sorted(normals)
-
-
-def _span_dimension(gens, rank):
-    if not gens:
-        return 0
-    return intlin.rank([list(g) for g in gens])
 
 
 def _span_orthogonal_complement(gens, rank):
@@ -92,22 +125,18 @@ def _span_orthogonal_complement(gens, rank):
 
 
 class Sublattice:
-    """The subgroup of Z^rank spanned by some vectors.
+    """The subgroup L of Z^rank spanned by some vectors.
 
-    One Smith form U*B*V = D of the basis B decides membership: B*x = v
-    has an integer solution iff (U*v)_i is divisible by D_ii for every
-    basis column i and vanishes past them.
+    One Smith form U*M*V = D of the generator matrix M
+    (``intlin.smith_lattice``) gives both the basis, the first r columns
+    of M*V, and membership: v lies in L iff (U*v)_i is divisible by D_ii
+    for every i < r and vanishes past them.
     """
 
     def __init__(self, gens, rank):
-        self.basis = lattice_basis_of(gens, rank)
-        if self.basis:
-            u, d, _ = intlin.snf([[c[i] for c in self.basis] for i in range(rank)])
-            self._rows = u
-            self._factors = [d[i][i] for i in range(len(self.basis))]
-        else:
-            self._rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
-            self._factors = []
+        self.basis, self._rows, self._factors = intlin.smith_lattice(
+            [list(g) for g in gens], rank
+        )
 
     def __contains__(self, vec):
         for row, d in itertools.zip_longest(self._rows, self._factors, fillvalue=0):
@@ -121,17 +150,36 @@ class ChartCone:
     """A chart's generator cone and lattice, computed once from its
     generators: the span's orthogonal complement, the facet normals, the
     chart lattice, and, as they are asked for, the lattice of each face,
-    the saturation points of the zonotope box and the unit lattice."""
+    the saturation points of the zonotope box and the unit lattice.
 
-    def __init__(self, gens, rank):
+    ``shared`` is the record of a chart with the same cone and group (a
+    normalization's or seminormalization's input).  Its complement and
+    normals are taken over; so are its lattice and its zero unit lattice
+    when the cone is pointed.  With units the chart builds its own
+    lattice, as the unit lattice's basis is read off the lattice basis
+    and must not depend on how the chart was made.  Face lattices and
+    box points always come from ``gens``.
+    """
+
+    def __init__(self, gens, rank, shared=None):
         self.gens = gens
         self.rank = rank
-        self.complement = _span_orthogonal_complement(gens, rank)
-        self.normals = facet_normals(gens, rank, self.complement)
-        self.lattice = Sublattice(gens, rank)
+        if shared is None:
+            self.complement = _span_orthogonal_complement(gens, rank)
+            self.normals = facet_normals(gens, rank, self.complement)
+            self.lattice = Sublattice(gens, rank)
+            self._units = None
+        else:
+            self.complement = shared.complement
+            self.normals = shared.normals
+            if shared.unit_lattice():
+                self.lattice = Sublattice(gens, rank)
+                self._units = None
+            else:
+                self.lattice = shared.lattice
+                self._units = []
         self._face_lattices = {}
         self._box = None
-        self._units = None
 
     def in_span(self, vec):
         """Is vec in the rational span of the generators?"""
@@ -251,6 +299,12 @@ def is_normal(aff):
 def normalize_affine(aff):
     """Saturation of the generator monoid inside its own lattice.
 
+    The saturation has the chart's cone and group, so its cone record
+    shares the chart's complement, normals and, on a pointed chart, its
+    lattice (``ChartCone``'s ``shared``); its ``is_normal`` check scans
+    its own box against them.  A chart with a monomial ideal raises
+    ``ValidationError``: ``normalize_pc`` normalizes its components.
+
     On a pointed chart (no units) the minimal generating set of the
     saturation is its Hilbert basis: the candidates g such that no other
     candidate h leaves g - h in cone and lattice.  Every Hilbert basis
@@ -262,6 +316,8 @@ def normalize_affine(aff):
     candidates are dropped greedily, largest first, whenever bounded
     membership writes one in the others; that order fixes the output.
     """
+    if aff.is_pc_quotient:
+        raise ValidationError("normalization applies to cancellative charts")
     cand = saturation_generators(aff)
     if unit_lattice_of_chart(aff):
         keep = _greedy_generators(aff, cand)
@@ -282,6 +338,7 @@ def normalize_affine(aff):
         unit_orders=list(aff.unit_orders),
         degree_bound=aff.degree_bound,
     )
+    out._cone = ChartCone(out.generators, out.rank, shared=chart_cone(aff))
     if not is_normal(out):
         raise OracleMismatch(f"saturation {out.generators} failed its own normality check")
     return out
@@ -496,7 +553,13 @@ def seminormal_membership_powers(aff, vec, kmax=None):
 
 def seminormalize_cancellative(aff):
     """Largest intermediate monoid whose elements have all large powers in
-    the chart; computed from box generators of the exact membership."""
+    the chart; computed from box generators of the exact membership.
+
+    The output adds points of the chart's cone and lattice to its
+    generators, so its cone record shares the chart's complement,
+    normals and, on a pointed chart, its lattice (``ChartCone``'s
+    ``shared``).
+    """
     if aff.is_pc_quotient:
         raise ValidationError("cancellative charts only")
     exact = {v: seminormal_membership(aff, v) for v in saturation_points_in_box(aff)}
@@ -508,6 +571,7 @@ def seminormalize_cancellative(aff):
         unit_orders=list(aff.unit_orders),
         degree_bound=aff.degree_bound,
     )
+    out._cone = ChartCone(out.generators, out.rank, shared=chart_cone(aff))
     # verification window: the generated monoid matches exact membership
     for v, member in exact.items():
         if out.contains(v) != member:

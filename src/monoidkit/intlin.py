@@ -11,7 +11,7 @@ from . import _kernels
 
 def matmul(a, b, cols=None):
     """a * b; each nonzero entry of a meets only the nonzero entries of its
-    row of b.  Its one caller in the library is ``lattice_basis`` (mat * V).
+    row of b.  Its one caller in the library is ``smith_lattice`` (mat * V).
 
     ``cols`` is the column count of b; it must be given when b has no
     rows, since an empty list cannot carry it.
@@ -94,12 +94,24 @@ def preimage_lattice(f_mat, lat_cols):
 
 def lattice_basis(cols, dim):
     """Independent basis (columns) for the lattice spanned by ``cols``."""
+    return smith_lattice(cols, dim)[0]
+
+
+def smith_lattice(cols, dim):
+    """(basis, rows, factors) of the lattice L spanned by ``cols``, from one
+    Smith form U*M*V = D of the matrix M of its nonzero columns.
+
+    The basis is the first r = rank(M) columns of M*V.  As U*L = D*Z^n,
+    v lies in L iff (U*v)_i is divisible by ``factors[i]`` = D_ii for
+    i < r and (U*v)_i = 0 for i >= r; ``rows`` are U's rows.
+    """
     cols = [c for c in cols if any(c)]
     if not cols:
-        return []
+        return [], [[int(i == j) for j in range(dim)] for i in range(dim)], []
     mat = [[c[i] for c in cols] for i in range(dim)]
     U, D, V = snf(mat)
     r = sum(1 for i in range(min(dim, len(cols))) if D[i][i] != 0)
     # columns of mat*V with nonzero image form a basis
     mv = matmul(mat, V)
-    return [[mv[i][j] for i in range(dim)] for j in range(r)]
+    basis = [[mv[i][j] for i in range(dim)] for j in range(r)]
+    return basis, U, [D[i][i] for i in range(r)]

@@ -3,6 +3,8 @@ import glob
 import hashlib
 import importlib.util
 import itertools
+import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from monoidkit import geometry as gm
 from monoidkit import intlin
 from monoidkit.abgroup import AbelianGroup
-from monoidkit.errors import NotNormal, OracleMismatch
+from monoidkit.documents import load_document
+from monoidkit.errors import NotNormal, OracleMismatch, ValidationError
 from monoidkit.monoids import AffineMonoid
 
 
@@ -131,6 +134,15 @@ def test_normalization_check_catches_a_wrong_oracle(monkeypatch):
         gm.normalize_affine(numeric([(2,), (3,)]))
 
 
+def test_charts_with_a_monomial_ideal_are_refused():
+    # normalize_pc normalizes such a chart's components; normalize_affine
+    # used to return P_nor with the ideal dropped
+    pc = AffineMonoid("P", 2, [(1, 0), (0, 1)], monomial_ideal=[(1, 1)])
+    for run in (gm.normalize_affine, gm.is_normal, gm.seminormalize_cancellative):
+        with pytest.raises(ValidationError):
+            run(pc)
+
+
 # -- normalization: Hilbert basis on pointed charts, greedy with units ---------
 
 
@@ -176,6 +188,7 @@ def test_normalization_is_the_greedy_minimal_generating_set(chart):
     bound = max(box_height(gens), box_height(want))
     nor = gm.normalize_affine(AffineMonoid("H", rank, gens, degree_bound=bound))
     assert nor.generators == want
+    assert_cone_answers_as_fresh(nor, box(gens, rank))
     assert gm.normalize_affine(nor).generators == want
 
 
@@ -564,7 +577,11 @@ class DirectChart:
     """Membership answered without the cached cone: span by a rank
     comparison, lattice by one solve per vector, cone by Caratheodory
     (v is a nonnegative combination of some basis of the span chosen
-    among the generators, with coefficients from Cramer's rule)."""
+    among the generators, with coefficients from Cramer's rule).
+
+    Each simplex keeps its cofactor columns: the determinant of its square
+    with column j replaced by x is <cofactors[j], x>, so Cramer's
+    coefficients of a vector are dot products."""
 
     def __init__(self, gens, rank):
         self.gens = [list(g) for g in gens]
@@ -576,7 +593,17 @@ class DirectChart:
                 square = [[b[r] for b in basis] for r in rows]
                 det = _det(square)
                 if det:
-                    self.simplices.append((rows, square, det))
+                    cofactors = [
+                        [
+                            (-1) ** (i + j) * _det([
+                                row[:j] + row[j + 1:]
+                                for k, row in enumerate(square) if k != i
+                            ])
+                            for i in range(self.dim)
+                        ]
+                        for j in range(self.dim)
+                    ]
+                    self.simplices.append((rows, det, cofactors))
                     break
 
     def in_span(self, v):
@@ -593,11 +620,10 @@ class DirectChart:
     def in_cone(self, v):
         if not self.in_span(v):
             return False
-        for rows, square, det in self.simplices:
+        for rows, det, cofactors in self.simplices:
             vr = [v[r] for r in rows]
             if all(
-                det * _det([row[:j] + [x] + row[j + 1:] for row, x in zip(square, vr)]) >= 0
-                for j in range(self.dim)
+                det * sum(c * x for c, x in zip(col, vr)) >= 0 for col in cofactors
             ):
                 return True
         return False
@@ -671,3 +697,191 @@ def test_cached_cone_matches_direct_answers(chart):
         mp.setattr(gm, "facet_normals", lambda *a: calls.append(a) or normals(*a))
         gm.seminormalize_cancellative(fresh)
     assert len(calls) == 1
+
+
+# -- cofactor normals, one Smith form per lattice, one cone per saturation -----
+
+
+def box(gens, rank):
+    lo, hi = gm._zonotope_box(gens, rank)
+    return list(gm._box_points(lo, hi))
+
+
+def kernel_facet_normals(gens, rank):
+    """Oracle: the facet normals as the integer kernel of each
+    (dim - 1)-subset of generators with the span's complement rows, kept
+    when the generators they vanish on span dim - 1 dimensions."""
+    gens = [tuple(g) for g in gens]
+    if gens:
+        orth = [list(k) for k in intlin.kernel_basis([list(g) for g in gens])]
+    else:
+        orth = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    dim = rank - len(orth)
+    if dim == 0:
+        return []
+    normals = set()
+    for combo in itertools.combinations(gens, dim - 1):
+        for cand in intlin.kernel_basis([list(c) for c in combo] + orth or [[0] * rank]):
+            g = math.gcd(*cand)
+            w = tuple(x // g for x in cand)
+            vals = [sum(a * b for a, b in zip(w, x)) for x in gens]
+            if not any(vals) or min(vals) < 0 < max(vals):
+                continue
+            sign = 1 if min(vals) >= 0 else -1
+            zeros = [list(x) for x, v in zip(gens, vals) if v == 0]
+            if (intlin.rank(zeros) if zeros else 0) == dim - 1:
+                normals.add(tuple(sign * x for x in w))
+    return sorted(normals)
+
+
+class TwoSmithSublattice:
+    """Oracle: the basis from ``intlin.lattice_basis``, then a second Smith
+    form U*B*V = D of the basis B for membership: v = B*x has a solution
+    iff (U*v)_i is divisible by D_ii for every column i of B and vanishes
+    past them."""
+
+    def __init__(self, gens, rank):
+        self.basis = intlin.lattice_basis([list(g) for g in gens], rank)
+        if self.basis:
+            u, d, _ = intlin.snf([[c[i] for c in self.basis] for i in range(rank)])
+            self.rows, self.factors = u, [d[i][i] for i in range(len(self.basis))]
+        else:
+            self.rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+            self.factors = []
+
+    def __contains__(self, vec):
+        for i, row in enumerate(self.rows):
+            c = sum(a * b for a, b in zip(row, vec))
+            d = self.factors[i] if i < len(self.factors) else 0
+            if c % d if d else c:
+                return False
+        return True
+
+
+@st.composite
+def generator_sets(draw):
+    """Rank 1-4 and at most 6 generators, with entries small enough to keep
+    the zonotope box small.  A set may gain a repeat, a sum of two of its
+    generators or the zero vector, and may be pushed into the hyperplane
+    x_0 = x_1."""
+    rank = draw(st.integers(1, 4))
+    bound = {1: 4, 2: 3, 3: 1, 4: 1}[rank]
+    gens = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * rank), max_size=5))
+    if gens:
+        i = draw(st.integers(0, len(gens) - 1))
+        j = draw(st.integers(0, len(gens) - 1))
+        extra = draw(st.sampled_from(
+            [None, gens[i], tuple(a + b for a, b in zip(gens[i], gens[j])), (0,) * rank]
+        ))
+        if extra is not None:
+            gens.append(extra)
+    if rank >= 2 and draw(st.booleans()):
+        gens = [(g[0],) + g[:1] + g[2:] for g in gens]
+    return rank, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+@example((3, []))
+@example((2, [(0, 0), (0, 0)]))  # zero generators only
+@example((3, [(1, 0, 1), (1, 0, 1), (0, 1, 0)]))  # a repeated generator
+@example((3, [(1, 1, 0), (0, 1, 1), (1, 2, 1), (1, 0, -1)]))  # dependent, a plane
+@example((4, [(1, 1, 0, 0), (2, 2, 0, 0), (0, 0, 0, 0)]))  # a ray
+@example((4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 0)]))
+@example((2, [(2, 0), (1, 3), (-1, 3)]))  # index-6 sublattice
+def test_cofactor_normals_and_one_smith_lattice_match_the_old_constructions(chart):
+    rank, gens = chart
+    assert gm.facet_normals(gens, rank) == kernel_facet_normals(gens, rank)
+    lattice, oracle = gm.Sublattice(gens, rank), TwoSmithSublattice(gens, rank)
+    assert lattice.basis == oracle.basis
+    mat = [[g[i] for g in gens] for i in range(rank)]
+    for v in box(gens, rank):
+        member = v in lattice
+        assert member == (v in oracle), v
+        solvable = intlin.solve(mat, list(v)) is not None if gens else not any(v)
+        assert member == solvable, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@example([[0, 2, 1], [1, 0, 0], [0, 1, 3]])  # a zero pivot, swapped
+@example([[1, 2], [2, 4]])
+def test_fraction_free_determinant_matches_laplace(square):
+    assert gm._det(square) == _det(square)
+
+
+def test_cofactors_are_orthogonal_to_the_rows():
+    # <w, x> = det([x; rows]), so w is orthogonal to both rows
+    assert gm._cofactors([[1, 0, 0], [0, 1, 0]], 3) == [0, 0, 1]
+    assert gm._cofactors([[1, 2, 3], [2, 4, 6]], 3) == [0, 0, 0]
+
+
+def assert_cone_answers_as_fresh(out, points):
+    """out's cone record, built from its input's, answers as one built from
+    out's own generators: normals, unit lattice, and span, cone and lattice
+    membership at ``points``."""
+    shared, fresh = gm.chart_cone(out), gm.ChartCone(out.generators, out.rank)
+    assert shared.normals == fresh.normals
+    assert shared.unit_lattice() == fresh.unit_lattice()
+    for v in points:
+        assert shared.in_span(v) == fresh.in_span(v), v
+        assert shared.in_cone(v) == fresh.in_cone(v), v
+        assert (v in shared.lattice) == (v in fresh.lattice), v
+
+
+def corpus_charts():
+    """The corpus's cancellative charts: its affine monoid documents (a
+    monomial ideal replaced by the components ``normalize_pc`` normalizes)
+    and the charts of its scheme documents."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "corpus")
+    charts = []
+    for path in sorted(glob.glob(os.path.join(root, "monoids", "*.json"))):
+        with open(path, encoding="utf-8") as fh:
+            if json.load(fh)["kind"] != "affine":
+                continue
+        aff = load_document(path)
+        if aff.is_pc_quotient:
+            charts += [
+                AffineMonoid(f"{aff.name}_c{k}", aff.rank, [aff.generators[i] for i in sorted(f)])
+                for k, f in enumerate(gm.minimal_primes_pc(aff))
+            ]
+        else:
+            charts.append(aff)
+    for path in sorted(glob.glob(os.path.join(root, "schemes", "*.json"))):
+        charts += load_document(path).charts
+    return charts
+
+
+SHARED_CONE_CHARTS = [
+    (2, [(1, 1), (2, 2)]),
+    (2, [(2, 0), (0, 1)]),
+    (2, [(2, 0), (0, 2), (0, 0)]),
+    (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 1)]),
+    (1, []),
+    (2, [(1, 0), (-1, 0), (0, 2), (1, 1)]),
+    (2, [(2, 0), (-2, 0), (1, 1), (0, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "aff",
+    [AffineMonoid("C", rank, gens) for rank, gens in SHARED_CONE_CHARTS] + corpus_charts(),
+    ids=lambda aff: f"{aff.name}{aff.generators}",
+)
+def test_saturations_share_the_cone_of_their_chart(aff, monkeypatch):
+    calls = []
+    normals = gm.facet_normals
+    monkeypatch.setattr(gm, "facet_normals", lambda *a: calls.append(a) or normals(*a))
+    fresh = AffineMonoid(aff.name, aff.rank, aff.generators)
+    nor = gm.normalize_affine(fresh)
+    assert len(calls) == 1  # the output's is_normal check reuses the normals
+    sn = gm.seminormalize_cancellative(fresh)
+    assert len(calls) == 1
+    points = box(aff.generators, aff.rank)
+    assert_cone_answers_as_fresh(nor, points)
+    assert_cone_answers_as_fresh(sn, points)
+    # how the saturation was made does not change its own normalization
+    again = AffineMonoid(nor.name, nor.rank, nor.generators)
+    assert gm.normalize_affine(nor).generators == gm.normalize_affine(again).generators
