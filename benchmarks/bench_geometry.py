@@ -9,10 +9,11 @@ plus ``normalize_affine`` on a fresh chart, how many ``facet_normals``
 calls and Smith forms (``intlin.snf``) those two made, and how many level
 sets they filled: the packed sets ``AffineMonoid._packed_level_set``
 builds and caches, one per chart and bound, which every ``contains``
-looks up.  Both outputs share the chart's cone record, so the chart's
-normals are computed once; its Smith forms are the complement's kernel,
-the lattice's one Smith form and the unit lattice's kernel, plus one
-lattice per face the seminormal membership asks about.
+looks up.  The normalization takes over the chart's complement and
+normals, so they are computed once; the Smith forms are the
+complement's kernel, one per lattice (the chart's, the normalization's
+and one per face the seminormal membership asks about) and the unit
+lattices' kernels.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly

@@ -152,13 +152,10 @@ class ChartCone:
     chart lattice, and, as they are asked for, the lattice of each face,
     the saturation points of the zonotope box and the unit lattice.
 
-    ``shared`` is the record of a chart with the same cone and group (a
-    normalization's or seminormalization's input).  Its complement and
-    normals are taken over; so are its lattice and its zero unit lattice
-    when the cone is pointed.  With units the chart builds its own
-    lattice, as the unit lattice's basis is read off the lattice basis
-    and must not depend on how the chart was made.  Face lattices and
-    box points always come from ``gens``.
+    ``shared`` is the record of a chart with the same cone (a
+    normalization's input); its complement and normals, which depend on
+    the cone alone, are taken over.  The lattice, face lattices, box
+    points and unit lattice always come from ``gens``.
     """
 
     def __init__(self, gens, rank, shared=None):
@@ -167,19 +164,12 @@ class ChartCone:
         if shared is None:
             self.complement = _span_orthogonal_complement(gens, rank)
             self.normals = facet_normals(gens, rank, self.complement)
-            self.lattice = Sublattice(gens, rank)
-            self._units = None
         else:
-            self.complement = shared.complement
-            self.normals = shared.normals
-            if shared.unit_lattice():
-                self.lattice = Sublattice(gens, rank)
-                self._units = None
-            else:
-                self.lattice = shared.lattice
-                self._units = []
+            self.complement, self.normals = shared.complement, shared.normals
+        self.lattice = Sublattice(gens, rank)
         self._face_lattices = {}
         self._box = None
+        self._units = None
 
     def in_span(self, vec):
         """Is vec in the rational span of the generators?"""
@@ -299,11 +289,11 @@ def is_normal(aff):
 def normalize_affine(aff):
     """Saturation of the generator monoid inside its own lattice.
 
-    The saturation has the chart's cone and group, so its cone record
-    shares the chart's complement, normals and, on a pointed chart, its
-    lattice (``ChartCone``'s ``shared``); its ``is_normal`` check scans
-    its own box against them.  A chart with a monomial ideal raises
-    ``ValidationError``: ``normalize_pc`` normalizes its components.
+    The saturation has the chart's cone, so its cone record shares the
+    chart's complement and normals (``ChartCone``'s ``shared``); its
+    ``is_normal`` check scans its own box against them.  A chart with a
+    monomial ideal raises ``ValidationError``: ``normalize_pc``
+    normalizes its components.
 
     On a pointed chart (no units) the minimal generating set of the
     saturation is its Hilbert basis: the candidates g such that no other
@@ -553,13 +543,7 @@ def seminormal_membership_powers(aff, vec, kmax=None):
 
 def seminormalize_cancellative(aff):
     """Largest intermediate monoid whose elements have all large powers in
-    the chart; computed from box generators of the exact membership.
-
-    The output adds points of the chart's cone and lattice to its
-    generators, so its cone record shares the chart's complement,
-    normals and, on a pointed chart, its lattice (``ChartCone``'s
-    ``shared``).
-    """
+    the chart; computed from box generators of the exact membership."""
     if aff.is_pc_quotient:
         raise ValidationError("cancellative charts only")
     exact = {v: seminormal_membership(aff, v) for v in saturation_points_in_box(aff)}
@@ -571,7 +555,6 @@ def seminormalize_cancellative(aff):
         unit_orders=list(aff.unit_orders),
         degree_bound=aff.degree_bound,
     )
-    out._cone = ChartCone(out.generators, out.rank, shared=chart_cone(aff))
     # verification window: the generated monoid matches exact membership
     for v, member in exact.items():
         if out.contains(v) != member:
