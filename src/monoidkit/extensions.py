@@ -168,26 +168,17 @@ def ext_count_bruteforce(x, y):
 def ext_equivalent(e1: Extension, e2: Extension):
     """Isomorphism commuting with the fixed inclusion and projection.
 
-    The carriers are aligned, Y block then X block, so an equivalence is an
-    injective equivariant map that fixes each point of the Y block and
-    sends each point of the X block into its fiber under e2's projection.
-    Generators are pinned that way; the rest follows by equivariance,
-    except a Y point generated only from the X block, checked at the end.
+    The carriers are aligned, Y block then X block, and each fiber of
+    E -> X over a nonzero point is one point.  So an equivalence that fixes
+    Y pointwise is the identity, and two extensions are equivalent iff they
+    are equal.
     """
-    n = len(e1.e.carrier)
-    if n != len(e2.e.carrier):
-        return False
-    ny = len(e1.include.source.carrier)
-    fixed = list(range(ny))
-    fibers = [[] for _ in e2.project.target.carrier]
-    for q, v in enumerate(e2.project.mapping):
-        fibers[v].append(q)
-
-    def candidates(p):
-        return [p] if p < ny else fibers[e1.project(p)]
-
-    maps = ak._equivariant_maps(e1.e, e2.e, candidates, injective=True)
-    return any(g[:ny] == fixed for g in maps)
+    return (
+        len(e1.e.carrier) == len(e2.e.carrier)
+        and e1.e.action == e2.e.action
+        and e1.include.mapping == e2.include.mapping
+        and e1.project.mapping == e2.project.mapping
+    )
 
 
 # ---------------------------------------------------------------------------

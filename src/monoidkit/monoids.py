@@ -14,15 +14,16 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass, field
 
-from . import _kernels
 from .errors import (
     BadWord,
     BoundExceeded,
     NotAnIdeal,
+    OracleMismatch,
     UnsupportedBackend,
     ValidationError,
     ZeroInS,
@@ -460,38 +461,23 @@ def render_word(exps, gen_names):
 
 
 def word_key(w):
-    """Canonical word order: degree first, then earlier generators first."""
+    """Canonical word order: degree first, then earlier generators first.
+
+    It is a graded monomial order, so the least word of a class is the
+    least word of another class times one generator.
+    """
     return (sum(w), tuple(-e for e in w))
-
-
-def _words_up_to(gen_count, degree):
-    """All exponent vectors with coordinate sum <= degree, canonical order."""
-    out = []
-    for d in range(degree + 1):
-        chunk = []
-
-        def rec_exact(prefix, remaining, slots):
-            if slots == 1:
-                chunk.append(tuple(prefix + [remaining]))
-                return
-            for e in range(remaining + 1):
-                rec_exact(prefix + [e], remaining - e, slots - 1)
-
-        if gen_count == 0:
-            if d == 0:
-                chunk.append(())
-        else:
-            rec_exact([], d, gen_count)
-        out.extend(sorted(chunk, key=word_key))
-    return out
 
 
 def build_from_presentation(gen_names, relations, bound=24, name=None):
     """Quotient of the free commutative pointed monoid by generated relations.
 
-    ``relations`` is a list of (lhs, rhs) word pairs; rhs may be "0".
-    Raises BoundExceeded when the bounded closure keeps producing new
-    classes past ``bound`` of them.
+    ``relations`` is a list of (lhs, rhs) word pairs; rhs may be "0".  The
+    quotient is found by coset enumeration (``_enumerate_nodes``), and its
+    elements are named by their least words under ``word_key``, in that
+    order.  ``bound`` caps the live nonzero enumeration nodes, not the
+    classes: BoundExceeded is raised when more would be live at once.
+    OracleMismatch is raised when the built table breaks a relation.
     """
     gen_names = list(gen_names)
     rels = []
@@ -509,103 +495,120 @@ def build_from_presentation(gen_names, relations, bound=24, name=None):
         name = f"{base}/({rel_str})" if rel_str else base
 
     g = len(gen_names)
-    max_rel_deg = max((sum(u or ()) for uv in rels for u in uv if u is not None), default=0)
-    degree = max(2, 2 * max_rel_deg + 2)
-    max_degree = max(32, 4 * (bound + max_rel_deg + 1))
 
-    prev_signature = None
-    while True:
-        words = _words_up_to(g, degree)
-        index = {w: i + 1 for i, w in enumerate(words)}  # 0 reserved for ZERO
+    def trace(w):  # an exponent vector as a sequence of generator indices
+        return None if w is None else [i for i, e in enumerate(w) for _ in range(e)]
 
-        n_nodes = len(words) + 1
-        pairs = []
-        for u, v in rels:
-            deg_u = sum(u) if u is not None else 0
-            deg_v = sum(v) if v is not None else 0
-            room = degree - max(deg_u, deg_v)
-            for m in words:
-                if sum(m) > room:
-                    continue
-                iu = 0 if u is None else index[tuple(a + b for a, b in zip(m, u))]
-                iv = 0 if v is None else index[tuple(a + b for a, b in zip(m, v))]
-                pairs.append((iu, iv))
-        reps = _kernels.closure(n_nodes, [], pairs)
-
-        # minimal representative word per class (ZERO class excluded)
-        class_min = {}
-        for w in words:
-            r = reps[index[w]]
-            if r == reps[0]:
-                continue
-            key = word_key(w)
-            if r not in class_min or key < class_min[r][0]:
-                class_min[r] = (key, w)
-        min_words = sorted(class_min.values())
-        # stable part: classes whose representative fits in half the window
-        half = degree // 2
-        stable = [w for ((d, _), w) in min_words if d <= half]
-        overflow = [w for ((d, _), w) in min_words if d > half]
-
-        if len(stable) > bound:
-            raise BoundExceeded(
-                f"presentation closure exceeded bound {bound} ({len(stable)} classes)"
-            )
-
-        signature = tuple(stable)
-        closed = True
-        lookup = {}
-        for w in words:
-            r = reps[index[w]]
-            if r == reps[0]:
-                lookup[w] = None
-            else:
-                lookup[w] = class_min[r][1]  # minimal representative word
-        for w1 in stable:
-            for w2 in stable:
-                prod = tuple(a + b for a, b in zip(w1, w2))
-                if sum(prod) > degree:
-                    closed = False
-                    break
-                rep = lookup[prod]
-                if rep is not None and rep not in stable:
-                    closed = False
-                    break
-            if not closed:
-                break
-
-        if closed and not overflow and signature == prev_signature:
-            return _table_from_classes(name, gen_names, stable, lookup)
-        prev_signature = signature
-        degree *= 2
-        if degree > max_degree:
-            if closed and not overflow:
-                return _table_from_classes(name, gen_names, stable, lookup)
-            raise BoundExceeded(
-                f"presentation closure did not stabilize below degree {max_degree}"
-            )
-
-
-def _table_from_classes(name, gen_names, stable, lookup):
-    if not stable or stable[0] != tuple([0] * len(gen_names)):
+    traced = [(trace(u), trace(v)) if u is not None else (trace(v), None)
+              for u, v in rels]
+    traced += [([i, j], [j, i]) for i in range(g) for j in range(i + 1, g)]
+    rows = _enumerate_nodes(g, traced, bound)
+    if ONE not in rows:
         # identity collapsed to zero: the zero monoid
         return FiniteMonoid(name, ["0"], [[0]], [])
-    elements = ["0"] + [render_word(w, gen_names) for w in stable]
-    pos = {w: i + 1 for i, w in enumerate(stable)}
-    n = len(elements)
-    table = [[0] * n for _ in range(n)]
-    for i, w1 in enumerate(stable):
-        for j, w2 in enumerate(stable):
-            prod = lookup[tuple(a + b for a, b in zip(w1, w2))]
-            table[i + 1][j + 1] = 0 if prod is None else pos[prod]
-    gens = []
-    for k, gname in enumerate(gen_names):
-        unit = tuple(1 if t == k else 0 for t in range(len(gen_names)))
-        target = lookup.get(unit)
-        gens.append(0 if target is None else pos[target])
-    gens = sorted(set(g for g in gens if g not in (ZERO,)))
-    m = FiniteMonoid(name, elements, table, gens or None)
+
+    # least words, smallest first: a least word is a least word times one
+    # generator, since word_key is a graded monomial order
+    least, tree, order = {}, {}, []
+    heap = [(word_key((0,) * g), (0,) * g, ONE, None)]
+    while heap:
+        _, w, t, via = heapq.heappop(heap)
+        if t in least:
+            continue
+        least[t], tree[t] = w, via
+        order.append(t)
+        for i, u in enumerate(rows[t]):
+            if u != ZERO and u not in least:
+                wu = tuple(e + (k == i) for k, e in enumerate(w))
+                heapq.heappush(heap, (word_key(wu), wu, u, (t, i)))
+    pos = {t: k for k, t in enumerate([ZERO] + order)}
+    table = [[ZERO] * len(pos)]
+    for a in order:
+        prod = {ONE: a}  # a times each node, along the tree of least words
+        for b in order[1:]:
+            s, i = tree[b]
+            prod[b] = ZERO if prod[s] == ZERO else rows[prod[s]][i]
+        table.append([ZERO] + [pos[prod[b]] for b in order])
+    image = [pos[t] for t in rows[ONE]]
+    elements = ["0"] + [render_word(least[t], gen_names) for t in order]
+    m = FiniteMonoid(name, elements, table, sorted(set(image) - {ZERO}) or None)
+
+    def value(seq):
+        acc = m.one
+        for i in seq:
+            acc = table[acc][image[i]]
+        return acc
+
+    for u, v in traced:
+        if value(u) != (ZERO if v is None else value(v)):
+            word = "*".join(gen_names[i] for i in u) or "1"
+            raise OracleMismatch(f"{name}: the built table breaks a relation at {word}")
     return m
+
+
+def _enumerate_nodes(g, traced, bound):
+    """Commutative Todd-Coxeter enumeration with the HLT strategy.
+
+    Node 0 is zero and node 1 the identity; ``edges[n][i]`` is the node of
+    n times x_i, or None until a walk defines it.  At every live node, in
+    order, both sides of each pair in ``traced`` (generator sequences, None
+    for zero) are walked, defining nodes as needed, and their ends are
+    merged; then the node's row is filled.  A merge joins the higher node
+    into the lower one by union-find, then merges their edges.  Returns the
+    rows of the live nonzero nodes, each edge resolved to a live node.
+    """
+    edges = [[ZERO] * g, [None] * g]
+    parent = [ZERO, ONE]
+    live = 1  # live nonzero nodes
+
+    def find(n):
+        while parent[n] != n:
+            n = parent[n]
+        return n
+
+    def step(n, i):
+        nonlocal live
+        t = edges[n][i]
+        if t is not None:
+            return find(t)
+        if live >= bound:
+            raise BoundExceeded(f"coset enumeration exceeded bound {bound} (live nodes)")
+        t = edges[n][i] = len(edges)
+        edges.append([None] * g)
+        parent.append(t)
+        live += 1
+        return t
+
+    def walk(n, seq):
+        for i in seq:
+            n = step(n, i)
+        return n
+
+    def merge(a, b):
+        nonlocal live
+        pending = [(a, b)]
+        while pending:
+            a, b = sorted(map(find, pending.pop()))
+            if a != b:
+                parent[b] = a
+                live -= 1
+                for i, t in enumerate(edges[b]):
+                    if edges[a][i] is None:
+                        edges[a][i] = t
+                    elif t is not None:
+                        pending.append((edges[a][i], t))
+
+    n = ONE
+    while n < len(edges):
+        for u, v in traced:
+            if parent[n] == n:
+                merge(walk(n, u), ZERO if v is None else walk(n, v))
+        if parent[n] == n:  # fill the row
+            for i in range(g):
+                step(n, i)
+        n += 1
+    live_rows = (n for n in range(ONE, len(edges)) if parent[n] == n)
+    return {n: [find(t) for t in edges[n]] for n in live_rows}
 
 
 # ---------------------------------------------------------------------------

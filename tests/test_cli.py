@@ -139,6 +139,17 @@ def test_bound_exceeded_exits_3(tmp_path):
     assert code == 3
 
 
+def test_presentation_that_collapses_to_f1(tmp_path):
+    # y = x^2*y*y^2 = 0, and then x = x*y^4 = 0: the quotient is {0, 1}
+    pres = tmp_path / "collapse.json"
+    pres.write_text(json.dumps({
+        "kind": "presentation",
+        "generators": ["x", "y"],
+        "relations": [["x*y^4", "x"], ["y^2", "0"], ["y", "x^2*y^3"], ["y^2", "x*y"]],
+    }))
+    assert run(["spec", str(pres)]) == (0, "(0)\n")
+
+
 @pytest.mark.parametrize("bound", ["8", -2])
 def test_normalize_rejects_a_bad_degree_bound(tmp_path, capsys, bound):
     bad = tmp_path / "numsg23.json"

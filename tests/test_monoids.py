@@ -1,15 +1,20 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from census import census
 from monoidkit import asets as ak
 from monoidkit import monoids as mk
 from monoidkit.errors import (
     BoundExceeded,
     NotACongruence,
     NotAnIdeal,
+    OracleMismatch,
     ValidationError,
     ZeroInS,
     ZeroNotPrime,
@@ -80,31 +85,154 @@ def test_presentation_word_equivalence_oracle():
     assert m.power(x, 5) == x
 
 
+def present_by_table(m):
+    """Generators g<i> for the nonzero non-units, one relation per product."""
+    nonunit = [i for i in m.indices() if i not in (0, m.one)]
+    gname = {i: f"g{i}" for i in nonunit}
+    gname.update({0: "0", m.one: "1"})
+    rels = [(f"{gname[a]}*{gname[b]}", gname[m.mul(a, b)])
+            for a in nonunit for b in nonunit]
+    return [gname[i] for i in nonunit], rels
+
+
 def test_represent_roundtrip_isomorphic():
     # re-presenting a table by all its elements and full relations gives an
     # isomorphic table
     m = idem2()
-    nonunit = [i for i in m.indices() if i not in (0, m.one)]
-    gname = {i: f"g{i}" for i in nonunit}
-
-    def word_for(i):
-        if i == 0:
-            return "0"
-        if i == m.one:
-            return "1"
-        return gname[i]
-
-    rels = []
-    for a in nonunit:
-        for b in nonunit:
-            rels.append((f"{gname[a]}*{gname[b]}", word_for(m.mul(a, b))))
-    m2 = mk.build_from_presentation([gname[i] for i in nonunit], rels)
+    m2 = mk.build_from_presentation(*present_by_table(m))
     assert mk.monoid_isomorphic(m, m2) is not None
+
+
+def census_monoids(n):
+    tables, classes = census(n)
+    as_monoid = lambda t: mk.FiniteMonoid(f"T{n}", [str(i) for i in range(n)], t)
+    return [(as_monoid(t), c) for t, c in tables], [(as_monoid(c), c) for c in classes]
+
+
+def test_census_counts():
+    counts = [tuple(map(len, census(n))) for n in range(2, 6)]
+    assert counts == [(1, 1), (3, 3), (19, 11), (255, 53)]
+
+
+def test_monoid_isomorphic_matches_canonical_forms():
+    # every labeled table of order <= 5 against every class representative:
+    # a map exists iff the canonical forms agree, and it preserves products
+    for n in range(2, 6):
+        tables, reps = census_monoids(n)
+        for (a, ca), (b, cb) in itertools.product(tables, reps):
+            f = mk.monoid_isomorphic(a, b)
+            assert (f is not None) == (ca == cb), (a.table, b.table)
+            if f is not None:
+                assert sorted(f) == list(range(n))
+                assert all(b.table[f[x]][f[y]] == f[a.table[x][y]]
+                           for x in range(n) for y in range(n))
+
+
+def test_every_small_class_presented_by_its_table():
+    for n in range(2, 6):
+        for m, _ in census_monoids(n)[1]:
+            m2 = mk.build_from_presentation(*present_by_table(m))
+            assert mk.monoid_isomorphic(m, m2) is not None, m.table
 
 
 def test_zero_monoid_presentation():
     m = mk.build_from_presentation(["x"], [("1", "0")])
     assert m.elements == ["0"]
+
+
+def test_presentation_that_collapses_to_f1():
+    # y = x^2*y*y^2 = 0, and then x = x*y^4 = 0
+    m = mk.build_from_presentation(
+        ["x", "y"], [("x*y^4", "x"), ("y^2", "0"), ("y", "x^2*y^3"), ("y^2", "x*y")]
+    )
+    assert m.elements == ["0", "1"]
+
+
+def random_presentation(rng):
+    """1-3 generators and 1-4 relations between words of degree <= 5."""
+    g = rng.randint(1, 3)
+    gens = ["x", "y", "z"][:g]
+
+    def word():
+        exps = [0] * g
+        for _ in range(rng.randint(0, 5)):
+            exps[rng.randrange(g)] += 1
+        return tuple(exps)
+
+    rels = [(word(), "0" if rng.random() < 0.25 else word())
+            for _ in range(rng.randint(1, 4))]
+    return gens, rels
+
+
+# Of 400 presentations drawn from random.Random(0), the degree-window closure
+# that coset enumeration replaced built 164.  WINDOW_DIGEST is the sha256 of
+# their [index, elements, table, generators] lists as JSON, taken from that
+# closure; it raised BoundExceeded on the presentations below, which
+# enumeration builds with these sizes.
+WINDOW_DIGEST = "1351478dc4415fbda1a90412f1ab85e1f298ad25352a3c916ead9e5568641209"
+PAST_THE_WINDOW = {
+    1: 1, 2: 3, 4: 5, 11: 4, 15: 2, 29: 5, 39: 4, 47: 9, 61: 1, 62: 3, 63: 1,
+    64: 7, 66: 1, 68: 3, 75: 1, 78: 1, 80: 3, 86: 1, 87: 4, 93: 4, 96: 2,
+    98: 2, 99: 2, 100: 1, 116: 6, 123: 1, 129: 4, 140: 1, 143: 3, 150: 2,
+    152: 1, 159: 1, 163: 1, 167: 5, 169: 1, 179: 8, 182: 2, 184: 1, 186: 1,
+    188: 2, 192: 4, 193: 1, 212: 2, 214: 2, 216: 3, 217: 1, 219: 4, 223: 2,
+    237: 1, 238: 3, 243: 6, 249: 1, 252: 5, 254: 2, 278: 3, 284: 2, 285: 12,
+    305: 2, 307: 1, 311: 1, 313: 1, 329: 11, 338: 2, 341: 2, 344: 3, 347: 4,
+    350: 1, 356: 3, 359: 10, 373: 1, 374: 2, 375: 2, 376: 1, 387: 5, 392: 1,
+    395: 3, 398: 4,
+}
+
+
+def presents(m, gens, rels):
+    """Brute force: some choice of generator images makes every element the
+    value of its own name and every relation hold."""
+    def value(image, word):
+        exps = mk.parse_word(word, gens)
+        if exps is None:
+            return 0
+        acc = m.one
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                acc = m.mul(acc, image[k])
+        return acc
+
+    choices = [[m.index_of(x)] if x in m.elements else m.indices() for x in gens]
+    return any(
+        all(value(image, name) == i for i, name in enumerate(m.elements))
+        and all(value(image, u) == value(image, v) for u, v in rels)
+        for image in itertools.product(*choices)
+    )
+
+
+def test_random_presentations_against_the_window_closure():
+    rng = random.Random(0)
+    built, past = [], {}
+    for i in range(400):
+        gens, rels = random_presentation(rng)
+        try:
+            m = mk.build_from_presentation(gens, rels)
+        except BoundExceeded:
+            continue
+        if i in PAST_THE_WINDOW:
+            past[i] = len(m.elements)
+            assert mk.validate(m).ok and presents(m, gens, rels), (gens, rels)
+        else:
+            built.append([i, m.elements, m.table, m.generators])
+    assert past == PAST_THE_WINDOW
+    assert hashlib.sha256(json.dumps(built).encode()).hexdigest() == WINDOW_DIGEST
+
+
+def test_corrupt_enumeration_raises_oracle_mismatch(monkeypatch):
+    enumerate_nodes = mk._enumerate_nodes
+
+    def corrupt(g, traced, bound):
+        rows = enumerate_nodes(g, traced, bound)
+        rows[max(rows)][0] = max(rows)  # x^3 = x^2 in place of x^3 = 0
+        return rows
+
+    monkeypatch.setattr(mk, "_enumerate_nodes", corrupt)
+    with pytest.raises(OracleMismatch):
+        mk.build_from_presentation(["x"], [("x^3", "0")])
 
 
 # -- validation -------------------------------------------------------------
