@@ -148,31 +148,27 @@ def aset_from_theta(theta, base=None, name="X"):
 def build_action_from_gen_maps(m, carrier, gen_maps, name="X"):
     """Full action from per-generator carrier maps.
 
-    Over a finite base the grid for a general element composes the
-    generator maps along any word for it; over the monogenic base the
-    generator's map is the whole action.  Validity is checked by the
-    caller via validate_aset.
+    Over a finite base the rows are filled breadth first from 1: the row
+    of a.g is the generator's map after the row of a.  Over the monogenic
+    base the generator's map is the whole action.  Validity is checked by
+    the caller via validate_aset.
     """
     if isinstance(m, MonogenicMonoid):
         return ASet(m, carrier, gen_maps, name=name)
     n = len(carrier)
-    words = m.words_from_generators()
-    action = [[0] * n for _ in m.indices()]
-    gen_map = {g: gen_maps[i] for i, g in enumerate(m.generators)}
+    rows = {m.one: list(range(n))}
+    queue = [m.one]
+    for a in queue:
+        for g, gen_map in zip(m.generators, gen_maps):
+            b = m.table[a][g]
+            if b not in rows:
+                rows[b] = [gen_map[p] for p in rows[a]]
+                queue.append(b)
+    rows[ZERO] = [0] * n  # the zero row sends everything to the basepoint
     for a in m.indices():
-        if a == ZERO and len(m.elements) > 1:
-            continue  # zero row stays zero
-        word = words.get(a)
-        if word is None:
+        if a not in rows:
             raise ValidationError(f"element {m.elements[a]} not generated")
-        row = list(range(n))
-        for g in word:
-            row = [gen_map[g][p] for p in row]
-        action[a] = row
-    for p in range(n):
-        action[ZERO][p] = 0
-    x = ASet(m, carrier, action=action, name=name)
-    return x
+    return ASet(m, carrier, action=[rows[a] for a in m.indices()], name=name)
 
 
 def free_aset(m, labels, name=None):
@@ -529,16 +525,40 @@ def generated_subset(x, points):
     return out
 
 
+def _close(mapping, frontier, tables, taken=None):
+    """Close a partial map in place along table pairs (t_x, t_y):
+    f(t_x[q]) = t_y[f(q)] for every mapped q, starting from ``frontier``.
+
+    Returns False on a clash.  With ``taken``, the set of images in use,
+    an image that a propagated point would share is a clash too.
+    """
+    while frontier:
+        q = frontier.pop()
+        for t_x, t_y in tables:
+            src, dst = t_x[q], t_y[mapping[q]]
+            if mapping[src] is None:
+                if taken is not None:
+                    if dst in taken:
+                        return False
+                    taken.add(dst)
+                mapping[src] = dst
+                frontier.append(src)
+            elif mapping[src] != dst:
+                return False
+    return True
+
+
 def _equivariant_maps(x, y, candidates=None, injective=False):
     """Every based equivariant map X -> Y, as carrier lists, depth first.
 
     A map is fixed by its values on ``aset_generators(x)``; generator ``g``
     takes its value from ``candidates(g)`` (all of Y when None), in that
-    order.  Each partial map is closed under the generator tables only.
-    That is equivariance for every monoid element on validated inputs:
-    every nonzero element of a finite base is a generator word (the
-    ``NonGenerating`` check), the zero element sends everything to the
-    basepoint, and the monogenic base has the single generator row.
+    order.  Each partial map is closed under the generator tables only
+    (``_close``).  That is equivariance for every monoid element on
+    validated inputs: every nonzero element of a finite base is a
+    generator word (the ``NonGenerating`` check), the zero element sends
+    everything to the basepoint, and the monogenic base has the single
+    generator row.
 
     With ``injective`` a point may not take an image that another point
     already has, whether it is a generator's chosen value or a value the
@@ -551,6 +571,7 @@ def _equivariant_maps(x, y, candidates=None, injective=False):
 
     def extend(mapping, p, img):
         """Copy with f(p) = img, closed under the tables; None on a clash."""
+        taken = None
         if injective:
             taken = set(mapping)
             if img in taken:
@@ -558,21 +579,7 @@ def _equivariant_maps(x, y, candidates=None, injective=False):
             taken.add(img)
         mapping = list(mapping)
         mapping[p] = img
-        frontier = [p]
-        while frontier:
-            q = frontier.pop()
-            for t_x, t_y in tables:
-                src, dst = t_x[q], t_y[mapping[q]]
-                if mapping[src] is None:
-                    if injective:
-                        if dst in taken:
-                            return None
-                        taken.add(dst)
-                    mapping[src] = dst
-                    frontier.append(src)
-                elif mapping[src] != dst:
-                    return None
-        return mapping
+        return mapping if _close(mapping, [p], tables, taken) else None
 
     def rec(k, mapping):
         if k == len(gens):

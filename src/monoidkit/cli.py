@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage, 2 validation failure, 3 bound exceeded.
 All output is deterministic (sorted sets, canonical names, invariant
 factors in divisibility order); ``--json`` switches to machine-readable
-reports.  ``MONOIDKIT_BOUND`` overrides the default enumeration bound.
+reports.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from .monoids import (
     same_monoid,
     validate as validate_monoid,
 )
-
-
-def _bound_default(value):
-    env = os.environ.get("MONOIDKIT_BOUND")
-    return int(env) if env else value
 
 
 def _emit(args, payload, text_lines):
@@ -580,7 +575,7 @@ def build_parser():
     s = sub.add_parser("g0", help="bounded-universe class group of A-sets")
     s.add_argument("monoid")
     s.add_argument("--universe", help="directory of A-set documents")
-    s.add_argument("--bound", type=int, default=_bound_default(5))
+    s.add_argument("--bound", type=int, default=5)
     s.set_defaults(func=cmd_g0)
 
     s = sub.add_parser("devissage", help="nilpotent filtration identity")
@@ -660,9 +655,6 @@ def main(argv=None, standalone=True):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage errors, and --help
         code = 0 if exc.code in (0, None) else 1
-    except ValueError as exc:  # raised by int() in _bound_default
-        print(f"usage error: MONOIDKIT_BOUND is not an integer ({exc})", file=sys.stderr)
-        code = 1
     else:
         try:
             code = args.func(args)

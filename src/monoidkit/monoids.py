@@ -104,19 +104,6 @@ class FiniteMonoid:
                     frontier.append(y)
         return seen
 
-    def words_from_generators(self):
-        """A word (tuple of generator indices) for every reachable element."""
-        words = {self.one: ()}
-        frontier = [self.one]
-        while frontier:
-            x = frontier.pop(0)
-            for g in self.generators:
-                y = self.table[x][g]
-                if y not in words:
-                    words[y] = words[x] + (g,)
-                    frontier.append(y)
-        return words
-
 
 def _minimal_generators(m):
     # greedy sweep in canonical element order; each unreachable element
@@ -803,68 +790,46 @@ class MonoidHom:
 
 
 def monoid_isomorphic(a, b):
-    """Table isomorphism search; returns a mapping or None."""
-    if len(a.elements) != len(b.elements):
-        return None
+    """An isomorphism A -> B as a mapping list, or None.
+
+    A morphism fixes 0 and 1 and is fixed by its generator images: a
+    bijection fixing them is multiplicative iff f(g.x) = f(g).f(x) for
+    every generator g, since every element is a generator word.  The
+    search walks the generators of A depth first.  One that the earlier
+    ones do not reach tries every unused element of B in index order, and
+    the partial map is closed injectively under the rows of the
+    generators placed so far (``asets._close``, the step of every A-set
+    map search).
+    """
+    from .asets import _close
+
     n = len(a.elements)
-    # profile pruning: multiset of row profiles must match
-    def profile(m, x):
-        row = m.table[x]
-        return (
-            sorted(row).count(ZERO),
-            len(set(row)),
-            sum(1 for y in m.indices() if m.table[y][y] == x),
-        )
+    if n != len(b.elements):
+        return None
+    if len(a.submonoid_closure(a.generators) | {ZERO}) < n:
+        raise ValidationError(f"the generators of {a.name} leave an element unreached")
+    start = [None] * n
+    start[ZERO], start[a.one] = ZERO, b.one
 
-    if sorted(profile(a, x) for x in a.indices()) != sorted(
-        profile(b, x) for x in b.indices()
-    ):
+    def rec(k, mapping, tables):
+        if k == len(a.generators):
+            return mapping
+        g = a.generators[k]
+        taken = set(mapping)
+        images = [mapping[g]] if mapping[g] is not None else [
+            h for h in b.indices() if h not in taken]
+        for h in images:
+            nxt, nxt_taken = list(mapping), taken | {h}
+            nxt[g] = h
+            pairs = tables + [(a.table[g], b.table[h])]
+            frontier = [p for p in a.indices() if nxt[p] is not None]
+            if _close(nxt, frontier, pairs, nxt_taken):
+                found = rec(k + 1, nxt, pairs)
+                if found is not None:
+                    return found
         return None
 
-    mapping = [None] * n
-    used = [False] * n
-    mapping[ZERO] = ZERO
-    used[ZERO] = True
-    if n > 1:
-        if profile(a, a.one) != profile(b, b.one):
-            return None
-        mapping[a.one] = b.one
-        used[b.one] = True
-
-    order = sorted(a.indices(), key=lambda x: -len(set(a.table[x])))
-
-    def consistent(x):
-        for y in a.indices():
-            if mapping[y] is None:
-                continue
-            img = mapping[a.table[x][y]]
-            if img is not None and b.table[mapping[x]][mapping[y]] != img:
-                return False
-            img2 = mapping[a.table[y][x]]
-            if img2 is not None and b.table[mapping[y]][mapping[x]] != img2:
-                return False
-        return True
-
-    def rec(k):
-        while k < n and mapping[order[k]] is not None:
-            k += 1
-        if k == n:
-            return True
-        x = order[k]
-        for y in b.indices():
-            if used[y] or profile(a, x) != profile(b, y):
-                continue
-            mapping[x] = y
-            used[y] = True
-            if consistent(x) and rec(k + 1):
-                return True
-            mapping[x] = None
-            used[y] = False
-        return False
-
-    if rec(0):
-        return list(mapping)
-    return None
+    return rec(0, start, [])
 
 
 # ---------------------------------------------------------------------------

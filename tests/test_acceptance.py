@@ -313,7 +313,7 @@ def criterion_8():
         for tail in itertools.product(range(c), repeat=c - 1):
             x = ak.aset_from_theta([0] + list(tail))
             for k in (1, 2, 3):
-                rep = tr.tor1_monogenic(x, k)  # formula vs graph, asserted
+                rep = tr.tor1_monogenic(x, k)
                 chain, _ = tr.tor_complex(x, k, trunc=4)
                 h1 = tr.smith_homology(chain, 1)
                 assert h1.betti == rep.formula_rank and not h1.torsion

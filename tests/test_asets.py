@@ -650,6 +650,43 @@ def test_fixed_points_are_not_a_two_cycle():
     assert ak.is_isomorphic(ak.wedge([x, y, x]), ak.wedge([y, x, x]))
 
 
+def _composed_action(m, carrier, gen_maps):
+    """Reference action: each nonzero element's row composes the generator
+    maps along the word by which a breadth-first walk from 1 first reaches
+    it (generators in order); the zero row sends everything to 0."""
+    words = {m.one: ()}
+    queue = [m.one]
+    for a in queue:
+        for g in m.generators:
+            b = m.table[a][g]
+            if b not in words:
+                words[b] = words[a] + (g,)
+                queue.append(b)
+    gen_map = dict(zip(m.generators, gen_maps))
+    action = [[0] * len(carrier) for _ in m.indices()]
+    for a in m.nonzero():
+        row = list(range(len(carrier)))
+        for g in words[a]:
+            row = [gen_map[g][p] for p in row]
+        action[a] = row
+    return action
+
+
+def test_actions_from_generator_maps_match_word_composition():
+    # every labeled table of carrier <= 4 over every corpus finite monoid
+    for m in corpus_monoids():
+        for c in range(1, 5):
+            for x in ak.enumerate_asets(m, c, up_to_iso=False):
+                gen_maps = x.gen_tables()
+                built = ak.build_action_from_gen_maps(m, list(x.carrier), gen_maps)
+                assert built.action == _composed_action(m, x.carrier, gen_maps), (m.name, gen_maps)
+    # an element the generators do not reach is refused, not left zero
+    line2 = line(2)
+    bare = mk.FiniteMonoid("bare", line2.elements, line2.table, generators=[])
+    with pytest.raises(ValidationError, match="element x not generated"):
+        ak.build_action_from_gen_maps(bare, ["0", "p"], [])
+
+
 def test_enumeration_keeps_the_first_table_of_each_class():
     # oracle: every labeled table deduplicated by canonical_key, in order;
     # the monogenic base's tables are every based self-map

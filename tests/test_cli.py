@@ -28,12 +28,12 @@ def doc(*parts):
     return os.path.join(CORPUS, *parts)
 
 
-def standalone(argv, **env):
+def standalone(argv):
     """Run ``python -m monoidkit.cli`` as its own process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "monoidkit.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=src, **env),
+        env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -113,14 +113,6 @@ def test_standalone_usage_error_exits_1():
     assert "required: monoid" in err and "Traceback" not in err
     code, out, _ = standalone(["--help"])
     assert code == 0 and out.startswith("usage: monoidkit")
-
-
-@pytest.mark.parametrize("command", ["k0", "g0"])
-def test_non_integer_bound_variable_exits_1(command):
-    code, out, err = standalone([command, doc("monoids", "idem2.json")],
-                                MONOIDKIT_BOUND="abc")
-    assert (code, out) == (1, "")
-    assert err.startswith("usage error: MONOIDKIT_BOUND") and err.count("\n") == 1
 
 
 def test_bound_exceeded_exits_3(tmp_path):

@@ -128,6 +128,60 @@ def test_monoid_isomorphic_matches_canonical_forms():
                            for x in range(n) for y in range(n))
 
 
+def relabeled(m, perm):
+    """``m`` with element i renamed perm[i]; perm fixes 0 and 1."""
+    inv = sorted(m.indices(), key=perm.__getitem__)
+    table = [[perm[m.table[i][j]] for j in inv] for i in inv]
+    return mk.FiniteMonoid(m.name + "'", [m.elements[i] for i in inv], table)
+
+
+def assert_isomorphism(a, b, f):
+    n = len(a.elements)
+    assert sorted(f) == list(range(n)) and f[0] == 0 and f[a.one] == b.one
+    assert all(b.table[f[x]][f[y]] == f[a.table[x][y]] for x in range(n) for y in range(n))
+
+
+def test_monoid_isomorphic_above_the_census():
+    # products and smash products of census classes (orders 10-25), each
+    # against seeded relabelings of itself and against another monoid
+    # built the same way from classes of the same orders.  The greedy
+    # generator sweep of a relabeling often keeps an element that later
+    # generators reach; at least one case must have such a redundant one.
+    reps = {n: [m for m, _ in census_monoids(n)[1]] for n in (3, 4, 5)}
+    sizes = [(mk.product, p, q) for p in (3, 4, 5) for q in (p, 5) if p * q >= 10]
+    sizes += [(mk.smash_product, p, q) for p in (4, 5) for q in (p, 5)]
+    rng = random.Random(29)
+    redundant = other_idempotents = 0
+    for _ in range(40):
+        build, p, q = rng.choice(sizes)
+        a = build(rng.choice(reps[p]), rng.choice(reps[q]))
+        b = build(rng.choice(reps[p]), rng.choice(reps[q]))
+        n = len(a.elements)
+        assert 10 <= n <= 25
+        for _ in range(2):
+            c = relabeled(a, [0, 1] + rng.sample(range(2, n), n - 2))
+            gens = c.generators
+            redundant += any(g in c.submonoid_closure(gens[:i] + gens[i + 1:])
+                             for i, g in enumerate(gens))
+            assert_isomorphism(a, c, mk.monoid_isomorphic(a, c))
+            assert_isomorphism(c, a, mk.monoid_isomorphic(c, a))
+        f = mk.monoid_isomorphic(a, b)
+        if len(mk.idempotents(a)) != len(mk.idempotents(b)):
+            other_idempotents += 1
+            assert f is None, (a.table, b.table)
+        elif f is not None:
+            assert_isomorphism(a, b, f)
+    assert redundant and other_idempotents
+
+
+def test_monoid_isomorphic_refuses_generators_that_miss_an_element():
+    line2 = mk.build_from_presentation(["x"], [("x^2", "0")])
+    bare = mk.FiniteMonoid("bare", line2.elements, line2.table, generators=[])
+    assert not mk.validate(bare).ok
+    with pytest.raises(ValidationError, match="leave an element unreached"):
+        mk.monoid_isomorphic(bare, line2)
+
+
 def test_every_small_class_presented_by_its_table():
     for n in range(2, 6):
         for m, _ in census_monoids(n)[1]:
