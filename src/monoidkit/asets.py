@@ -46,7 +46,10 @@ class ASet:
     """Pointed set with a left action of the base monoid.
 
     ``action`` holds carrier rows: one per element of a finite-table base,
-    the generator's alone over the monogenic base.
+    the generator's alone over the monogenic base.  ``carrier`` and
+    ``action`` are not written after construction: every operation builds
+    a new A-set, so what is computed from them once, like the isomorphism
+    colours of ``_classes``, is kept on the A-set.
     """
 
     def __init__(self, base, carrier, action, name=""):
@@ -54,6 +57,7 @@ class ASet:
         self.carrier = list(carrier)
         self.action = [list(row) for row in action]
         self.name = name or "X"
+        self._colours = None  # _classes builds it on first use
 
     # -- core ----------------------------------------------------------------
 
@@ -493,20 +497,72 @@ def tensor(x, y, name=None):
 
 
 def aset_generators(x, points=None):
-    """Generating set of the A-subset ``points`` span (all of X when
-    None), as carrier indices, greedy in carrier order.
+    """Minimal generating set of the A-subset ``points`` span (all of X
+    when None), as carrier indices in increasing order.
 
-    Each nonzero point not yet reached from an earlier chosen point is
-    kept.  The set generates the subset but need not be minimal: a point
-    that a later point reaches is kept all the same.
+    Reachability (p <= q iff p is in A.q) is a preorder on the span, and
+    a set generates it iff it meets every maximal class: a strongly
+    connected class of the generator graph that no edge from another
+    class enters.  So the least point of each maximal class, leaving out
+    the basepoint's, is a generating set of the least possible size.  One
+    iterative Tarjan pass (1972) finds the classes; a class is closed
+    only after every class its points reach, so an edge into an already
+    closed class is an edge between classes.
     """
-    gens = []
-    covered = {0}
-    for p in x.nonzero() if points is None else sorted(points):
-        if p not in covered:
-            gens.append(p)
-            covered |= generated_subset(x, [p])
-    return gens
+    tables = x.gen_tables()
+    n = len(x.carrier)
+    num = [None] * n  # visit number, None while unvisited
+    low = [0] * n
+    cls = [None] * n  # visit number of the class root once the class is closed
+    num[0] = cls[0] = 0  # the basepoint is its own class, visited and closed
+    edge = [0] * n  # next table to follow out of each point on the path
+    entered = set()  # classes with an edge from another class
+    least = []  # (class, least point) for each closed class
+    stack, path = [], []
+    count = 0
+    for s in x.nonzero() if points is None else points:
+        if num[s] is not None:
+            continue
+        count += 1
+        num[s] = low[s] = count
+        stack.append(s)
+        path.append(s)
+        while path:
+            u = path[-1]
+            i = edge[u]
+            if i < len(tables):
+                edge[u] = i + 1
+                v = tables[i][u]
+                if num[v] is None:
+                    count += 1
+                    num[v] = low[v] = count
+                    stack.append(v)
+                    path.append(v)
+                elif cls[v] is None:
+                    if num[v] < low[u]:
+                        low[u] = num[v]
+                else:
+                    entered.add(cls[v])
+                continue
+            path.pop()
+            if low[u] == num[u]:
+                w = stack.pop()
+                cls[w] = num[u]
+                first = w
+                while w != u:
+                    w = stack.pop()
+                    cls[w] = num[u]
+                    if w < first:
+                        first = w
+                least.append((num[u], first))
+            if path:
+                p = path[-1]
+                if cls[u] is None:
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                else:
+                    entered.add(cls[u])
+    return sorted(first for c, first in least if c not in entered)
 
 
 def generated_subset(x, points):
@@ -551,14 +607,15 @@ def _close(mapping, frontier, tables, taken=None):
 def _equivariant_maps(x, y, candidates=None, injective=False):
     """Every based equivariant map X -> Y, as carrier lists, depth first.
 
-    A map is fixed by its values on ``aset_generators(x)``; generator ``g``
-    takes its value from ``candidates(g)`` (all of Y when None), in that
-    order.  Each partial map is closed under the generator tables only
-    (``_close``).  That is equivariance for every monoid element on
-    validated inputs: every nonzero element of a finite base is a
-    generator word (the ``NonGenerating`` check), the zero element sends
-    everything to the basepoint, and the monogenic base has the single
-    generator row.
+    A map is fixed by its values on ``aset_generators(x)``, a generating
+    set of least size, so the search branches on as few points as any
+    search over generator images can; generator ``g`` takes its value
+    from ``candidates(g)`` (all of Y when None), in that order.  Each
+    partial map is closed under the generator tables only (``_close``).
+    That is equivariance for every monoid element on validated inputs:
+    every nonzero element of a finite base is a generator word (the
+    ``NonGenerating`` check), the zero element sends everything to the
+    basepoint, and the monogenic base has the single generator row.
 
     With ``injective`` a point may not take an image that another point
     already has, whether it is a generator's chosen value or a value the
@@ -661,16 +718,21 @@ def _invariants(x):
 
 def _classes(x):
     """Isomorphism-invariant class of each point: its ``_invariants``
-    colour and which generator tables fix it."""
-    tables = x.gen_tables()
-    return [(c, tuple(t[p] == p for t in tables)) for p, c in enumerate(_invariants(x))]
+    colour and which generator tables fix it.  Built once per A-set and
+    kept on it."""
+    if x._colours is None:
+        tables = x.gen_tables()
+        x._colours = [(c, tuple(t[p] == p for t in tables))
+                      for p, c in enumerate(_invariants(x))]
+    return x._colours
 
 
 def find_isomorphism(x, y):
     """Basepoint-preserving equivariant bijection, or None.
 
     The injective search of ``_equivariant_maps``, with each generator of
-    X sent only to points of Y in its class.
+    X sent only to points of Y in its class.  The classes (``_classes``)
+    are kept on each A-set, so an A-set compared again reuses them.
     """
     if len(x.carrier) != len(y.carrier):
         return None

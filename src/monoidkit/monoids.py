@@ -789,6 +789,23 @@ class MonoidHom:
         return len(set(self.mapping)) == len(self.mapping)
 
 
+def _element_invariants(m):
+    """What every isomorphism keeps of each element x: whether x is
+    idempotent, whether it is a unit, the size of its annihilator, and the
+    tail and period of its powers x, x^2, ... (x^tail is the first power
+    that comes back, period steps later)."""
+    out = []
+    for x, row in enumerate(m.table):
+        first = {}  # power -> its least exponent
+        p = x
+        while p not in first:
+            first[p] = len(first) + 1
+            p = row[p]
+        out.append((row[x] == x, m.one in row, row.count(ZERO), first[p],
+                    len(first) + 1 - first[p]))
+    return out
+
+
 def monoid_isomorphic(a, b):
     """An isomorphism A -> B as a mapping list, or None.
 
@@ -796,10 +813,12 @@ def monoid_isomorphic(a, b):
     bijection fixing them is multiplicative iff f(g.x) = f(g).f(x) for
     every generator g, since every element is a generator word.  The
     search walks the generators of A depth first.  One that the earlier
-    ones do not reach tries every unused element of B in index order, and
-    the partial map is closed injectively under the rows of the
-    generators placed so far (``asets._close``, the step of every A-set
-    map search).
+    ones do not reach tries every unused element of B in index order
+    with the same ``_element_invariants``, and the partial map is closed
+    injectively under the rows of the generators placed so far
+    (``asets._close``, the step of every A-set map search).  Monoids whose
+    invariants differ as multisets are not isomorphic, so they are
+    rejected before any search.
     """
     from .asets import _close
 
@@ -808,6 +827,9 @@ def monoid_isomorphic(a, b):
         return None
     if len(a.submonoid_closure(a.generators) | {ZERO}) < n:
         raise ValidationError(f"the generators of {a.name} leave an element unreached")
+    inv_a, inv_b = _element_invariants(a), _element_invariants(b)
+    if sorted(inv_a) != sorted(inv_b):
+        return None
     start = [None] * n
     start[ZERO], start[a.one] = ZERO, b.one
 
@@ -817,7 +839,7 @@ def monoid_isomorphic(a, b):
         g = a.generators[k]
         taken = set(mapping)
         images = [mapping[g]] if mapping[g] is not None else [
-            h for h in b.indices() if h not in taken]
+            h for h in b.indices() if h not in taken and inv_b[h] == inv_a[g]]
         for h in images:
             nxt, nxt_taken = list(mapping), taken | {h}
             nxt[g] = h

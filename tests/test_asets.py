@@ -7,6 +7,7 @@ from test_acceptance import corpus_monoids
 
 from monoidkit import _kernels
 from monoidkit import asets as ak
+from monoidkit import homological as hm
 from monoidkit import monoids as mk
 from monoidkit.errors import (
     BoundExceeded,
@@ -648,6 +649,58 @@ def test_fixed_points_are_not_a_two_cycle():
     assert sorted(ak._classes(xyx)) != sorted(ak._classes(xxx))
     assert not ak.is_isomorphic(xyx, xxx)
     assert ak.is_isomorphic(ak.wedge([x, y, x]), ak.wedge([y, x, x]))
+
+
+def _smallest_generating_size(x, span):
+    """Brute force: the size of the smallest subset of the span that
+    generates it."""
+    nonzero = sorted(span - {0})
+    return next(r for r in range(len(nonzero) + 1)
+                for combo in itertools.combinations(nonzero, r)
+                if ak.generated_subset(x, combo) == span)
+
+
+def test_aset_generators_are_a_smallest_generating_set():
+    # on every corpus class of carrier <= 5, every monogenic class of
+    # carrier <= 6 and the joint kernel of a resolution's first level,
+    # the generators are sorted, generate the span, and no smaller subset
+    # of the span does
+    cases = [(x, None) for classes in corpus_classes() for x in classes]
+    cases += [(x, None) for c in range(1, 7)
+              for x in ak.enumerate_asets(mk.MonogenicMonoid(), c)]
+    assert len(cases) == 637
+    (m,) = [m for m in corpus_monoids() if m.name == "axes22"]
+    comp, _ = hm.projective_resolution(ak.enumerate_asets(m, 3)[0], length_cap=1)
+    top, r, s = comp.levels[1], comp.r[0], comp.s[0]
+    joint = [i for i in range(len(top.carrier)) if r(i) == 0 and s(i) == 0]
+    assert len(joint) == 9
+    cases.append((top, joint))
+    for x, points in cases:
+        span = ak.generated_subset(x, x.nonzero() if points is None else points)
+        gens = ak.aset_generators(x, points)
+        assert gens == sorted(gens) and ak.generated_subset(x, gens) == span
+        assert len(gens) == _smallest_generating_size(x, span), (x.action, points)
+
+
+def test_point_classes_are_built_once_per_aset(monkeypatch):
+    # the colour refinement behind find_isomorphism runs once per A-set,
+    # however often the A-set is compared; a relabeled or a quotient
+    # A-set is a new A-set with colours of its own
+    calls = []
+    refine = ak._invariants
+    monkeypatch.setattr(ak, "_invariants", lambda x: calls.append(x) or refine(x))
+    (m,) = [m for m in corpus_monoids() if m.name == "idem2"]
+    x = ak.enumerate_asets(m, 4)[-1]
+    s = [0, 3, 1, 2]
+    inverse = sorted(range(4), key=s.__getitem__)
+    y = ak.ASet(m, x.carrier, [[s[row[q]] for q in inverse] for row in x.action])
+    for _ in range(3):
+        assert ak.is_isomorphic(x, y) and ak.is_isomorphic(y, x)
+    assert calls == [x, y]
+    assert ak._classes(y) == [ak._classes(x)[q] for q in inverse]
+    q, _ = ak.quotient_aset(x, [(1, 2)])
+    assert ak.is_isomorphic(q, q)
+    assert calls == [x, y, q]
 
 
 def _composed_action(m, carrier, gen_maps):

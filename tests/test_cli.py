@@ -200,6 +200,20 @@ def test_resolve_monogenic_aset():
     assert out.splitlines() == ["P0: 1 generators", "P1: 1 generators"]
 
 
+def test_resolve_prints_the_same_for_isomorphic_asets(tmp_path):
+    # p2 -> p1 -> 0 and p1 -> p2 -> 0 are both A/(t^2): one generator and
+    # one relation each, whichever point carries the generator
+    from monoidkit import documents as docs
+
+    outs = []
+    for theta in ([0, 0, 1], [0, 2, 0]):
+        path = tmp_path / f"chain-{theta[1]}.json"
+        path.write_text(json.dumps(docs.aset_to_doc(ak.aset_from_theta(theta))))
+        outs.append([run(["resolve", str(path)]), run(["--json", "resolve", str(path)])])
+    assert outs[0] == outs[1]
+    assert outs[0][0] == (0, "P0: 1 generators\nP1: 1 generators\n")
+
+
 EXT_ARGV = ["ext", doc("monoids", "line2.json"),
             "--quot", doc("asets", "point-u-line2.json"),
             "--sub", doc("asets", "line2-regular.json")]

@@ -174,6 +174,34 @@ def test_monoid_isomorphic_above_the_census():
     assert redundant and other_idempotents
 
 
+def test_monoid_isomorphic_rejects_pairs_told_apart_by_ideal_sizes():
+    # 60 seeded pairs of products and smash products of census classes of
+    # one order (10-25), the second relabeled, whose sorted principal
+    # ideal sizes |xA| differ: an invariant the search does not read, so
+    # no isomorphism may be returned
+    reps = {n: [m for m, _ in census_monoids(n)[1]] for n in (3, 4, 5)}
+    sizes = [(mk.product, p, q) for p in (3, 4, 5) for q in (p, 5) if p * q >= 10]
+    sizes += [(mk.smash_product, p, q) for p in (4, 5) for q in (p, 5)]
+
+    def ideal_sizes(m):
+        return sorted(len(set(row)) for row in m.table)
+
+    rng = random.Random(30)
+    pairs = 0
+    while pairs < 60:
+        build, p, q = rng.choice(sizes)
+        a = build(rng.choice(reps[p]), rng.choice(reps[q]))
+        b = build(rng.choice(reps[p]), rng.choice(reps[q]))
+        n = len(a.elements)
+        if ideal_sizes(a) == ideal_sizes(b):
+            continue
+        assert 10 <= n <= 25
+        c = relabeled(b, [0, 1] + rng.sample(range(2, n), n - 2))
+        assert mk.monoid_isomorphic(a, c) is None, (a.table, c.table)
+        assert mk.monoid_isomorphic(c, a) is None, (a.table, c.table)
+        pairs += 1
+
+
 def test_monoid_isomorphic_refuses_generators_that_miss_an_element():
     line2 = mk.build_from_presentation(["x"], [("x^2", "0")])
     bare = mk.FiniteMonoid("bare", line2.elements, line2.table, generators=[])
