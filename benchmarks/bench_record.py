@@ -20,8 +20,12 @@ existing tools and re-implements none of them:
   change wins and both sides' quartiles, with the metric's direction
   taken from ``BENCHMARK.json``; the hold-out pairs are listed beside
   that sum;
-* ``perfbench/run.py --trace 1`` of each checkout once per workload (first
-  seed) for the per-layer counters; zero counters are left out;
+* ``perfbench/run.py --trace 1`` of each checkout in ``TRACED_PAIRS``
+  alternating pairs per workload (first seed) for the per-layer counters,
+  with every run and each side's median of each counter, so that a
+  20-30% change of one layer's time stands out of one run's drift; a
+  counter that reads zero is left out of a run and counts as zero in the
+  median;
 * the Tier-1 suite (``python -m pytest -q``) of each checkout, timed, at
   one fixed ``--hypothesis-seed`` so that both sides draw the same
   examples, with every test's time from ``--durations=0`` and the
@@ -54,6 +58,7 @@ CHANGE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("homology", "homology-compiled", "lattice", "finite", "cli")
 HYPOTHESIS_SEED = 0  # Tier-1 draws the same examples on both sides
 CORPUS_PAIRS = 10  # one run is a fraction of a second, so take several
+TRACED_PAIRS = 3  # per-layer times drift between runs, so take the median
 
 
 def bench(root, workload, seed, seconds, trace):
@@ -170,13 +175,28 @@ def commit(root):
                           cwd=root, capture_output=True, text=True).stdout.strip()
 
 
-def pair(roots, wl, seed, seconds, parent_first):
+def pair(roots, wl, seed, seconds, parent_first, trace=0):
     """One alternating pair: {side: record}."""
     out = {}
     for side in sorted(roots, reverse=parent_first):
-        print(f"{wl} seed {seed} {side}", file=sys.stderr, flush=True)
-        out[side] = bench(roots[side], wl, seed, seconds, 0)
+        print(f"{wl} seed {seed} {side} trace {trace}", file=sys.stderr, flush=True)
+        out[side] = bench(roots[side], wl, seed, seconds, trace)
     return out
+
+
+def traced_record(roots, wl, seed, seconds):
+    """``TRACED_PAIRS`` alternating traced pairs on one seed: every run, and
+    per side the median of each per-layer counter over its runs."""
+    runs = {side: [] for side in roots}
+    for k in range(TRACED_PAIRS):
+        for side, res in pair(roots, wl, seed, seconds, k % 2 == 0, trace=1).items():
+            runs[side].append(res)
+    median = {}
+    for side, recs in runs.items():
+        names = sorted(set().union(*(r["metrics"] for r in recs)))
+        median[side] = {name: statistics.median(r["metrics"].get(name, 0) for r in recs)
+                        for name in names}
+    return {"seed": seed, "pairs": TRACED_PAIRS, "runs": runs, "median": median}
 
 
 def main():
@@ -217,14 +237,11 @@ def main():
             ratios[name] = round(change / parent, 4) if parent else None
         holdout = {seed: pair(roots, wl, seed, seconds, k % 2 == 0)
                    for k, seed in enumerate(args.holdout_seeds)}
-        traced = {side: bench(root, wl, args.seeds[0], seconds, 1)
-                  for side, root in roots.items()}
         record["workloads"][wl] = {
             "runs": runs,
             "median_change_over_parent": ratios,
             "holdout": holdout,
-            "traced_seed": args.seeds[0],
-            "traced": traced,
+            "traced": traced_record(roots, wl, args.seeds[0], seconds),
         }
         if wl == claim_wl:
             better = next(m["better"] for m in spec["end_to_end"]

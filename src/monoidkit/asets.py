@@ -210,7 +210,8 @@ def free_cover(x, points, labels=None, name=None):
     if labels is None:
         labels = [x.carrier[p] for p in points]
     free = free_aset(x.base, labels, name=name)
-    mapping = [0] + [x.act(a, p) for p in points for a in x.base.nonzero()]
+    # row a of the action is a's map: the nonzero rows, in element order
+    mapping = [0] + [row[p] for p in points for row in x.action[1:]]
     return ASetMorphism(free, x, mapping)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import _kernels, asets as ak
@@ -72,12 +73,14 @@ class DaComplex:
         )
 
     def is_reduced(self):
-        for n in range(self.min_degree + 1, self.top_degree + 1):
-            _, s_n = self.boundary(n)
-            r_up, s_up = self.boundary(n + 1)
-            for p in range(len(self.level(n + 1).carrier)):
-                if s_n(r_up(p)) != 0 or s_n(s_up(p)) != 0:
-                    return False
+        """s_n r_{n+1} = s_n s_{n+1} = 0 above the bottom degree.  Above the
+        window the level is zero, so at the top only s_top(0) = 0 is left."""
+        top = len(self.levels) - 1
+        for i in range(1, top + 1):
+            s_n = self.s[i - 1].mapping
+            ups = (self.r[i].mapping, self.s[i].mapping) if i < top else ([0],)
+            if any(s_n[q] for up in ups for q in up):
+                return False
         return True
 
 
@@ -276,7 +279,7 @@ def projective_resolution(x, length_cap=3, minimized=True):
         )
         nxt, r_map = r_mor.source, r_mor.mapping
         # s evaluates the same cells of nxt at the second point of each pair
-        s_map = [0] + [cur.act(a, q) for _, q in gen_pairs for a in m.nonzero()]
+        s_map = [0] + [row[q] for _, q in gen_pairs for row in cur.action[1:]]
         s_mor = ak.ASetMorphism(nxt, cur, s_map)
         levels.append(nxt)
         rs.append(r_mor)
@@ -648,6 +651,84 @@ def surjection_rules(k, m):
     return tuple(rules)
 
 
+class _DoldKanLayout(NamedTuple):
+    """What ``dold_kan_inverse`` lays out from the shape alone.
+
+    Per level k: ``block_starts[k]`` maps (eta, m) to the carrier index of
+    cell (eta, m, 0), read-only; ``blocks[k]`` lists (start, m, tag) in
+    carrier order, tag the suffix of the cell names.  ``faces[k - 1][i]``
+    is d_i of level k as (template, patches): the template holds the
+    shifted identities and zeros, and a patch (at, target start, m, is_r)
+    marks the run at ``at`` that is the shifted copy of r_m (is_r) or s_m.
+    ``degeneracies[k][i]`` is s_i of level k.  Everything is a tuple or a read-only mapping: one layout serves every
+    complex of its shape.
+    """
+
+    block_starts: tuple
+    blocks: tuple
+    faces: tuple
+    degeneracies: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _dold_kan_layout(trunc, sizes):
+    """The ``_DoldKanLayout`` of truncation ``trunc`` for a complex whose
+    level m has ``sizes[m]`` nonzero points, m <= min(trunc, bound).
+
+    At most 64 shapes are kept, least recently used first out; each is a
+    few tuples of carrier indices.
+    """
+    bound = len(sizes) - 1
+    # rules[k][m]: the rules of every surjection [k] ->> [m]
+    rules = [[surjection_rules(k, m) for m in range(min(k, bound) + 1)]
+             for k in range(trunc + 1)]
+    block_starts, blocks = [], []
+    for k in range(trunc + 1):
+        starts, level_blocks, s0 = {}, [], 0
+        for m, level_rules in enumerate(rules[k]):
+            for eta, _, _ in level_rules:
+                starts[(eta, m)] = s0
+                level_blocks.append((s0, m, "" if m == k else f"@{eta}"))
+                s0 += sizes[m]
+        block_starts.append(starts)
+        blocks.append(tuple(level_blocks))
+
+    faces = []
+    for k in range(1, trunc + 1):
+        prev = block_starts[k - 1]
+        templates = [[0] for _ in range(k + 1)]
+        patches = [[] for _ in range(k + 1)]
+        for m, level_rules in enumerate(rules[k]):
+            n_m = sizes[m]
+            for _, eta_faces, _ in level_rules:
+                for template, patch, (eta2, j) in zip(templates, patches, eta_faces):
+                    if j is None:
+                        t0 = prev[(eta2, m)]
+                        template.extend(range(t0 + 1, t0 + n_m + 1))
+                        continue
+                    if j >= m - 1:  # d_j = 0 for j <= m - 2
+                        patch.append((len(template), prev[(eta2, m - 1)], m, j == m))
+                    template.extend([0] * n_m)
+        faces.append(tuple((tuple(t), tuple(p)) for t, p in zip(templates, patches)))
+
+    degeneracies = []
+    for k in range(trunc):
+        up = block_starts[k + 1]
+        mappings = [[0] for _ in range(k + 1)]
+        for m, level_rules in enumerate(rules[k]):
+            n_m = sizes[m]
+            for _, _, eta_degens in level_rules:
+                for mapping, eta2 in zip(mappings, eta_degens):
+                    t0 = up[(eta2, m)]
+                    mapping.extend(range(t0 + 1, t0 + n_m + 1))
+        degeneracies.append(tuple(tuple(mapping) for mapping in mappings))
+
+    return _DoldKanLayout(
+        tuple(MappingProxyType(starts) for starts in block_starts),
+        tuple(blocks), tuple(faces), tuple(degeneracies),
+    )
+
+
 def dold_kan_inverse(c, trunc):
     """Split simplicial object whose nondegenerate cells are the complex
     entries.
@@ -658,13 +739,19 @@ def dold_kan_inverse(c, trunc):
     each m in the order of ``surjection_rules(k, m)``, so cell (eta, m, p)
     is carrier index ``block_starts[k][(eta, m)] + p``.  Faces and
     degeneracies act on eta through the (k, m) rule table
-    ``surjection_rules``, built once per (k, m) and shared with
-    ``torreal.tor_complex_direct``, and on p only where eta . delta_i
-    misses a value j: there the face is the complex face d_j of p, which
-    is 0 for j <= m - 2, s_m for j = m - 1 and r_m for j = m (the
-    epi-mono factorization of the simplicial identities: May 1967, section
-    22; Goerss-Jardine III.2).  So every map is one run per block: a
-    shifted identity, a shifted copy of r_m or s_m, or zeros.
+    ``surjection_rules``, shared with ``torreal.tor_complex_direct``, and
+    on p only where eta . delta_i misses a value j: there the face is the
+    complex face d_j of p, which is 0 for j <= m - 2, s_m for j = m - 1
+    and r_m for j = m (the epi-mono factorization of the simplicial
+    identities: May 1967, section 22; Goerss-Jardine III.2).  So every map
+    is one run per block: a shifted identity, a shifted copy of r_m or
+    s_m, or zeros.
+
+    All of that but the copies of r_m and s_m depends only on the shape
+    (trunc, nonzero sizes of the levels): ``_dold_kan_layout`` builds it
+    once per shape, and each call fills in the cell names, the action rows
+    and the r_m / s_m runs, read off ``c.r`` and ``c.s``.
+    ``block_starts`` is the layout's read-only view.
     """
     if isinstance(c, FreeComplex):
         raise ValidationError(
@@ -674,73 +761,44 @@ def dold_kan_inverse(c, trunc):
         raise NotReduced("the inverse construction requires a reduced complex")
     if c.min_degree != 0:
         raise ValidationError("complex must start at degree 0")
-    bound = c.top_degree
-    base = c.base
-    # rules[k][m]: the rules of every surjection [k] ->> [m]
-    rules = [[surjection_rules(k, m) for m in range(min(k, bound) + 1)]
-             for k in range(trunc + 1)]
-    lvls = [c.level(m) for m in range(bound + 1)]
-    sizes = [len(lvl.carrier) - 1 for lvl in lvls]
+    lvls = c.levels
+    sizes = tuple(len(lvl.carrier) - 1 for lvl in lvls[: trunc + 1])
+    layout = _dold_kan_layout(trunc, sizes)
 
-    block_starts = []  # per level: (eta, m) -> carrier index of cell p = 0
+    point_names = [[f"{name}" for name in lvl.carrier[1:]] for lvl in lvls[: len(sizes)]]
     levels = []
-    for k in range(trunc + 1):
-        starts = {}
+    for k, level_blocks in enumerate(layout.blocks):
         names = ["0"]
         action = [[0] for _ in lvls[0].action]
-        for m, level_rules in enumerate(rules[k]):
-            lvl = lvls[m]
-            for eta, _, _ in level_rules:
-                s0 = starts[(eta, m)] = len(names) - 1
-                tag = "" if m == k else f"@{eta}"
-                names.extend(f"{name}{tag}" for name in lvl.carrier[1:])
-                # a row acts on the cell (eta, m, p) through p, keeping eta
-                for row, src in zip(action, lvl.action):
-                    row.extend([s0 + q if q else 0 for q in src[1:]])
-        block_starts.append(starts)
-        levels.append(ak.ASet(base, names, action, name=f"K{k}"))
+        for s0, m, tag in level_blocks:
+            names.extend([name + tag for name in point_names[m]])
+            # a row acts on the cell (eta, m, p) through p, keeping eta
+            for row, src in zip(action, lvls[m].action):
+                row.extend([s0 + q if q else 0 for q in src[1:]])
+        levels.append(ak.ASet(c.base, names, action, name=f"K{k}"))
 
     faces = []
-    for k in range(1, trunc + 1):
-        prev = block_starts[k - 1]
-        mappings = [[0] for _ in range(k + 1)]
-        for m, level_rules in enumerate(rules[k]):
-            n_m = sizes[m]
-            r_m, s_m = c.boundary(m)
-            for eta, eta_faces, _ in level_rules:
-                for mapping, (eta2, j) in zip(mappings, eta_faces):
-                    if j is None:
-                        t0 = prev[(eta2, m)]
-                        mapping.extend(range(t0 + 1, t0 + n_m + 1))
-                    elif j >= m - 1:  # d_j = 0 for j <= m - 2
-                        t0 = prev[(eta2, m - 1)]
-                        d = (s_m if j == m - 1 else r_m).mapping
-                        mapping.extend([t0 + v if v else 0 for v in d[1:]])
-                    else:
-                        mapping.extend([0] * n_m)
-        faces.append([ak.ASetMorphism(levels[k], levels[k - 1], mapping)
-                      for mapping in mappings])
-
-    degeneracies = []
-    for k in range(0, trunc):
-        up = block_starts[k + 1]
-        mappings = [[0] for _ in range(k + 1)]
-        for m, level_rules in enumerate(rules[k]):
-            n_m = sizes[m]
-            for _, _, eta_degens in level_rules:
-                for mapping, eta2 in zip(mappings, eta_degens):
-                    t0 = up[(eta2, m)]
-                    mapping.extend(range(t0 + 1, t0 + n_m + 1))
-        degeneracies.append([ak.ASetMorphism(levels[k], levels[k + 1], mapping)
-                             for mapping in mappings])
-
-    sset = TruncSimplicialASet(base, levels, faces, degeneracies)
-    sset.nondegenerate_index = [
-        {p: block_starts[k][(tuple(range(k + 1)), k)] + p for p in lvls[k].nonzero()}
-        if k <= bound else {}
-        for k in range(trunc + 1)
+    for k, level_faces in enumerate(layout.faces, start=1):
+        maps = []
+        for template, patches in level_faces:
+            mapping = list(template)
+            for at, t0, m, is_r in patches:
+                d = (c.r if is_r else c.s)[m - 1].mapping
+                mapping[at:at + len(d) - 1] = [t0 + v if v else 0 for v in d[1:]]
+            maps.append(ak.ASetMorphism(levels[k], levels[k - 1], mapping))
+        faces.append(maps)
+    degeneracies = [
+        [ak.ASetMorphism(levels[k], levels[k + 1], mapping) for mapping in level_degens]
+        for k, level_degens in enumerate(layout.degeneracies)
     ]
-    sset.block_starts = block_starts
+
+    sset = TruncSimplicialASet(c.base, levels, faces, degeneracies)
+    sset.nondegenerate_index = [
+        {p: starts[(tuple(range(k + 1)), k)] + p for p in range(1, sizes[k] + 1)}
+        if k <= c.top_degree else {}
+        for k, starts in enumerate(layout.block_starts)
+    ]
+    sset.block_starts = layout.block_starts
     return sset
 
 

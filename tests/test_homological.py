@@ -7,6 +7,7 @@ from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
 from monoidkit.errors import NotAComplex, NotReduced, OracleMismatch
+from test_acceptance import corpus_monoids
 
 
 def F1():
@@ -351,6 +352,59 @@ def test_dold_kan_layout_sweep():
     assert digest.hexdigest() == (
         "eae46268892dda982a015658dfb8d4e6ad888ac68c9098ce015e1f679ffceb58"
     )
+
+
+def test_dold_kan_layout_of_reduced_resolutions():
+    # the reduced resolution, cut at length 3, of every A-set class of
+    # carrier 2..4 over each corpus finite monoid of size <= 5 whose bound
+    # is at least 2, at trunc 3: the faces meet s_m, r_m and the zero face
+    # d_j, j <= m - 2, over bases with several action rows
+    digest = hashlib.sha256()
+    count = 0
+    for m in corpus_monoids(max_size=5):
+        for carrier in range(2, 5):
+            for x in ak.enumerate_asets(m, carrier):
+                c, _ = hm.reduced_resolution(x, length_cap=3)
+                if c.top_degree >= 2:
+                    digest.update(_layout(hm.dold_kan_inverse(c, 3)).encode())
+                    count += 1
+    assert count == 49
+    assert digest.hexdigest() == (
+        "1a9eddfa05982f2440ddc66b537e0b37a2a12fb3873549a2e271e2a15e32e888"
+    )
+
+
+def test_dold_kan_layout_is_not_shared_mutably():
+    # two reduced complexes of one shape with different r and s share one
+    # cached layout; what a call hands out and the caller then changes must
+    # not reach the next call
+    m = F1()
+    x = pointed_set(3)
+
+    def complex_of(r1, s1, r2, s2):
+        r = [ak.ASetMorphism(x, x, f) for f in (r1, r2)]
+        s = [ak.ASetMorphism(x, x, f) for f in (s1, s2)]
+        return hm.DaComplex(m, [x, x, x], r, s)
+
+    a = complex_of([0, 1, 2], [0, 0, 0], [0, 2, 1], [0, 2, 1])
+    b = complex_of([0, 2, 1], [0, 1, 0], [0, 2, 0], [0, 2, 0])
+    want = {
+        id(a): "dced4f913a56acf16569b7982d11169899465a438d79aa81fa7f7236d9496329",
+        id(b): "fbef7961b1bf50281904e39363ad5c86f579deb1f4d1dada0c07b2f9dc044cd5",
+    }
+    for c in (a, b, a, b):
+        assert hm.validate_dacomplex(c).ok and c.is_reduced()
+        s = hm.dold_kan_inverse(c, 3)
+        assert hm.validate_simplicial(s).ok
+        assert hashlib.sha256(_layout(s).encode()).hexdigest() == want[id(c)]
+        for maps in s.faces + s.degeneracies:
+            for f in maps:
+                f.mapping[1:] = [0] * (len(f.mapping) - 1)
+        s.nondegenerate_index[1].clear()
+        with pytest.raises(TypeError):
+            s.block_starts[1][((0, 0), 0)] = 7
+        with pytest.raises(TypeError):
+            s.block_starts[1] = {}
 
 
 def test_dold_kan_names_of_non_str_carriers():
