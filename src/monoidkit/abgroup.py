@@ -7,17 +7,19 @@ for K-groups, class groups, Picard groups and integral homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import intlin
+from ._records import FrozenRecord, Record
+from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(FrozenRecord):
     """Invariants of a finitely generated abelian group."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()  # each > 1, t1 | t2 | ...
+    _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)  # each > 1, t1 | t2 | ...
 
     def __str__(self) -> str:
         parts = []
@@ -42,13 +44,20 @@ class AbelianGroup:
         return n
 
 
-@dataclass
-class GroupPresentation:
+class GroupPresentation(Record):
     """Z^n modulo the row span of an integer relation matrix."""
 
-    n_generators: int
-    relations: list[list[int]] = field(default_factory=list)
-    generator_labels: list[str] | None = None
+    _fields = ("n_generators", "relations", "generator_labels")
+
+    def __init__(
+        self,
+        n_generators: int,
+        relations: list[list[int]] | None = None,
+        generator_labels: list[str] | None = None,
+    ):
+        self.n_generators = n_generators
+        self.relations = [] if relations is None else relations
+        self.generator_labels = generator_labels
 
     def invariants(self) -> AbelianGroup:
         if self.n_generators == 0:
@@ -99,6 +108,6 @@ def quotient_group(ambient_dim, ambient_relations, numerator_cols, denominator_c
             continue
         coeff = intlin.solve(gen_mat, list(d))
         if coeff is None:
-            raise ValueError("denominator not contained in numerator lattice")
+            raise ValidationError("denominator not contained in numerator lattice")
         rel_rows.append(coeff)
     return GroupPresentation(k, rel_rows).invariants()

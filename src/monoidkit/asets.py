@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import _kernels
+from ._records import Record
 from .errors import (
     BoundExceeded,
     NotACongruence,
@@ -312,10 +312,12 @@ def inclusion_morphism(x, subset, ambient):
 # congruences and quotients
 
 
-@dataclass
-class ASetCongruence:
-    base: ASet
-    reps: list[int]
+class ASetCongruence(Record):
+    _fields = ("base", "reps")
+
+    def __init__(self, base: ASet, reps: list[int]):
+        self.base = base
+        self.reps = reps
 
     def classes(self):
         buckets = {}
@@ -1016,13 +1018,17 @@ def _is_congruence(tables, arr):
 # split checks
 
 
-@dataclass
-class SplitReport:
-    splits: bool
-    has_section: bool
-    wedge_isomorphic: bool
-    has_retraction: bool
-    has_admissible_retraction: bool
+class SplitReport(Record):
+    _fields = ("splits", "has_section", "wedge_isomorphic", "has_retraction",
+               "has_admissible_retraction")
+
+    def __init__(self, splits: bool, has_section: bool, wedge_isomorphic: bool,
+                 has_retraction: bool, has_admissible_retraction: bool):
+        self.splits = splits
+        self.has_section = has_section
+        self.wedge_isomorphic = wedge_isomorphic
+        self.has_retraction = has_retraction
+        self.has_admissible_retraction = has_admissible_retraction
 
 
 def validate_aes(g, f):

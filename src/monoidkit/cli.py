@@ -9,6 +9,7 @@ reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -650,9 +651,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: ``corpus`` calls ``main`` once
+    per case, and building the 24 subparsers costs more than most cases."""
+    return build_parser()
+
+
 def main(argv=None, standalone=True):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage errors, and --help
         code = 0 if exc.code in (0, None) else 1
     else:

@@ -10,9 +10,9 @@ along the associativity relations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import asets as ak
+from ._records import Record
 from .errors import OracleMismatch, ValidationError
 from .monoids import FiniteMonoid, ZERO
 
@@ -68,14 +68,17 @@ def _compatible_phi_maps(m, x, y):
     return [(z, ak.ASetMorphism(z, y, f)) for f in maps]
 
 
-@dataclass
-class Extension:
+class Extension(Record):
     """Materialized extension 0 -> Y -> E -> X -> 0 on the carrier Y v X."""
 
-    e: ak.ASet
-    include: ak.ASetMorphism  # Y -> E
-    project: ak.ASetMorphism  # E -> X
-    phi_table: dict  # (a, p) torsion pair -> Y index
+    _fields = ("e", "include", "project", "phi_table")
+
+    def __init__(self, e: ak.ASet, include: ak.ASetMorphism,
+                 project: ak.ASetMorphism, phi_table: dict):
+        self.e = e
+        self.include = include  # Y -> E
+        self.project = project  # E -> X
+        self.phi_table = phi_table  # (a, p) torsion pair -> Y index
 
 
 def _materialize(m, x, y, z, phi):

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 
 from . import intlin
+from ._records import FrozenRecord, Record
 from .abgroup import GroupPresentation, quotient_group
 from .errors import NotNormal, OracleMismatch, ValidationError
 from .monoids import AffineMonoid
@@ -430,11 +430,13 @@ def chart_valuations(aff):
     return out
 
 
-@dataclass
-class DVReport:
-    is_dv: bool
-    uniformizer: tuple | None
-    witness: tuple | None
+class DVReport(Record):
+    _fields = ("is_dv", "uniformizer", "witness")
+
+    def __init__(self, is_dv: bool, uniformizer: tuple | None, witness: tuple | None):
+        self.is_dv = is_dv
+        self.uniformizer = uniformizer
+        self.witness = witness
 
 
 def dv_check(aff, normal, scale=1):
@@ -484,10 +486,12 @@ def dv_check(aff, normal, scale=1):
     return DVReport(True, uni, None)
 
 
-@dataclass
-class IntersectionReport:
-    holds: bool
-    witnesses: list
+class IntersectionReport(Record):
+    _fields = ("holds", "witnesses")
+
+    def __init__(self, holds: bool, witnesses: list):
+        self.holds = holds
+        self.witnesses = witnesses
 
 
 def intersect_localizations_check(aff):
@@ -574,15 +578,16 @@ def unit_lattice_of_chart(aff):
 # glued schemes
 
 
-@dataclass
-class GluedScheme:
-    lattice_rank: int
-    charts: list
-    unit_orders: list = field(default_factory=list)
-    glue: str = "fan"
-    name: str = "X"
+class GluedScheme(Record):
+    _fields = ("lattice_rank", "charts", "unit_orders", "glue", "name")
 
-    def __post_init__(self):
+    def __init__(self, lattice_rank: int, charts: list, unit_orders: list | None = None,
+                 glue: str = "fan", name: str = "X"):
+        self.lattice_rank = lattice_rank
+        self.charts = charts
+        self.unit_orders = [] if unit_orders is None else unit_orders
+        self.glue = glue
+        self.name = name
         if self.glue not in ("fan", "generic"):
             raise ValidationError(f"unknown glue mode {self.glue!r}")
         for c in self.charts:
@@ -659,12 +664,14 @@ def product_scheme(x1, x2, name=None):
 # -- height-one points and divisors -------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeightOnePoint:
-    label: str
-    normal: tuple
-    scale: int
-    chart_indices: tuple
+class HeightOnePoint(FrozenRecord):
+    _fields = ("label", "normal", "scale", "chart_indices")
+
+    def __init__(self, label: str, normal: tuple, scale: int, chart_indices: tuple):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "chart_indices", chart_indices)
 
     def valuation(self, vec):
         return _dot(self.normal, vec) // self.scale

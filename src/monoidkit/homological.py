@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
 from . import _kernels, asets as ak
+from ._records import Record
 from .errors import (
     BoundExceeded,
     NotAComplex,
@@ -32,14 +32,17 @@ from .monoids import MonogenicMonoid, ValidationReport
 # double-arrow complexes (finite carriers)
 
 
-@dataclass
-class DaComplex:
-    base: object
-    levels: list  # ASet per degree, starting at min_degree
-    r: list  # r[i]: levels[i] -> levels[i-1], i >= 1
-    s: list
-    min_degree: int = 0
-    complete: bool = True  # False for a resolution cut at its length cap
+class DaComplex(Record):
+    _fields = ("base", "levels", "r", "s", "min_degree", "complete")
+
+    def __init__(self, base: object, levels: list, r: list, s: list,
+                 min_degree: int = 0, complete: bool = True):
+        self.base = base
+        self.levels = levels  # ASet per degree, starting at min_degree
+        self.r = r  # r[i]: levels[i] -> levels[i-1], i >= 1
+        self.s = s
+        self.min_degree = min_degree
+        self.complete = complete  # False for a resolution cut at its length cap
 
     @property
     def top_degree(self):
@@ -140,11 +143,13 @@ def homology(c, n):
     return h
 
 
-@dataclass
-class DaMorphism:
-    source: DaComplex
-    target: DaComplex
-    maps: list  # per degree, aligned with source.min_degree
+class DaMorphism(Record):
+    _fields = ("source", "target", "maps")
+
+    def __init__(self, source: DaComplex, target: DaComplex, maps: list):
+        self.source = source
+        self.target = target
+        self.maps = maps  # per degree, aligned with source.min_degree
 
     def level_map(self, n):
         i = n - self.source.min_degree
@@ -345,18 +350,20 @@ def reduced_resolution(x, length_cap=3):
 # symbolic free complexes over the monogenic base
 
 
-@dataclass
-class FreeComplex:
+class FreeComplex(Record):
     """Levelwise free complex over the monogenic base.
 
     Levels hold generator labels; maps send a generator to
     (exponent, target label) or None for the zero map.
     """
 
-    base: MonogenicMonoid
-    level_labels: list
-    r: list  # r[i]: dict label -> (exp, label) | None, level i+1 -> i
-    s: list
+    _fields = ("base", "level_labels", "r", "s")
+
+    def __init__(self, base: MonogenicMonoid, level_labels: list, r: list, s: list):
+        self.base = base
+        self.level_labels = level_labels
+        self.r = r  # r[i]: dict label -> (exp, label) | None, level i+1 -> i
+        self.s = s
 
     @property
     def top_degree(self):
@@ -491,12 +498,14 @@ def _fmt(e):
 # truncated simplicial A-sets
 
 
-@dataclass
-class TruncSimplicialASet:
-    base: object
-    levels: list
-    faces: list  # faces[n-1] = [d_0..d_n] at level n, n >= 1
-    degeneracies: list  # degeneracies[n] = [s_0..s_n] at level n, n < N
+class TruncSimplicialASet(Record):
+    _fields = ("base", "levels", "faces", "degeneracies")
+
+    def __init__(self, base: object, levels: list, faces: list, degeneracies: list):
+        self.base = base
+        self.levels = levels
+        self.faces = faces  # faces[n-1] = [d_0..d_n] at level n, n >= 1
+        self.degeneracies = degeneracies  # degeneracies[n] = [s_0..s_n] at level n, n < N
 
     @property
     def truncation(self):
@@ -881,12 +890,15 @@ def _extend_to_simplicial(kc, sset, c, gen_maps):
     return maps
 
 
-@dataclass
-class AdjunctionReport:
-    simplicial_count: int
-    complex_count: int
-    bijective: bool
-    counit_is_simplicial: bool
+class AdjunctionReport(Record):
+    _fields = ("simplicial_count", "complex_count", "bijective", "counit_is_simplicial")
+
+    def __init__(self, simplicial_count: int, complex_count: int, bijective: bool,
+                 counit_is_simplicial: bool):
+        self.simplicial_count = simplicial_count
+        self.complex_count = complex_count
+        self.bijective = bijective
+        self.counit_is_simplicial = counit_is_simplicial
 
 
 def adjunction_check(c, sset):

@@ -17,8 +17,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass, field
 
+from ._records import Record
 from .errors import (
     BadWord,
     BoundExceeded,
@@ -163,23 +163,30 @@ def generator_names(base):
 # affine backend
 
 
-@dataclass
-class AffineMonoid:
+class AffineMonoid(Record):
     """Finitely generated submonoid of Z^rank (optionally times a finite
     unit group), possibly modulo a monomial ideal."""
 
-    name: str
-    rank: int
-    generators: list[tuple[int, ...]]
-    unit_orders: list[int] = field(default_factory=list)
-    unit_tags: list[tuple[int, ...]] | None = None
-    monomial_ideal: list[tuple[int, ...]] = field(default_factory=list)
-    degree_bound: int = 8
-
+    _fields = ("name", "rank", "generators", "unit_orders", "unit_tags",
+               "monomial_ideal", "degree_bound")
     backend = "affine"
 
-    def __post_init__(self):
-        self.generators = [tuple(int(x) for x in g) for g in self.generators]
+    def __init__(
+        self,
+        name: str,
+        rank: int,
+        generators: list[tuple[int, ...]],
+        unit_orders: list[int] | None = None,
+        unit_tags: list[tuple[int, ...]] | None = None,
+        monomial_ideal: list[tuple[int, ...]] | None = None,
+        degree_bound: int = 8,
+    ):
+        self.name = name
+        self.rank = rank
+        self.unit_orders = [] if unit_orders is None else unit_orders
+        self.unit_tags = unit_tags
+        self.degree_bound = degree_bound
+        self.generators = [tuple(int(x) for x in g) for g in generators]
         for g in self.generators:
             if len(g) != self.rank:
                 raise ValidationError(f"generator {g} does not match rank {self.rank}")
@@ -188,7 +195,7 @@ class AffineMonoid:
                 raise ValidationError("unit group orders must be >= 2")
         if self.unit_tags is not None and len(self.unit_tags) != len(self.generators):
             raise ValidationError("unit_tags must align with generators")
-        self.monomial_ideal = [tuple(int(x) for x in v) for v in self.monomial_ideal]
+        self.monomial_ideal = [tuple(int(x) for x in v) for v in monomial_ideal or ()]
         bound = self.degree_bound
         if isinstance(bound, bool) or not isinstance(bound, int) or bound < 1:
             raise ValidationError(f"degree_bound must be an integer >= 1, got {bound!r}")
@@ -332,18 +339,22 @@ def same_monoid(a, b):
 # validation
 
 
-@dataclass
-class Violation:
-    kind: str
-    witness: tuple
+class Violation(Record):
+    _fields = ("kind", "witness")
+
+    def __init__(self, kind: str, witness: tuple):
+        self.kind = kind
+        self.witness = witness
 
     def __str__(self):
         return f"{self.kind}{self.witness}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    _fields = ("violations",)
+
+    def __init__(self, violations: list[Violation] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self):
@@ -951,12 +962,14 @@ def is_zero_prime(m):
     return True
 
 
-@dataclass
-class PointedGroupDescription:
+class PointedGroupDescription(Record):
     """Symbolic pointed abelian group: free rank plus finite cyclic orders."""
 
-    free_rank: int
-    torsion_orders: list[int]
+    _fields = ("free_rank", "torsion_orders")
+
+    def __init__(self, free_rank: int, torsion_orders: list[int]):
+        self.free_rank = free_rank
+        self.torsion_orders = torsion_orders
 
     def __str__(self):
         from .abgroup import AbelianGroup

@@ -10,12 +10,18 @@ of A-sets whose relations come from subset/quotient exact sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from . import asets as ak
 from . import spectra as sp
+from ._records import Record
 from .abgroup import AbelianGroup, GroupPresentation
-from .errors import BoundExceeded, NotNilpotent, OracleMismatch, ValidationError
+from .errors import (
+    BoundExceeded,
+    HypothesisViolated,
+    NotNilpotent,
+    OracleMismatch,
+    ValidationError,
+)
 from .monoids import (
     FiniteMonoid,
     ZERO,
@@ -31,18 +37,22 @@ from .monoids import (
 # projectivity
 
 
-@dataclass
-class ProjectiveDecomposition:
-    base: FiniteMonoid
-    idempotent_multiset: list[int]  # element indices, sorted
+class ProjectiveDecomposition(Record):
+    _fields = ("base", "idempotent_multiset")
+
+    def __init__(self, base: FiniteMonoid, idempotent_multiset: list[int]):
+        self.base = base
+        self.idempotent_multiset = idempotent_multiset  # element indices, sorted
 
     def names(self):
         return [self.base.elements[e] for e in self.idempotent_multiset]
 
 
-@dataclass
-class NotProjective:
-    reason: str
+class NotProjective(Record):
+    _fields = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def counit(x):
@@ -167,7 +177,7 @@ def projectives_isomorphic(p_aset, q_aset):
     dp = decompose_projective(p_aset)
     dq = decompose_projective(q_aset)
     if isinstance(dp, NotProjective) or isinstance(dq, NotProjective):
-        raise ValueError("both inputs must be projective")
+        raise HypothesisViolated("both inputs must be projective")
     by_rank = rank_vector(p_aset) == rank_vector(q_aset)
     by_multiset = dp.idempotent_multiset == dq.idempotent_multiset
     by_search = ak.is_isomorphic(p_aset, q_aset)
@@ -183,12 +193,15 @@ def projectives_isomorphic(p_aset, q_aset):
 # K0 and K1
 
 
-@dataclass
-class K0Ring:
-    base: FiniteMonoid
-    generators: list[str]  # nonzero idempotent names
-    presentation: GroupPresentation
-    mult: dict  # (i, j) -> k index or None for zero
+class K0Ring(Record):
+    _fields = ("base", "generators", "presentation", "mult")
+
+    def __init__(self, base: FiniteMonoid, generators: list[str],
+                 presentation: GroupPresentation, mult: dict):
+        self.base = base
+        self.generators = generators  # nonzero idempotent names
+        self.presentation = presentation
+        self.mult = mult  # (i, j) -> k index or None for zero
 
     def invariants(self) -> AbelianGroup:
         return self.presentation.invariants()
@@ -324,13 +337,16 @@ def k1_bruteforce(m, copies):
 # G0 over a bounded universe
 
 
-@dataclass
-class G0Result:
-    presentation: GroupPresentation
-    class_labels: list[str]
-    class_reps: list
-    universe_hash: str
-    class_index: dict = field(default_factory=dict)
+class G0Result(Record):
+    _fields = ("presentation", "class_labels", "class_reps", "universe_hash", "class_index")
+
+    def __init__(self, presentation: GroupPresentation, class_labels: list[str],
+                 class_reps: list, universe_hash: str, class_index: dict | None = None):
+        self.presentation = presentation
+        self.class_labels = class_labels
+        self.class_reps = class_reps
+        self.universe_hash = universe_hash
+        self.class_index = {} if class_index is None else class_index
 
     def invariants(self):
         return self.presentation.invariants()
@@ -418,12 +434,16 @@ def g0_class_vector(result, x):
     return vec
 
 
-@dataclass
-class DevissageReport:
-    nilpotency: int
-    filtration_sizes: list[int]
-    quotients_are_base_quotient_sets: bool
-    identity_holds: bool
+class DevissageReport(Record):
+    _fields = ("nilpotency", "filtration_sizes", "quotients_are_base_quotient_sets",
+               "identity_holds")
+
+    def __init__(self, nilpotency: int, filtration_sizes: list[int],
+                 quotients_are_base_quotient_sets: bool, identity_holds: bool):
+        self.nilpotency = nilpotency
+        self.filtration_sizes = filtration_sizes
+        self.quotients_are_base_quotient_sets = quotients_are_base_quotient_sets
+        self.identity_holds = identity_holds
 
 
 def devissage_check(m, ideal_elements, x, middle_bound=6):

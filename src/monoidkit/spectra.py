@@ -11,8 +11,8 @@ splits reducible ideals recursively over the finite ideal lattice.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._records import FrozenRecord
 from .asets import (
     aset_from_monoid,
     aset_generators,
@@ -23,10 +23,12 @@ from .errors import ImproperIdeal, OracleMismatch
 from .monoids import FiniteMonoid, ZERO, nilpotents
 
 
-@dataclass(frozen=True)
-class Ideal:
-    base: FiniteMonoid
-    elements: frozenset[int]
+class Ideal(FrozenRecord):
+    _fields = ("base", "elements")
+
+    def __init__(self, base: FiniteMonoid, elements: frozenset[int]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "elements", elements)
 
     def __contains__(self, x):
         return x in self.elements

@@ -12,9 +12,8 @@ the Tor_1 rank is H_1 of the realized Tor complex (``hurewicz_compare``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _kernels, asets as ak, homological as hm
+from ._records import Record
 from .abgroup import AbelianGroup
 from .errors import HypothesisViolated, NotAComplex, ValidationError
 from .monoids import MonogenicMonoid, generator_names
@@ -161,10 +160,12 @@ def chain_of_simplicial(sset):
     return IntegerChainComplex._from_rows(ranks, diffs)
 
 
-@dataclass
-class HomologyGroup:
-    betti: int
-    torsion: tuple
+class HomologyGroup(Record):
+    _fields = ("betti", "torsion")
+
+    def __init__(self, betti: int, torsion: tuple):
+        self.betti = betti
+        self.torsion = torsion
 
     def as_group(self):
         return AbelianGroup(self.betti, tuple(t for t in self.torsion if t > 1))
@@ -258,10 +259,12 @@ def tor_complex_direct(x, exp, trunc=4):
 # first derived tensor over the monogenic base
 
 
-@dataclass
-class TorRankReport:
-    formula_rank: int
-    graph_rank: int
+class TorRankReport(Record):
+    _fields = ("formula_rank", "graph_rank")
+
+    def __init__(self, formula_rank: int, graph_rank: int):
+        self.formula_rank = formula_rank
+        self.graph_rank = graph_rank
 
     @property
     def agree(self):
@@ -292,11 +295,13 @@ def tor1_monogenic(x, k):
     return TorRankReport(rank, rank)  # graph_rank by the identity above
 
 
-@dataclass
-class HurewiczReport:
-    tor_rank: int
-    h1: HomologyGroup
-    higher_vanish: bool
+class HurewiczReport(Record):
+    _fields = ("tor_rank", "h1", "higher_vanish")
+
+    def __init__(self, tor_rank: int, h1: HomologyGroup, higher_vanish: bool):
+        self.tor_rank = tor_rank
+        self.h1 = h1
+        self.higher_vanish = higher_vanish
 
     @property
     def agree(self):

@@ -44,11 +44,11 @@ LAZY = ["monoidkit.extensions", "monoidkit.geometry", "monoidkit.homological",
         "monoidkit.projk", "monoidkit.spectra", "monoidkit.torreal", "hashlib"]
 
 
-def loaded_by(code):
-    """Which of ``LAZY`` a fresh process loads while it runs ``code``."""
+def loaded_by(code, modules=LAZY):
+    """Which of ``modules`` a fresh process loads while it runs ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     probe = (f"import sys\nbefore = set(sys.modules)\n{code}\n"
-             f"import json\nprint(json.dumps(sorted(set({LAZY!r}) & set(sys.modules) - before)))")
+             f"import json\nprint(json.dumps(sorted(set({modules!r}) & set(sys.modules) - before)))")
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, timeout=120, check=True,
@@ -65,6 +65,24 @@ def test_a_subcommand_loads_only_its_operation_modules():
     loaded = loaded_by(f"from monoidkit import cli\ncli.main({argv!r}, standalone=False)")
     assert "monoidkit.projk" in loaded
     assert not loaded & {"monoidkit.torreal", "monoidkit.extensions"}
+
+
+def test_records_need_neither_dataclasses_nor_inspect():
+    # generating dataclass methods, and importing what that needs, cost a
+    # CLI process more than most subcommands' work
+    argv = ["k0", doc("monoids", "idem2.json")]
+    modules = ["monoidkit.cli"] + [m for m in LAZY if m.startswith("monoidkit.")]
+    imports = "".join(f"import {m}\n" for m in modules)
+    code = f"{imports}monoidkit.cli.main({argv!r}, standalone=False)"
+    assert loaded_by(code, ["dataclasses", "inspect"]) == set()
+
+
+def test_main_reuses_one_parser_without_carrying_state():
+    plain = ["k0", doc("monoids", "idem2.json")]
+    first = run(plain)
+    assert run(["--json", *plain]) != first
+    assert run(plain) == first == (0, "Z^4\n")
+    assert cli._parser() is cli._parser()
 
 
 def test_spec_idem2():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from monoidkit import geometry as gm
 from monoidkit import intlin
-from monoidkit.abgroup import AbelianGroup
+from monoidkit.abgroup import AbelianGroup, quotient_group
 from monoidkit.documents import load_document
 from monoidkit.errors import NotNormal, OracleMismatch, ValidationError
 from monoidkit.monoids import AffineMonoid
@@ -463,6 +463,13 @@ def test_pic_glued_lines_matches_class_group():
     for n in (1, 2, 3):
         x = gm.glued_lines(n + 1)
         assert gm.pic(x) == gm.class_group(x).invariants()
+
+
+def test_quotient_group_needs_the_denominator_inside_the_numerator():
+    # Pic's quotient N / D: 2Z / 4Z is Z/2, but Z is not inside 2Z
+    assert quotient_group(1, [], [[2]], [[4]]) == AbelianGroup(0, (2,))
+    with pytest.raises(ValidationError, match="denominator not contained"):
+        quotient_group(1, [], [[2]], [[1]])
 
 
 def test_pic_embeds_in_class_group_quadric():

@@ -9,7 +9,7 @@ from monoidkit import monoids as mk
 from monoidkit import projk as pk
 from monoidkit import spectra as sp
 from monoidkit.abgroup import AbelianGroup, GroupPresentation
-from monoidkit.errors import ValidationError
+from monoidkit.errors import HypothesisViolated, ValidationError
 
 
 def F1():
@@ -136,6 +136,15 @@ def test_projectives_isomorphic_by_rank():
     w1 = ak.wedge([ax, ay])
     w2 = ak.wedge([ay, ax])
     assert pk.projectives_isomorphic(w1, w2)
+
+
+def test_projectives_isomorphic_needs_projective_inputs():
+    m = line(2)
+    a = ak.aset_from_monoid(m)
+    q, _ = ak.quotient_by_subset(a, [m.index_of("x")])  # x acts by 0 on {0, 1}
+    assert isinstance(pk.decompose_projective(q), pk.NotProjective)
+    with pytest.raises(HypothesisViolated, match="both inputs must be projective"):
+        pk.projectives_isomorphic(a, q)
 
 
 def test_k0_trivial_idempotents_is_z():
