@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark the compiled kernels against their pure-Python twins.
 
-Two workloads mirror the package's hot loops:
+Three workloads mirror the package's hot loops:
 
-* batches of Smith reductions on small integer matrices of the kind the
-  homology and class-group paths produce;
+* batches of Smith reductions on small synthetic 0/+-1 matrices;
+* the differentials of criterion 8's chain complexes: the sparse rows of
+  ``tor_complex`` and ``tor_complex_direct`` for every action table of
+  carriers 2-5 and k = 1-3, through the pure sparse pass
+  (``snf_diagonal_rows``, what the package runs on either backend) and
+  through the compiled ``snf_diagonal`` on the rows densified first, the
+  densifying timed with it;
 * congruence closures over generator action tables of the kind quotients
   and tensor products produce.
 
@@ -17,10 +22,12 @@ Run:  python3 benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
+import itertools
 import random
 import time
 
-from monoidkit._kernels import closure_py, snf_py
+from monoidkit import asets, torreal
+from monoidkit._kernels import closure_py, dense_rows, snf_py
 
 try:
     from monoidkit._kernels import _closure_cy, _snf_cy
@@ -44,6 +51,20 @@ def snf_workload(rng, count=400):
     return mats
 
 
+def chain_rows_workload():
+    """(rows, columns) of every differential of criterion 8's complexes
+    on carriers 2-5, built both ways, for k = 1, 2, 3."""
+    jobs = []
+    for c in range(2, 6):
+        for tail in itertools.product(range(c), repeat=c - 1):
+            x = asets.aset_from_theta([0, *tail])
+            for k in (1, 2, 3):
+                for chain in (torreal.tor_complex(x, k, trunc=4)[0],
+                              torreal.tor_complex_direct(x, k, trunc=4)):
+                    jobs += zip(chain.rows, chain.ranks[1:])
+    return jobs
+
+
 def closure_workload(rng, count=300):
     jobs = []
     for _ in range(count):
@@ -54,8 +75,9 @@ def closure_workload(rng, count=300):
     return jobs
 
 
-def time_snf(impl, mats):
-    """Time ``snf_diagonal`` on every matrix.
+def time_snf(impl, mats, prepare=None):
+    """Time ``snf_diagonal`` on every matrix, made by ``prepare`` from each
+    input (inside the timing) if given.
 
     Returns (seconds, diagonals, fallbacks): an ``OverflowError`` from the
     compiled kernel is retried with the pure twin and counted.
@@ -64,12 +86,24 @@ def time_snf(impl, mats):
     out = []
     fallbacks = 0
     for m in mats:
+        if prepare is not None:
+            m = prepare(m)
         try:
             out.append(impl.snf_diagonal(m))
         except OverflowError:
             fallbacks += 1
             out.append(snf_py.snf_diagonal(m))
     return time.perf_counter() - t0, out, fallbacks
+
+
+def time_rows(impl, jobs):
+    """Time the factors of every (rows, columns) job: the pure twin reads
+    the sparse rows, the compiled one gets them densified."""
+    if impl is not snf_py:
+        return time_snf(impl, jobs, lambda job: dense_rows(*job))
+    t0 = time.perf_counter()
+    out = [impl.snf_diagonal_rows(rows) for rows, _ in jobs]
+    return time.perf_counter() - t0, out, 0
 
 
 def _partition(reps):
@@ -100,6 +134,8 @@ def main():
     for label, impl, fast, timer, data in (
         ("smith reduction", snf_py, _snf_cy if HAVE_COMPILED else None,
          time_snf, mats),
+        ("smith, chain rows", snf_py, _snf_cy if HAVE_COMPILED else None,
+         time_rows, chain_rows_workload()),
         ("congruence closure", closure_py, _closure_cy if HAVE_COMPILED else None,
          time_closure, jobs),
     ):

@@ -6,7 +6,8 @@ is preferred when importable; ``MONOIDKIT_PURE=1`` forces the fallback.
 The compiled SNF works in 64-bit arithmetic and raises ``OverflowError``
 on large entries, so its wrapper retries with the bignum twin per call.
 ``generating_pairs`` (the seeds of a congruence that are not implied by
-the seeds before them) exists only in pure Python.
+the seeds before them) and the sparse-row Smith entry
+``snf_diagonal_rows`` exist only in pure Python.
 """
 
 from __future__ import annotations
@@ -63,15 +64,14 @@ def dense_rows(rows, cols):
     return mat
 
 
-def snf_diagonal_rows(rows, cols):
-    """Invariant factors of the matrix with ``cols`` columns whose row i
-    is the dict ``rows[i]`` ({column: nonzero entry}).
+def snf_diagonal_rows(rows):
+    """Invariant factors of the matrix whose row i is the dict ``rows[i]``
+    ({column: nonzero entry}); ``rows`` is left as it was.
 
-    The pure kernel reduces a copy of the rows.  The compiled one needs
-    row lists, so the rows are densified here for ``snf_diagonal``.
+    Both backends run the pure sparse pass: it empties a chain complex's
+    0/+-1 rows before any dense work, and the compiled kernel, which
+    needs the rows densified first, was no faster on them.
     """
-    if _snf_fast is not None:
-        return snf_diagonal(dense_rows(rows, cols))
     return snf_py.snf_diagonal_rows(rows)
 
 

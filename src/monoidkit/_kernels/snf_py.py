@@ -7,12 +7,14 @@ top-left block of a work matrix in place, so ``snf_with_transforms``
 records U and V by carrying an identity block to the right of and below
 the input, and the invariant-factor entries reduce what is left of their
 input after a sparse unit-pivot pass.  That pass
-(``_eliminate_unit_pivots``) splits off +-1 pivots chosen by least
-Markowitz cost on sparse rows, which empties most of a 0/+-1 boundary
+(``_eliminate_unit_pivots``) takes the sparse rows once, sparsest
+first, clears each against the +-1 pivots found before it and makes its
+first +-1 entry a new pivot, which empties most of a 0/+-1 boundary
 matrix before any dense work (Dumas, Heckenbach, Saunders and Welker
 2003).  ``snf_diagonal`` turns a dense matrix into those rows once;
-``snf_diagonal_rows`` starts from a copy of rows the caller keeps (a
-chain complex's differentials), so no dense matrix is built or scanned.
+``snf_diagonal_rows`` takes rows the caller keeps (a chain complex's
+differentials) and copies a row only when it changes, so no dense
+matrix is built or scanned.
 Elimination in ``_reduce`` uses extended-gcd 2x2 unimodular blocks, which
 keeps intermediate growth tame; divisibility d1 | d2 | ... is restored by
 folding a column into its left neighbour and re-reducing the 2x2 block.
@@ -23,8 +25,6 @@ range; callers fall back to this module in that case.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 
 def _xgcd(a, b):
@@ -163,68 +163,78 @@ def snf_with_transforms(mat):
     return U, D, A[m:]
 
 
-def _cheapest_unit(rows, cols):
-    """(row, column) of the +-1 entry of least Markowitz cost, or None."""
-    best = None
-    for i, r in rows.items():
-        row_cost = len(r) - 1
-        for j, v in r.items():
-            if v == 1 or v == -1:
-                cost = row_cost * (len(cols[j]) - 1)
-                if cost == 0:
-                    return i, j
-                if best is None or cost < best[0]:
-                    best = (cost, i, j)
-    return None if best is None else best[1:]
+def _clear_pivot_columns(r, pivots):
+    """A copy of the row ``r`` less multiples of the pivot rows, zero in
+    every pivot column.
+
+    ``pivots`` maps a column to the row holding the +-1 pivot there, so
+    the subtraction is exact.  A pivot row may meet the columns of later
+    pivots, so the scan repeats until none is hit.  Callers pass only rows
+    that meet a pivot column, so the copy is never wasted.
+    """
+    r = dict(r)
+    cols = pivots.keys()
+    while hit := cols & r.keys():
+        for q in hit:
+            f = r.get(q)
+            if f:
+                p = pivots[q]
+                f *= p[q]  # r[q] / p[q], as p[q] is +-1
+                for j, v in p.items():
+                    nv = r.get(j, 0) - f * v
+                    if nv:
+                        r[j] = nv
+                    else:
+                        del r[j]
+    return r
 
 
 def _eliminate_unit_pivots(rows):
     """Split off unit pivots; return (count, dense residue).
 
-    ``rows`` maps a row index to its nonzero sparse row {column: value}
-    and is reduced in place; a column -> rows index is built beside it.
-    Each step takes the +-1 entry of least Markowitz cost (row nnz - 1) *
-    (column nnz - 1) and subtracts the pivot row from every other row
-    meeting its column, exactly, since the pivot is a unit.  Column
-    operations would then clear the pivot row without touching anything
-    else, so the matrix is equivalent to [1] (+) the rest: the pivot row
-    and column are dropped.  The residue keeps the nonzero rows and the
+    One forward pass over the sparse rows ({column: value}), sparsest
+    first (a stable sort by entry count, which keeps fill-in low): each
+    row is cleared in every pivot column found so far, and its first +-1
+    entry, if any, makes it a new pivot row, which is never written again.
+    A row with no unit entry is set aside and cleared once more against
+    all pivots at the end; its nonzero survivors are the residue, with the
     columns they meet.
+
+    This is exact.  On the pivot columns, in the order they were found,
+    the pivot rows form an upper triangular block with +-1 on its
+    diagonal, and the residue rows are zero there.  Column operations with
+    that block clear the rest of the pivot rows without touching the
+    residue, so the matrix is equivalent to [1] * count (+) residue
+    (Dumas, Heckenbach, Saunders and Welker 2003).  ``rows`` is left as
+    it was: a row is copied before its first change.
     """
-    cols = defaultdict(set)
-    for i, r in rows.items():
-        for j in r:
-            cols[j].add(i)
-    ones = 0
-    while (pivot := _cheapest_unit(rows, cols)) is not None:
-        p, q = pivot
-        prow = rows.pop(p)
-        for j in prow:
-            cols[j].discard(p)
-        pv = prow.pop(q)
-        for i in cols.pop(q):
-            r = rows[i]
-            f = r.pop(q) * pv  # r[q] / pv, as pv is +-1
-            for j, v in prow.items():
-                nv = r.get(j, 0) - f * v
-                if nv:
-                    if j not in r:
-                        cols[j].add(i)
-                    r[j] = nv
-                else:
-                    del r[j]
-                    cols[j].discard(i)
-            if not r:
-                del rows[i]
-        ones += 1
-    used = sorted({j for r in rows.values() for j in r})
-    return ones, [[r.get(j, 0) for j in used] for r in rows.values()]
+    pivots = {}
+    cols = pivots.keys()
+    stuck = []
+    for r in sorted(rows, key=len):
+        if not cols.isdisjoint(r):
+            r = _clear_pivot_columns(r, pivots)
+        if r:
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    pivots[j] = r
+                    break
+            else:
+                stuck.append(r)
+    residue = []
+    for r in stuck:
+        if not cols.isdisjoint(r):
+            r = _clear_pivot_columns(r, pivots)
+        if r:
+            residue.append(r)
+    used = sorted({j for r in residue for j in r})
+    return len(pivots), [[r.get(j, 0) for j in used] for r in residue]
 
 
-def _diagonal(rows):
-    """Invariant factors of the sparse rows ``rows`` ({row: {column:
-    value}}, nonzero rows only), which are consumed: unit pivots are split
-    off first, and ``_reduce`` runs on the dense residue.  Invariant
+def snf_diagonal_rows(rows):
+    """Invariant factors of the matrix whose row i is the dict ``rows[i]``
+    ({column: nonzero int}), which is left as it was: unit pivots are
+    split off first, and ``_reduce`` runs on the dense residue.  Invariant
     factors are unique, so the result is that of reducing the matrix
     whole."""
     ones, D = _eliminate_unit_pivots(rows)
@@ -238,19 +248,8 @@ def _diagonal(rows):
 def snf_diagonal(mat):
     """Invariant factors (the nonzero diagonal of the SNF), d1 | d2 | ...,
     of a dense matrix (row lists)."""
-    rows = {}
-    for i, row in enumerate(mat):
-        r = {j: int(v) for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-    return _diagonal(rows)
-
-
-def snf_diagonal_rows(rows):
-    """Invariant factors of the matrix whose row i is the dict ``rows[i]``
-    ({column: nonzero int}); the reduction runs on a copy, so ``rows`` is
-    left as it was."""
-    return _diagonal({i: dict(r) for i, r in enumerate(rows) if r})
+    return snf_diagonal_rows([{j: int(v) for j, v in enumerate(row) if v}
+                              for row in mat])
 
 
 def integer_rank(mat):

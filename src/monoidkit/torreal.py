@@ -78,7 +78,8 @@ class IntegerChainComplex:
     row of d_{n-1} d_n is summed over the nonzero entries of the rows
     alone and must come out all zero, so every entry of every product is
     checked.  The differentials are fixed once built, and each is reduced
-    at most once, from a copy of its rows.
+    at most once; the Smith pass reads the rows in place and copies only
+    a row it changes, so they stay as built.
     """
 
     def __init__(self, ranks, diff):
@@ -126,8 +127,8 @@ class IntegerChainComplex:
         """Invariant factors of d_n, computed on first request and kept."""
         if n not in self._factors:
             if 1 <= n < len(self.ranks):
-                self._factors[n] = tuple(_kernels.snf_diagonal_rows(
-                    self.rows[n - 1], self.ranks[n]))
+                self._factors[n] = tuple(
+                    _kernels.snf_diagonal_rows(self.rows[n - 1]))
             else:  # a zero matrix
                 self._factors[n] = ()
         return self._factors[n]
