@@ -17,10 +17,16 @@ lattices' kernels.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly
-computed facet normals, and a fresh ``Sublattice`` per lattice.  The
-normalization's generators are compared with a greedy reference that
+computed facet normals, and a fresh ``intlin.Sublattice`` per lattice.
+The normalization's generators are compared with a greedy reference that
 drops each candidate a trial chart on the others can write.  A mismatch
 raises ``RuntimeError``.
+
+A second table times ``cartier_and_pic`` on freshly built P^1-P^4 and
+glued lines 2-5 (best of R) and counts its Smith forms with transforms
+(``intlin.snf``) and its invariant-factor calls.  Cart and Pic must equal
+their closed forms, Z^(n+1) and Z for P^n, Z^k and Z^(k-1) for k glued
+lines; any other answer raises ``RuntimeError``.
 
 Run:  python3 benchmarks/bench_geometry.py [--max-scale N] [--repeat R]
 """
@@ -31,11 +37,19 @@ import time
 
 from monoidkit import geometry as gm
 from monoidkit import intlin
+from monoidkit.abgroup import AbelianGroup
 from monoidkit.monoids import AffineMonoid
 
 CHARTS = (
     ("xy2", [(1, 0), (0, 2), (1, 1)]),
     ("cusp x N^2", [(2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1)]),
+)
+
+# (label, builder, rank of Cart, rank of Pic); both groups are free
+SCHEMES = tuple(
+    (f"P^{n}", lambda n=n: gm.projective_space(n), n + 1, 1) for n in range(1, 5)
+) + tuple(
+    (f"lines{k}", lambda k=k: gm.glued_lines(k), k, k - 1) for k in range(2, 6)
 )
 
 
@@ -106,7 +120,7 @@ def check_memberships(aff):
     cone = gm.chart_cone(aff)
     normals = gm.facet_normals(gens, rank)
     span_rank = intlin.rank(gens)
-    lattice = gm.Sublattice(gens, rank)
+    lattice = intlin.Sublattice(gens, rank)
     for v in box(aff):
         in_span = intlin.rank(gens + [list(v)]) == span_rank
         in_cone = in_span and all(_dot(w, v) >= 0 for w in normals)
@@ -117,7 +131,7 @@ def check_memberships(aff):
                 g for g in gens
                 if all(_dot(w, g) == 0 for w in normals if _dot(w, v) == 0)
             ]
-            seminormal = v in gm.Sublattice(on_face, rank)
+            seminormal = v in intlin.Sublattice(on_face, rank)
         for what, want, got in (
             ("span", in_span, cone.in_span(v)),
             ("cone", in_cone, cone.in_cone(v)),
@@ -129,6 +143,29 @@ def check_memberships(aff):
                     f"{aff.name}: {what} membership of {v} is {got} from the "
                     f"cached cone, {want} directly"
                 )
+
+
+def cart_pic_table(repeat):
+    """Time Cart and Pic of each scheme and check them against the closed
+    forms; raise ``RuntimeError`` on a difference."""
+    print(f"\n{'scheme':12} {'Cart':>6} {'Pic':>6} {'time (ms)':>10}"
+          f" {'Smith forms':>12} {'diagonals':>10}")
+    for label, build, cart_rank, pic_rank in SCHEMES:
+        best = None
+        for _ in range(repeat):
+            x = build()
+            with counting((intlin, "snf"), (intlin, "invariant_factors")) as counts:
+                t0 = time.perf_counter()
+                cart, pic = gm.cartier_and_pic(x)
+                elapsed = time.perf_counter() - t0
+            best = elapsed if best is None else min(best, elapsed)
+        want = (AbelianGroup(cart_rank), AbelianGroup(pic_rank))
+        if (cart, pic) != want:
+            raise RuntimeError(
+                f"{label}: Cart = {cart}, Pic = {pic}; want {want[0]}, {want[1]}"
+            )
+        print(f"{label:12} {str(cart):>6} {str(pic):>6} {1000 * best:10.2f}"
+              f" {counts['snf']:12d} {counts['invariant_factors']:10d}")
 
 
 def main():
@@ -161,6 +198,7 @@ def main():
                 )
             print(f"{label:12} {k:5d} {len(box(aff)):8d} {1000 * best:10.2f}"
                   f" {counts['facet_normals']:14d} {counts['snf']:12d} {filled[0]:11d}")
+    cart_pic_table(args.repeat)
 
 
 if __name__ == "__main__":

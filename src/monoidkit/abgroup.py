@@ -58,6 +58,12 @@ class GroupPresentation(Record):
         self.n_generators = n_generators
         self.relations = [] if relations is None else relations
         self.generator_labels = generator_labels
+        for row in self.relations:
+            if len(row) != n_generators:
+                raise ValidationError(
+                    f"relation {list(row)} has {len(row)} entries, "
+                    f"not one per generator ({n_generators})"
+                )
 
     def invariants(self) -> AbelianGroup:
         if self.n_generators == 0:
@@ -76,38 +82,23 @@ class GroupPresentation(Record):
     def contains_in_relation_lattice(self, vec) -> bool:
         """Is ``vec`` (coefficients on the generators) a relation, i.e. zero
         in the presented group?"""
-        if not any(vec):
-            return True
-        rels = [r for r in self.relations if any(r)]
-        if not rels:
-            return False
-        cols = [list(r) for r in rels]  # rows span the lattice
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(self.n_generators)]
-        return intlin.solve(mat, list(vec)) is not None
+        return list(vec) in intlin.Sublattice(self.relations, self.n_generators)
 
 
-def quotient_group(ambient_dim, ambient_relations, numerator_cols, denominator_cols):
-    """Invariants of N/D for sublattices of Z^ambient_dim mod relations.
+def quotient_group(ambient_dim, numerator_cols, denominator_cols):
+    """Invariants of N/D for lattices D inside N inside Z^ambient_dim.
 
-    ``numerator_cols`` generate N (columns), ``denominator_cols`` generate
-    D; both are taken modulo the ambient relation rows, and D (together
-    with the relations) must be contained in N + relations.
+    ``numerator_cols`` generate N and ``denominator_cols`` generate D
+    (columns; either may be dependent).  N/D is presented on the basis of
+    ``intlin.Sublattice(numerator_cols)``: the coordinates of each column
+    of D in that basis are one relation.  A column of D outside N raises
+    ``ValidationError``.
     """
-    ncols = [c for c in numerator_cols if any(c)]
-    if not ncols:
-        return AbelianGroup(0, ())
-    # present N / (D + rel) on the nonzero columns of N, taken as a basis
-    # of N: each column of D and each relation is written in that basis,
-    # and its coefficient vector is one relation of the presentation
-    gens = ncols
-    k = len(gens)
-    gen_mat = [[gens[j][i] for j in range(k)] for i in range(ambient_dim)]
+    lattice = intlin.Sublattice(numerator_cols, ambient_dim)
     rel_rows = []
-    for d in list(denominator_cols) + [list(r) for r in ambient_relations]:
-        if not any(d):
-            continue
-        coeff = intlin.solve(gen_mat, list(d))
+    for d in denominator_cols:
+        coeff = lattice.coordinates(d)
         if coeff is None:
             raise ValidationError("denominator not contained in numerator lattice")
         rel_rows.append(coeff)
-    return GroupPresentation(k, rel_rows).invariants()
+    return GroupPresentation(len(lattice.basis), rel_rows).invariants()

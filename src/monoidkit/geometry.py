@@ -24,12 +24,6 @@ from .monoids import AffineMonoid
 # lattice and cone utilities
 
 
-def lattice_basis_of(gens, rank):
-    """Basis (columns) of the subgroup generated by the vectors."""
-    cols = [list(g) for g in gens]
-    return intlin.lattice_basis(cols, rank)
-
-
 def _primitive(vec):
     from math import gcd
 
@@ -124,28 +118,6 @@ def _span_orthogonal_complement(gens, rank):
     return [list(k) for k in intlin.kernel_basis(mat)]
 
 
-class Sublattice:
-    """The subgroup L of Z^rank spanned by some vectors.
-
-    One Smith form U*M*V = D of the generator matrix M
-    (``intlin.smith_lattice``) gives both the basis, the first r columns
-    of M*V, and membership: v lies in L iff (U*v)_i is divisible by D_ii
-    for every i < r and vanishes past them.
-    """
-
-    def __init__(self, gens, rank):
-        self.basis, self._rows, self._factors = intlin.smith_lattice(
-            [list(g) for g in gens], rank
-        )
-
-    def __contains__(self, vec):
-        for row, d in itertools.zip_longest(self._rows, self._factors, fillvalue=0):
-            c = _dot(row, vec)
-            if (c % d if d else c):
-                return False
-        return True
-
-
 class ChartCone:
     """A chart's generator cone and lattice, computed once from its
     generators: the span's orthogonal complement, the facet normals, the
@@ -166,7 +138,7 @@ class ChartCone:
             self.normals = facet_normals(gens, rank, self.complement)
         else:
             self.complement, self.normals = shared.complement, shared.normals
-        self.lattice = Sublattice(gens, rank)
+        self.lattice = intlin.Sublattice(gens, rank)
         self._face_lattices = {}
         self._box = None
         self._units = None
@@ -197,7 +169,7 @@ class ChartCone:
                 g for g in self.gens
                 if all(_dot(self.normals[i], g) == 0 for i in face)
             ]
-            lat = self._face_lattices[face] = Sublattice(on_face, self.rank)
+            lat = self._face_lattices[face] = intlin.Sublattice(on_face, self.rank)
         return lat
 
     def box_points(self):
@@ -598,7 +570,7 @@ class GluedScheme(Record):
         # charts must share the full lattice as common group completion
         for c in self.charts:
             if c.unit_tags is None:
-                basis = lattice_basis_of(c.generators, self.lattice_rank)
+                basis = intlin.lattice_basis(c.generators, self.lattice_rank)
                 if len(basis) != self.lattice_rank:
                     raise ValidationError(
                         f"chart {c.name} does not span the scheme lattice"
@@ -722,7 +694,7 @@ def class_group(scheme, drop_points=()):
     gens = [g for chart in scheme.charts for g in chart.generators]
     rows = [
         [p.valuation(b) for p in points]
-        for b in lattice_basis_of(gens, scheme.lattice_rank)
+        for b in intlin.lattice_basis(gens, scheme.lattice_rank)
     ]
     pres = GroupPresentation(
         len(points), rows, generator_labels=[p.label for p in points]
@@ -744,7 +716,7 @@ def overlap_unit_lattice(scheme, i, j):
 
 
 def cartier_and_pic(scheme):
-    """(Cart presentation, Pic invariants) from chartwise generic data."""
+    """(Cart, Pic) invariants from chartwise generic data."""
     d = scheme.lattice_rank
     torsion = scheme.torsion
     u = len(torsion)
@@ -758,41 +730,41 @@ def cartier_and_pic(scheme):
             out[i * width + k] = v
         return out
 
+    torsion_units = [[0] * d + [int(s == t) for s in range(u)] for t in range(u)]
     torsion_rows = []
     for i in range(c):
         for t, order in enumerate(torsion):
             torsion_rows.append(block(i, [0] * d + [order if s == t else 0 for s in range(u)]))
 
-    # numerator: tuples whose pairwise differences are overlap units
-    basis = [[1 if r == k else 0 for r in range(dim)] for k in range(dim)]
-    for i in range(c):
-        for j in range(i + 1, c):
-            lat = overlap_unit_lattice(scheme, i, j)
-            target = [list(col) + [0] * u for col in lat]
-            # torsion coordinates are everywhere invertible (mod their order)
-            for t in range(u):
-                target.append([0] * d + [1 if s == t else 0 for s in range(u)])
-            diff = [
-                [b[i * width + k] - b[j * width + k] for b in basis]
-                for k in range(width)
-            ]
-            coeff = intlin.preimage_lattice(diff, target)
-            basis = _combine(basis, coeff, dim)
-            if not basis:
-                break
-        if not basis:
-            break
-    numerator = basis
+    # numerator: tuples whose pairwise differences are overlap units, the
+    # preimage of the overlap lattices' direct sum under the stacked
+    # difference maps; torsion coordinates are everywhere invertible (mod
+    # their order), so each overlap lattice holds them all
+    pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
+    diff_rows, target = [], []
+    for p, (i, j) in enumerate(pairs):
+        for k in range(width):
+            row = [0] * dim
+            row[i * width + k], row[j * width + k] = 1, -1
+            diff_rows.append(row)
+        overlap = [list(col) + [0] * u for col in overlap_unit_lattice(scheme, i, j)]
+        overlap += torsion_units
+        for col in overlap:
+            padded = [0] * (width * len(pairs))
+            padded[p * width:(p + 1) * width] = col
+            target.append(padded)
+    if pairs:
+        numerator = intlin.preimage_lattice(diff_rows, target)
+    else:  # one chart: no conditions, and no rows to read dim from
+        numerator = [[int(r == k) for r in range(dim)] for k in range(dim)]
 
     chart_unit_cols = []
     for i, chart in enumerate(scheme.charts):
         for col in unit_lattice_of_chart(chart):
             chart_unit_cols.append(block(i, list(col) + [0] * u))
         if chart.unit_tags is None:
-            for t in range(u):
-                chart_unit_cols.append(
-                    block(i, [0] * d + [1 if s == t else 0 for s in range(u)])
-                )
+            for tvec in torsion_units:
+                chart_unit_cols.append(block(i, tvec))
         else:
             for tvec in _tagged_torsion_units(chart, torsion):
                 chart_unit_cols.append(block(i, [0] * d + list(tvec)))
@@ -804,25 +776,11 @@ def cartier_and_pic(scheme):
             vec[i * width + k] = 1
         diagonal_cols.append(vec)
 
-    cart = quotient_group(dim, [], numerator, chart_unit_cols + torsion_rows)
+    cart = quotient_group(dim, numerator, chart_unit_cols + torsion_rows)
     pic = quotient_group(
-        dim, [], numerator, chart_unit_cols + torsion_rows + diagonal_cols
+        dim, numerator, chart_unit_cols + torsion_rows + diagonal_cols
     )
     return cart, pic
-
-
-def _combine(basis_cols, coeff_cols, dim):
-    """Compose a lattice basis with coefficient columns."""
-    out = []
-    for col in coeff_cols:
-        vec = [0] * dim
-        for j, c in enumerate(col):
-            if c:
-                for r in range(dim):
-                    vec[r] += c * basis_cols[j][r]
-        if any(vec):
-            out.append(vec)
-    return intlin.lattice_basis(out, dim)
 
 
 def _tagged_torsion_units(chart, torsion):

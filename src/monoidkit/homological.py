@@ -28,6 +28,12 @@ from .errors import (
 from .monoids import MonogenicMonoid, ValidationReport
 
 
+def require_nonnegative(value, what):
+    """Raise ``ValidationError`` when a cap or truncation is negative."""
+    if value < 0:
+        raise ValidationError(f"{what} must be nonnegative, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # double-arrow complexes (finite carriers)
 
@@ -254,6 +260,7 @@ def projective_resolution(x, length_cap=3, minimized=True):
     exist over truncated bases); a window cut at ``length_cap`` is exact
     in degrees 1..top-1 and is returned with ``complete=False``.
     """
+    require_nonnegative(length_cap, "length cap")
     m = x.base
     if isinstance(m, MonogenicMonoid):
         raise BoundExceeded("use free_resolution_monogenic for this base")
@@ -315,16 +322,18 @@ def projective_resolution(x, length_cap=3, minimized=True):
 def reduced_resolution(x, length_cap=3):
     """Resolution with vanishing second boundary above degree 1.
 
-    Only the first stage P1 => P0 of the projective resolution is used;
-    the levels above it are rebuilt from joint kernels.
+    Only the first stage P1 => P0 of the projective resolution is used
+    (which rejects a negative cap); the levels above it are rebuilt from
+    joint kernels.  A first stage without P1 is returned as it is, with
+    its ``complete``.
     """
     comp, eps = projective_resolution(x, length_cap=min(length_cap, 1))
+    if len(comp.levels) < 2:
+        return comp, eps
     m = x.base
-    levels = list(comp.levels[: min(2, len(comp.levels))])
+    levels = list(comp.levels[:2])
     rs = list(comp.r[:1])
     ss = list(comp.s[:1])
-    if len(levels) < 2:
-        return DaComplex(m, levels, rs, ss), eps
     for depth in range(1, length_cap):
         top = levels[depth]
         r_top = rs[depth - 1]
@@ -766,6 +775,7 @@ def dold_kan_inverse(c, trunc):
         raise ValidationError(
             "a symbolic free complex has infinite levels; pass a finite DaComplex"
         )
+    require_nonnegative(trunc, "truncation")
     if not c.is_reduced():
         raise NotReduced("the inverse construction requires a reduced complex")
     if c.min_degree != 0:

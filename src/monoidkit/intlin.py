@@ -1,17 +1,21 @@
 """Exact integer linear algebra on list-of-rows matrices.
 
-Thin layer over the SNF kernel: kernels, solving, lattice membership and
-preimages.  Everything here is deterministic and exact.
+Thin layer over the SNF kernel: kernels, preimages, and ``Sublattice``,
+the one lattice type, whose single Smith form gives a basis, membership
+and coordinates.  ``solve`` is kept as the tests' independent membership
+oracle.  Everything here is deterministic and exact.
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import _kernels
 
 
 def matmul(a, b, cols=None):
     """a * b; each nonzero entry of a meets only the nonzero entries of its
-    row of b.  Its one caller in the library is ``smith_lattice`` (mat * V).
+    row of b.  Its one caller in the library is ``Sublattice`` (mat * V).
 
     ``cols`` is the column count of b; it must be given when b has no
     rows, since an empty list cannot carry it.
@@ -54,7 +58,8 @@ def kernel_basis(mat):
 
 
 def solve(mat, vec):
-    """One integer solution x of mat*x = vec, or None."""
+    """One integer solution x of mat*x = vec, or None.  The library asks
+    ``Sublattice.coordinates`` instead; this is the tests' oracle."""
     if not mat:
         return None if any(vec) else []
     m, n = len(mat), len(mat[0])
@@ -94,24 +99,44 @@ def preimage_lattice(f_mat, lat_cols):
 
 def lattice_basis(cols, dim):
     """Independent basis (columns) for the lattice spanned by ``cols``."""
-    return smith_lattice(cols, dim)[0]
+    return Sublattice(cols, dim).basis
 
 
-def smith_lattice(cols, dim):
-    """(basis, rows, factors) of the lattice L spanned by ``cols``, from one
+class Sublattice:
+    """The subgroup L of Z^dim spanned by the columns ``cols``, from one
     Smith form U*M*V = D of the matrix M of its nonzero columns.
 
-    The basis is the first r = rank(M) columns of M*V.  As U*L = D*Z^n,
-    v lies in L iff (U*v)_i is divisible by ``factors[i]`` = D_ii for
-    i < r and (U*v)_i = 0 for i >= r; ``rows`` are U's rows.
+    ``basis`` is the first r = rank(M) columns of M*V; U sends them to
+    d_1 e_1, ..., d_r e_r.  So v = basis*y iff (U*v)_i = d_i y_i for
+    i < r and (U*v)_i = 0 for i >= r, which gives ``coordinates`` and
+    membership.
     """
-    cols = [c for c in cols if any(c)]
-    if not cols:
-        return [], [[int(i == j) for j in range(dim)] for i in range(dim)], []
-    mat = [[c[i] for c in cols] for i in range(dim)]
-    U, D, V = snf(mat)
-    r = sum(1 for i in range(min(dim, len(cols))) if D[i][i] != 0)
-    # columns of mat*V with nonzero image form a basis
-    mv = matmul(mat, V)
-    basis = [[mv[i][j] for i in range(dim)] for j in range(r)]
-    return basis, U, [D[i][i] for i in range(r)]
+
+    def __init__(self, cols, dim):
+        cols = [c for c in cols if any(c)]
+        if not cols:  # L = 0: U is the identity and r = 0
+            identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            self.basis, self._rows, self._factors = [], identity, []
+            return
+        mat = [[c[i] for c in cols] for i in range(dim)]
+        U, D, V = snf(mat)
+        r = sum(1 for i in range(min(dim, len(cols))) if D[i][i] != 0)
+        mv = matmul(mat, V)
+        self.basis = [[mv[i][j] for i in range(dim)] for j in range(r)]
+        self._rows, self._factors = U, [D[i][i] for i in range(r)]
+
+    def coordinates(self, vec):
+        """y with vec = sum y_j basis_j, or None when vec is not in L."""
+        y = []
+        for row, d in zip(self._rows, self._factors):
+            q, rem = divmod(sum(map(operator.mul, row, vec)), d)
+            if rem:
+                return None
+            y.append(q)
+        for row in self._rows[len(y):]:
+            if sum(map(operator.mul, row, vec)):
+                return None
+        return y
+
+    def __contains__(self, vec):
+        return self.coordinates(vec) is not None

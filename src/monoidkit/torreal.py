@@ -222,6 +222,7 @@ def tor_complex_direct(x, exp, trunc=4):
     entry when p is fixed.  Validated against ``tor_complex`` in the
     tests; used for the large exhaustive sweeps.
     """
+    hm.require_nonnegative(trunc, "truncation")
     nx = len(x.carrier) - 1
     act = [x.act(exp, p) - 1 for p in range(1, nx + 1)]  # -1: sent to the basepoint
     cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {0, 1}

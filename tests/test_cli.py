@@ -218,6 +218,17 @@ def test_resolve_monogenic_aset():
     assert out.splitlines() == ["P0: 1 generators", "P1: 1 generators"]
 
 
+def test_resolve_length_zero_is_incomplete_and_a_negative_length_fails():
+    # the reduced flavour used to print complete = True at length 0, and
+    # --length -1 used to exit 0
+    path = doc("asets", "point-u-line2.json")
+    for flags in ([], ["--reduced"]):
+        assert run(["resolve", path, "--length", "0", *flags]) == (
+            0, "P0: carrier 3\ncomplete = False\n"
+        )
+        assert run(["resolve", path, "--length", "-1", *flags]) == (2, "")
+
+
 def test_resolve_prints_the_same_for_isomorphic_asets(tmp_path):
     # p2 -> p1 -> 0 and p1 -> p2 -> 0 are both A/(t^2): one generator and
     # one relation each, whichever point carries the generator
@@ -428,6 +439,8 @@ def test_dk_and_moore_commands(tmp_path):
     f.write_text(json.dumps(comp_doc))
     code, out = run(["dk", str(f), "--trunc", "2"])
     assert code == 0 and "valid" in out
+    # a negative truncation used to print "valid" for an object without levels
+    assert run(["dk", str(f), "--trunc", "-1"]) == (2, "")
 
     comp = dc.parse_dacomplex(json.loads(f.read_text()))
     sset = hmod.dold_kan_inverse(comp, 2)

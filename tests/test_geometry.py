@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from monoidkit import geometry as gm
 from monoidkit import intlin
-from monoidkit.abgroup import AbelianGroup, quotient_group
+from monoidkit.abgroup import AbelianGroup, GroupPresentation, quotient_group
 from monoidkit.documents import load_document
 from monoidkit.errors import NotNormal, OracleMismatch, ValidationError
 from monoidkit.monoids import AffineMonoid
@@ -326,8 +326,8 @@ def test_units_preserved_by_seminormalization():
     sn = gm.seminormalize_cancellative(aff)
     u1 = gm.unit_lattice_of_chart(aff)
     u2 = gm.unit_lattice_of_chart(sn)
-    assert all(v in gm.Sublattice(u2, aff.rank) for v in u1)
-    assert all(v in gm.Sublattice(u1, aff.rank) for v in u2)
+    assert all(v in intlin.Sublattice(u2, aff.rank) for v in u1)
+    assert all(v in intlin.Sublattice(u1, aff.rank) for v in u2)
 
 
 def test_seminormalization_of_a_group_chart_builds_no_level_set():
@@ -467,9 +467,67 @@ def test_pic_glued_lines_matches_class_group():
 
 def test_quotient_group_needs_the_denominator_inside_the_numerator():
     # Pic's quotient N / D: 2Z / 4Z is Z/2, but Z is not inside 2Z
-    assert quotient_group(1, [], [[2]], [[4]]) == AbelianGroup(0, (2,))
+    assert quotient_group(1, [[2]], [[4]]) == AbelianGroup(0, (2,))
     with pytest.raises(ValidationError, match="denominator not contained"):
-        quotient_group(1, [], [[2]], [[1]])
+        quotient_group(1, [[2]], [[1]])
+
+
+def test_quotient_group_of_dependent_generators():
+    # N is presented on a basis, not on its generators: two copies of e_1
+    # span Z, and e_1, e_2, e_1 + e_2 span Z^2 (both read one Z too many)
+    assert quotient_group(1, [[1], [1]], []) == AbelianGroup(1)
+    assert quotient_group(2, [[1, 0], [0, 1], [1, 1]], [[2, 0]]) == AbelianGroup(1, (2,))
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Dimension 1-3, 1-4 generators of N (repeats, zeros and dependent
+    sets allowed), and up to 3 columns of D, each an integer combination
+    of the generators."""
+    dim = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens)),
+                           max_size=3))
+    den = [[sum(c * g[i] for c, g in zip(combo, gens)) for i in range(dim)] for combo in combos]
+    return dim, gens, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_pairs())
+@example((1, [[1], [1]], []))
+@example((2, [[1, 0], [0, 1], [1, 1]], [[2, 0]]))
+@example((3, [[2, 0, 0], [0, 0, 0], [4, 0, 0]], [[6, 0, 0]]))
+def test_quotient_group_matches_a_presentation_on_all_generators(case):
+    # oracle: Z^k on every generator, modulo the generators' integer
+    # relations and one preimage of each column of D
+    dim, gens, den = case
+    mat = [[g[i] for g in gens] for i in range(dim)]
+    rels = [list(k) for k in intlin.kernel_basis(mat)]
+    rels += [intlin.solve(mat, d) for d in den]
+    want = GroupPresentation(len(gens), rels).invariants()
+    assert quotient_group(dim, gens, den) == want
+
+
+def test_cart_and_pic_match_closed_forms():
+    # a smooth complete fan: Cart is free on its rays and Pic = Cl; lines
+    # glued at the generic point: one Cartier generator per chart
+    cases = [(gm.projective_space(n), n + 1, 1) for n in range(1, 5)]
+    cases += [(gm.glued_lines(k), k, k - 1) for k in range(1, 6)]
+    p1 = gm.projective_space(1)
+    cases.append((gm.product_scheme(p1, p1), 4, 2))
+    for x, cart_rank, pic_rank in cases:
+        assert gm.cartier_and_pic(x) == (AbelianGroup(cart_rank), AbelianGroup(pic_rank)), x.name
+
+
+def test_group_presentation_rejects_relations_of_the_wrong_length():
+    # a relation longer than the generator list used to be reduced as it
+    # stood: Z / (1, 1) printed 0
+    with pytest.raises(ValidationError, match="not one per generator"):
+        GroupPresentation(1, [[1, 1]])
+    with pytest.raises(ValidationError, match="not one per generator"):
+        GroupPresentation(2, [[1, 0], [3]])
+    assert str(GroupPresentation(2, [[1, 1]])) == "Z"
 
 
 def test_pic_embeds_in_class_group_quadric():
@@ -794,7 +852,7 @@ def generator_sets(draw):
 def test_cofactor_normals_and_one_smith_lattice_match_the_old_constructions(chart):
     rank, gens = chart
     assert gm.facet_normals(gens, rank) == kernel_facet_normals(gens, rank)
-    lattice, oracle = gm.Sublattice(gens, rank), TwoSmithSublattice(gens, rank)
+    lattice, oracle = intlin.Sublattice(gens, rank), TwoSmithSublattice(gens, rank)
     assert lattice.basis == oracle.basis
     mat = [[g[i] for g in gens] for i in range(rank)]
     for v in box(gens, rank):
@@ -802,6 +860,13 @@ def test_cofactor_normals_and_one_smith_lattice_match_the_old_constructions(char
         assert member == (v in oracle), v
         solvable = intlin.solve(mat, list(v)) is not None if gens else not any(v)
         assert member == solvable, v
+        # the coordinates rebuild v from the basis, and exist only for members
+        y = lattice.coordinates(v)
+        if solvable:
+            rebuilt = [sum(c * b[i] for c, b in zip(y, lattice.basis)) for i in range(rank)]
+            assert rebuilt == list(v), v
+        else:
+            assert y is None, v
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,16 @@
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from monoidkit import asets as ak
 from monoidkit import homological as hm
 from monoidkit import monoids as mk
-from monoidkit.errors import NotAComplex, NotReduced, OracleMismatch
+from monoidkit import torreal as tr
+from monoidkit.errors import NotAComplex, NotReduced, OracleMismatch, ValidationError
 from test_acceptance import corpus_monoids
 
 
@@ -195,6 +199,77 @@ def test_reduced_resolution_shape_and_exactness():
     assert ak.is_isomorphic(q, x)
     for n in range(1, comp.top_degree):
         assert len(hm.homology(comp, n).carrier) == 1
+
+
+def a_mod_x2():
+    m = line(4)
+    a = ak.aset_from_monoid(m)
+    ix2 = sorted({m.table[i][m.index_of("x^2")] for i in m.indices()})
+    return ak.quotient_by_subset(a, ix2, name="A/x2")[0]
+
+
+def test_reduced_resolution_keeps_the_first_stage_complete_flag():
+    # at length 0 neither flavour has looked past P0, so neither may claim
+    # the whole resolution; the reduced one used to answer complete = True
+    x = a_mod_x2()
+    for length in (0, 1):
+        full, _ = hm.projective_resolution(x, length_cap=length)
+        red, _ = hm.reduced_resolution(x, length_cap=length)
+        assert len(full.levels) == len(red.levels) == length + 1
+        assert full.complete is red.complete is False, length
+    # a free input stops at P0 once it has checked there is nothing to
+    # relate, and both flavours report that window as complete
+    f = ak.free_aset(line(3), ["a", "b"])
+    for length in (1, 3):
+        full, _ = hm.projective_resolution(f, length_cap=length)
+        red, _ = hm.reduced_resolution(f, length_cap=length)
+        assert len(full.levels) == len(red.levels) == 1
+        assert full.complete is red.complete is True, length
+
+
+def negative_bound_calls():
+    """One call per entry point that takes a cap or truncation, each with
+    the value -1."""
+    x = a_mod_x2()
+    c = two_term_complex(line(3), 1)
+    return {
+        "projective_resolution": lambda: hm.projective_resolution(x, length_cap=-1),
+        "reduced_resolution": lambda: hm.reduced_resolution(x, length_cap=-1),
+        "dold_kan_inverse": lambda: hm.dold_kan_inverse(c, -1),
+        "tor_complex": lambda: tr.tor_complex(x, 1, trunc=-1),
+        "tor_complex_direct": lambda: tr.tor_complex_direct(x, 1, trunc=-1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(negative_bound_calls()))
+def test_negative_caps_and_truncations_raise(name):
+    # each used to return an object without levels, or a window of P0
+    with pytest.raises(ValidationError, match="must be nonnegative, got -1"):
+        negative_bound_calls()[name]()
+
+
+NEGATIVE_BOUNDS_UNDER_O = """
+import test_homological as th
+from monoidkit.errors import ValidationError
+for name, call in sorted(th.negative_bound_calls().items()):
+    try:
+        call()
+    except ValidationError:
+        print("raised", name)
+print("__debug__ =", __debug__)
+"""
+
+
+def test_negative_bound_checks_survive_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-O", "-c", NEGATIVE_BOUNDS_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [
+        f"raised {name}" for name in sorted(negative_bound_calls())
+    ] + ["__debug__ = False"]
 
 
 def test_monogenic_resolution_of_cyclic_quotient():
