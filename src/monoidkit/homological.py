@@ -258,7 +258,8 @@ def projective_resolution(x, length_cap=3, minimized=True):
     generator per element of the fiber congruence).  Returns (complex,
     augmentation morphism).  Resolutions need not terminate (periodic ones
     exist over truncated bases); a window cut at ``length_cap`` is exact
-    in degrees 1..top-1 and is returned with ``complete=False``.
+    in degrees 1..top-1 and is returned with ``complete=False``.  At cap
+    0 the window P0 is complete when the augmentation is injective.
     """
     require_nonnegative(length_cap, "length cap")
     m = x.base
@@ -315,7 +316,9 @@ def projective_resolution(x, length_cap=3, minimized=True):
         cur = nxt
         cur_eps = next_eps
     else:
-        return DaComplex(m, levels, rs, ss, complete=False), eps
+        # cut at the cap; at cap 0 nothing is cut when eps is injective
+        if length_cap or not eps.is_injective():
+            return DaComplex(m, levels, rs, ss, complete=False), eps
     return DaComplex(m, levels, rs, ss), eps
 
 
@@ -974,7 +977,7 @@ def adjunction_check(c, sset):
         if forward(maps) != tuple(tuple(f.mapping) for f in g.maps):
             ok = False
 
-    counit_ok = _counit_is_simplicial(sset, ns, bound)
+    counit_ok = _counit_is_simplicial(sset, ns)
     return AdjunctionReport(
         simplicial_count=len(simp),
         complex_count=len(comp),
@@ -995,22 +998,14 @@ def _moore_keep(sset, n):
     ]
 
 
-def _counit_is_simplicial(sset, ns, bound):
+def _counit_is_simplicial(sset, ns):
     """KNS -> S on nondegenerate cells is the Moore inclusion; verify the
     induced levelwise maps commute with faces and degeneracies."""
-    kns = dold_kan_inverse(
-        DaComplex(sset.base, ns.levels, ns.r, ns.s), sset.truncation
-    )
+    kns = dold_kan_inverse(ns, sset.truncation)
     gen_maps = []
     for n in range(sset.truncation + 1):
         keep = _moore_keep(sset, n)
         gen_maps.append(
             ak.ASetMorphism(ns.levels[n], sset.levels[n], list(keep))
         )
-    maps = _extend_to_simplicial(
-        kns,
-        sset,
-        DaComplex(sset.base, ns.levels, ns.r, ns.s),
-        gen_maps,
-    )
-    return maps is not None
+    return _extend_to_simplicial(kns, sset, ns, gen_maps) is not None

@@ -39,7 +39,11 @@ ONE = 1
 
 
 class FiniteMonoid:
-    """Commutative pointed monoid given by a full multiplication table."""
+    """Commutative pointed monoid given by a full multiplication table.
+
+    It holds its names, table, generators and a name index, and no derived
+    structure: ideals, primes and decompositions are computed per call.
+    """
 
     backend = "finite-table"
 
@@ -51,7 +55,6 @@ class FiniteMonoid:
             generators = _minimal_generators(self)
         self.generators = list(generators)
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self._ideals = None  # spectra.all_ideals builds it on first use
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -691,6 +694,16 @@ def _require_table(m, op):
 # congruences, quotients, products
 
 
+def require_ideal(m, ideal):
+    """Raise NotAnIdeal unless the index set ``ideal`` contains 0 and is
+    closed under multiplication by A."""
+    if ZERO not in ideal:
+        raise NotAnIdeal("an ideal must contain 0")
+    escaped = set().union(*(m.table[x] for x in ideal)) - set(ideal)
+    if escaped:
+        raise NotAnIdeal(f"{m.elements[min(escaped)]} escapes the ideal")
+
+
 def quotient(m, by):
     """Quotient by a congruence or by an ideal (elements sent to zero).
 
@@ -709,11 +722,7 @@ def quotient(m, by):
         cong = by
     else:
         ideal = {x if isinstance(x, int) else m.index_of(x) for x in by}
-        if ZERO not in ideal:
-            raise NotAnIdeal("an ideal must contain 0")
-        escaped = asets.generated_subset(a, ideal) - ideal
-        if escaped:
-            raise NotAnIdeal(f"{m.elements[min(escaped)]} escapes the ideal")
+        require_ideal(m, ideal)
         cong = [(x, ZERO) for x in ideal]
     q, proj = asets.quotient_aset(a, cong)
     row = dict(zip(proj.mapping, q.action))

@@ -5,7 +5,8 @@ and the ideal lattice come from the A-subset code of ``asets``.
 Primes are searched among ideals generated by subsets of the generator
 set (every prime is generated by the generators it contains); a full
 lattice sweep validates this on small tables.  Primary decomposition
-splits reducible ideals recursively over the finite ideal lattice.
+is a closed form: the minimal ideals J_x = {a : a does not divide x}
+for x outside the ideal.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .asets import (
     generated_subset,
 )
 from .errors import ImproperIdeal, OracleMismatch
-from .monoids import FiniteMonoid, ZERO, nilpotents
+from .monoids import FiniteMonoid, ZERO, nilpotents, require_ideal
 
 
 class Ideal(FrozenRecord):
@@ -65,12 +66,10 @@ def ideal_generated(m, gens):
 
 def all_ideals(m):
     """Every proper ideal of a finite monoid, ordered by size and then by
-    elements: the A-subsets of A that miss 1.  The lattice is swept once
-    per monoid and kept on it; each call returns a fresh list."""
-    if m._ideals is None:
-        subsets = enumerate_asubsets(aset_from_monoid(m), bound=len(m.elements))
-        m._ideals = tuple(Ideal(m, frozenset(s)) for s in subsets if m.one not in s)
-    return list(m._ideals)
+    elements: the A-subsets of A that miss 1, found by sweeping all
+    subsets.  Only oracles and tests need the whole lattice."""
+    subsets = enumerate_asubsets(aset_from_monoid(m), bound=len(m.elements))
+    return [Ideal(m, frozenset(s)) for s in subsets if m.one not in s]
 
 
 def _elements(ideal):
@@ -216,67 +215,50 @@ def _intersect(ideals):
 
 
 def primary_decomposition(m, ideal):
-    """Minimal list of irreducible primary components intersecting to I."""
+    """The irredundant irreducible components of I, each primary.
+
+    Ideals are closed under union and intersection, so they form a finite
+    distributive lattice, whose meet-irreducibles are the ideals
+    J_x = {a : a does not divide x}, and I is the meet of J_x over
+    x outside I.  J_x lies in J_y exactly when y divides x, so the
+    components are the inclusion-minimal distinct J_x; in a distributive
+    lattice this irredundant decomposition is unique (Birkhoff, Lattice
+    Theory, ch. VIII).  Components are sorted by size, then elements.
+    Raises NotAnIdeal on a set that is not an ideal (for which the meet
+    of the J_x is only the largest ideal inside it) and ImproperIdeal on
+    the unit ideal.
+    """
     els = _elements(ideal)
-    ideal = Ideal(m, frozenset(els))
+    require_ideal(m, els)
+    ideal = Ideal(m, els)
     if not ideal.is_proper:
         raise ImproperIdeal("cannot decompose the unit ideal")
-    lattice = all_ideals(m)
-
-    def split(i):
-        above = [j for j in lattice if i.elements < j.elements]
-        for a, b in itertools.combinations(above, 2):
-            if a.elements & b.elements == i.elements:
-                return a, b
-        return None
-
-    components = []
-    work = [ideal]
-    while work:
-        cur = work.pop()
-        pair = split(cur)
-        if pair is None:
-            components.append(cur)
-        else:
-            work.extend(pair)
-
-    # minimize: drop any component containing the intersection of the others
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(components)):
-            rest = components[:k] + components[k + 1 :]
-            if rest and _intersect(rest) <= components[k].elements:
-                components.pop(k)
-                changed = True
-                break
-    components = _dedupe(components)
+    rows = [set(row) for row in m.table]
+    # J_x is minimal iff every multiple of x outside I divides x back
+    tops = [
+        x for x in m.indices()
+        if x not in els and all(x in rows[y] for y in rows[x] - els)
+    ]
+    minimal = {frozenset(a for a in m.indices() if x not in rows[a]) for x in tops}
+    components = sorted(
+        (Ideal(m, j) for j in minimal),
+        key=lambda i: (len(i.elements), i.sorted_elements()),
+    )
     for c in components:
         if not is_primary(m, c):
             raise OracleMismatch(f"component {c} of {ideal} is not primary")
-    if _intersect(components) != ideal.elements:
+    if _intersect(components) != els:
         raise OracleMismatch(
             f"components {[str(c) for c in components]} do not intersect to {ideal}"
         )
-    components.sort(key=lambda i: (len(i.elements), i.sorted_elements()))
     return components
-
-
-def _dedupe(ideals):
-    seen = set()
-    out = []
-    for i in ideals:
-        if i.elements not in seen:
-            seen.add(i.elements)
-            out.append(i)
-    return out
 
 
 def associated_primes(m, ideal):
     """Primes of the form rad(I : a); cross-checked two more ways."""
-    els = _elements(ideal)
-    ideal = Ideal(m, frozenset(els))
-
+    components = primary_decomposition(m, ideal)  # rejects non-ideals first
+    ideal = Ideal(m, _elements(ideal))
+    via_components = {radical(m, c).elements for c in components}
     via_radquot = set()
     via_quot = set()
     for a in m.indices():
@@ -288,9 +270,6 @@ def associated_primes(m, ideal):
             via_radquot.add(r.elements)
         if is_prime(m, q):
             via_quot.add(q.elements)
-    via_components = {
-        radical(m, c).elements for c in primary_decomposition(m, ideal)
-    }
     if not via_radquot == via_quot == via_components:
         raise OracleMismatch(
             f"associated primes of {ideal} disagree: rad(I:a) {via_radquot}, "

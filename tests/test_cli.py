@@ -229,6 +229,15 @@ def test_resolve_length_zero_is_incomplete_and_a_negative_length_fails():
         assert run(["resolve", path, "--length", "-1", *flags]) == (2, "")
 
 
+def test_resolve_length_zero_of_a_free_aset_is_complete():
+    # A acting on itself is free: P0 is the whole resolution at any length
+    path = doc("asets", "line2-regular.json")
+    for flags in ([], ["--reduced"]):
+        zero = run(["resolve", path, "--length", "0", *flags])
+        assert zero == run(["resolve", path, "--length", "1", *flags])
+        assert zero[0] == 0 and zero[1].endswith("complete = True\n"), zero
+
+
 def test_resolve_prints_the_same_for_isomorphic_asets(tmp_path):
     # p2 -> p1 -> 0 and p1 -> p2 -> 0 are both A/(t^2): one generator and
     # one relation each, whichever point carries the generator

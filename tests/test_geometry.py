@@ -794,28 +794,45 @@ def kernel_facet_normals(gens, rank):
     return sorted(normals)
 
 
-class TwoSmithSublattice:
-    """Oracle: the basis from ``intlin.lattice_basis``, then a second Smith
-    form U*B*V = D of the basis B for membership: v = B*x has a solution
-    iff (U*v)_i is divisible by D_ii for every column i of B and vanishes
-    past them."""
+def hermite_rows(vectors, rank):
+    """Row Hermite normal form of the span of ``vectors``, by gcd row
+    operations alone: echelon rows with positive pivots, the entries above
+    each pivot reduced into [0, pivot), zero rows dropped.  Two families
+    span the same lattice iff their forms are equal."""
+    rows = [list(v) for v in vectors]
+    hnf = []
+    for c in range(rank):
+        live = [r for r in rows if r[c]]
+        while len(live) > 1:  # Euclid down column c
+            p = min(live, key=lambda r: abs(r[c]))
+            rows = [r if r is p or not r[c] else [a - r[c] // p[c] * b for a, b in zip(r, p)]
+                    for r in rows]
+            live = [r for r in rows if r[c]]
+        if not live:
+            continue
+        rows.remove(live[0])
+        p = live[0] if live[0][c] > 0 else [-a for a in live[0]]
+        hnf = [[a - r[c] // p[c] * b for a, b in zip(r, p)] for r in hnf] + [p]
+    return hnf
+
+
+class HermiteSublattice:
+    """Oracle: the Hermite rows of the generators as basis; v is a member
+    iff subtracting the rows in order, each an integer number of times to
+    clear its pivot column, leaves zero."""
 
     def __init__(self, gens, rank):
-        self.basis = intlin.lattice_basis([list(g) for g in gens], rank)
-        if self.basis:
-            u, d, _ = intlin.snf([[c[i] for c in self.basis] for i in range(rank)])
-            self.rows, self.factors = u, [d[i][i] for i in range(len(self.basis))]
-        else:
-            self.rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
-            self.factors = []
+        self.basis = hermite_rows(gens, rank)
 
     def __contains__(self, vec):
-        for i, row in enumerate(self.rows):
-            c = sum(a * b for a, b in zip(row, vec))
-            d = self.factors[i] if i < len(self.factors) else 0
-            if c % d if d else c:
+        v = list(vec)
+        for row in self.basis:
+            c = next(i for i, a in enumerate(row) if a)
+            q, rem = divmod(v[c], row[c])
+            if rem:
                 return False
-        return True
+            v = [a - q * b for a, b in zip(v, row)]
+        return not any(v)
 
 
 @st.composite
@@ -852,8 +869,10 @@ def generator_sets(draw):
 def test_cofactor_normals_and_one_smith_lattice_match_the_old_constructions(chart):
     rank, gens = chart
     assert gm.facet_normals(gens, rank) == kernel_facet_normals(gens, rank)
-    lattice, oracle = intlin.Sublattice(gens, rank), TwoSmithSublattice(gens, rank)
-    assert lattice.basis == oracle.basis
+    lattice, oracle = intlin.Sublattice(gens, rank), HermiteSublattice(gens, rank)
+    # an independent family spanning the generators' lattice
+    assert hermite_rows(lattice.basis, rank) == oracle.basis
+    assert len(lattice.basis) == len(oracle.basis)
     mat = [[g[i] for g in gens] for i in range(rank)]
     for v in box(gens, rank):
         member = v in lattice

@@ -227,6 +227,18 @@ def test_reduced_resolution_keeps_the_first_stage_complete_flag():
         assert full.complete is red.complete is True, length
 
 
+def test_free_input_is_complete_at_length_zero():
+    # at cap 0 the window P0 is complete exactly when the augmentation is
+    # injective; both flavours used to answer complete = False here
+    for f in (ak.free_aset(line(3), ["a", "b"]), ak.aset_from_monoid(line(2))):
+        for minimized in (True, False):
+            full, eps = hm.projective_resolution(f, length_cap=0, minimized=minimized)
+            assert eps.is_injective() and len(full.levels) == 1
+            assert full.complete is True, minimized
+        red, _ = hm.reduced_resolution(f, length_cap=0)
+        assert len(red.levels) == 1 and red.complete is True
+
+
 def negative_bound_calls():
     """One call per entry point that takes a cap or truncation, each with
     the value -1."""

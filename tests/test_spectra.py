@@ -1,11 +1,16 @@
+import itertools
+import os
+import subprocess
+import sys
+
 import pytest
 
+from census import labeled_tables
 from test_acceptance import corpus_monoids
 
 from monoidkit import monoids as mk
-from monoidkit.asets import enumerate_asubsets
 from monoidkit import spectra as sp
-from monoidkit.errors import ImproperIdeal
+from monoidkit.errors import ImproperIdeal, NotAnIdeal
 
 
 def F1():
@@ -40,17 +45,16 @@ def test_all_ideals_are_proper():
         assert ideals and all(i.is_proper for i in ideals), m.name
 
 
-def test_ideal_lattice_is_swept_once_per_monoid(monkeypatch):
+def test_decomposition_never_sweeps_the_ideal_lattice(monkeypatch):
     sweeps = []
-    monkeypatch.setattr(sp, "enumerate_asubsets",
-                        lambda *a, **k: sweeps.append(1) or enumerate_asubsets(*a, **k))
     m = corpus_monoids()[0]
-    first = sp.all_ideals(m)
-    for i in first:
+    lattice = sp.all_ideals(m)
+    monkeypatch.setattr(sp, "enumerate_asubsets", lambda *a, **k: sweeps.append(1))
+    monkeypatch.setattr(sp, "all_ideals", lambda *a, **k: sweeps.append(1))
+    for i in lattice:
         sp.primary_decomposition(m, i)
         sp.associated_primes(m, i)
-    first.clear()  # callers get a fresh list
-    assert sp.all_ideals(m) and len(sweeps) == 1
+    assert lattice and sweeps == []
 
 
 def test_mspec_f1():
@@ -168,6 +172,79 @@ def test_primary_decomposition_rejects_unit_ideal():
     m = line(3)
     with pytest.raises(ImproperIdeal):
         sp.primary_decomposition(m, sp.Ideal(m, frozenset(m.indices())))
+
+
+def rejected_calls():
+    """Calls on sets {0, x} that are not ideals, and on unit ideals, each
+    with the error it must raise.  On these sets the old lattice search
+    returned the set as its own component or raised OracleMismatch."""
+    out = {}
+    for m in corpus_monoids():
+        if m.name not in ("line3", "cyc4", "idem2", "nonreduced-nil0"):
+            continue
+        not_ideal = [0, m.index_of("x")]
+        for f in (sp.primary_decomposition, sp.associated_primes):
+            out[f"{f.__name__} {m.name} {{0, x}}"] = (NotAnIdeal, lambda f=f, m=m: f(m, not_ideal))
+            out[f"{f.__name__} {m.name} (1)"] = (ImproperIdeal, lambda f=f, m=m: f(m, m.indices()))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(rejected_calls()))
+def test_decomposition_rejects_non_ideals_and_the_unit_ideal(name):
+    error, call = rejected_calls()[name]
+    with pytest.raises(error):
+        call()
+
+
+REJECTIONS_UNDER_O = """
+import test_spectra as ts
+for name, (error, call) in sorted(ts.rejected_calls().items()):
+    try:
+        call()
+    except error:
+        print("raised", name)
+print("__debug__ =", __debug__)
+"""
+
+
+def test_rejections_survive_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-O", "-c", REJECTIONS_UNDER_O],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == [
+        f"raised {name}" for name in sorted(rejected_calls())
+    ] + ["__debug__ = False"]
+
+
+def test_decomposition_of_every_census_ideal():
+    # every proper ideal of every labeled table of order <= 5; the oracle
+    # reads irreducibility off the ideal lattice, with no formula: an ideal
+    # is irreducible when no two strictly larger ideals meet in it
+    checked = 0
+    for n in range(2, 6):
+        for t in labeled_tables(n):
+            m = mk.FiniteMonoid(f"T{n}", [str(i) for i in range(n)], t)
+            lattice = [i.elements for i in sp.all_ideals(m)]
+            irreducible = [
+                c for c in lattice
+                if not any(a & b == c for a, b in itertools.combinations(
+                    [j for j in lattice if c < j], 2))
+            ]
+            for i in lattice:
+                comps = [c.elements for c in sp.primary_decomposition(m, i)]
+                assert all(c in irreducible for c in comps), (t, i)
+                assert all(sp.is_primary(m, c) for c in comps), (t, i)
+                assert frozenset.intersection(*comps) == i, (t, i)
+                for k, c in enumerate(comps):
+                    rest = comps[:k] + comps[k + 1:]
+                    assert not rest or not frozenset.intersection(*rest) <= c, (t, i)
+                above = [c for c in irreducible if i <= c]
+                assert set(comps) == {c for c in above if not any(d < c for d in above)}
+                checked += 1
+    assert checked == 1 + 5 + 53 + 1079  # proper ideals at orders 2, 3, 4, 5
 
 
 def test_ideal_quotient():
