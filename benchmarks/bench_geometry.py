@@ -9,11 +9,12 @@ plus ``normalize_affine`` on a fresh chart, how many ``facet_normals``
 calls and Smith forms (``intlin.snf``) those two made, and how many level
 sets they filled: the packed sets ``AffineMonoid._packed_level_set``
 builds and caches, one per chart and bound, which every ``contains``
-looks up.  The normalization takes over the chart's complement and
-normals, so they are computed once; the Smith forms are the
-complement's kernel, one per lattice (the chart's, the normalization's
-and one per face the seminormal membership asks about) and the unit
-lattices' kernels.
+looks up.  The normalization takes over the chart's normals, so they
+are computed once.  Each lattice is one Smith form, which also gives
+the span's orthogonal complement: the chart's, the normalization's and
+one per proper face the seminormal membership asks about (the whole
+cone's face is the chart lattice).  A unit lattice costs a kernel only
+on a cone with units.
 
 Every span, cone, lattice and seminormal membership answer at every box
 point is then recomputed the direct way: a rank comparison, freshly
@@ -22,7 +23,16 @@ The normalization's generators are compared with a greedy reference that
 drops each candidate a trial chart on the others can write.  A mismatch
 raises ``RuntimeError``.
 
-A second table times ``cartier_and_pic`` on freshly built P^1-P^4 and
+A second table follows one ``lattice`` workload case per base chart of
+``perfbench/generators.py`` (at scale 1, in its own coordinates), with
+seminormal membership asked at every box point.  It counts the Smith
+forms with transforms (``intlin.snf``) of each step: ``is_normal`` plus
+``normalize_affine``, ``seminormalize_cancellative`` plus the
+memberships, and ``class_group`` of the normalization's affine scheme.
+Normality, the normalization and the class group must equal the base
+chart's known answers; any other answer raises ``RuntimeError``.
+
+A third table times ``cartier_and_pic`` on freshly built P^1-P^4 and
 glued lines 2-5 (best of R) and counts its Smith forms with transforms
 (``intlin.snf``) and its invariant-factor calls.  Cart and Pic must equal
 their closed forms, Z^(n+1) and Z for P^n, Z^k and Z^(k-1) for k glued
@@ -33,12 +43,17 @@ Run:  python3 benchmarks/bench_geometry.py [--max-scale N] [--repeat R]
 
 import argparse
 import contextlib
+import os
+import sys
 import time
 
 from monoidkit import geometry as gm
 from monoidkit import intlin
 from monoidkit.abgroup import AbelianGroup
 from monoidkit.monoids import AffineMonoid
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+from generators import BASE_CHARTS, ChartCase, box_points  # noqa: E402
 
 CHARTS = (
     ("xy2", [(1, 0), (0, 2), (1, 1)]),
@@ -145,6 +160,37 @@ def check_memberships(aff):
                 )
 
 
+def workload_chart_table():
+    """Count the Smith forms of each base chart's ``lattice`` case, step by
+    step; raise ``RuntimeError`` on an answer other than the known one."""
+    print(f"\n{'base chart':10} {'normalize':>10} {'seminormal':>11}"
+          f" {'class group':>12} {'total':>6}")
+    totals = [0, 0, 0]
+    for base in BASE_CHARTS:
+        rank = len(base.gens[0])
+        case = ChartCase(base, 1, [[int(i == j) for j in range(rank)] for i in range(rank)])
+        aff = AffineMonoid(base.name, rank, case.gens, degree_bound=case.degree_bound())
+        with counting((intlin, "snf")) as counts:
+            normal = gm.is_normal(aff)
+            nor = gm.normalize_affine(aff)
+            steps = [counts["snf"]]
+            gm.seminormalize_cancellative(aff)
+            for v in box_points(case.gens, rank):
+                gm.seminormal_membership(aff, v)
+            steps.append(counts["snf"] - sum(steps))
+            cl = gm.class_group(gm.affine_scheme(nor)).invariants()
+            steps.append(counts["snf"] - sum(steps))
+        want = (base.normal, case.hilbert, AbelianGroup(*base.class_group))
+        if (normal, sorted(nor.generators), cl) != want:
+            raise RuntimeError(
+                f"{base.name}: normal {normal}, normalization {nor.generators}, "
+                f"Cl {cl}; want {want}"
+            )
+        totals = [a + b for a, b in zip(totals, steps)]
+        print(f"{base.name:10} {steps[0]:10d} {steps[1]:11d} {steps[2]:12d} {sum(steps):6d}")
+    print(f"{'all':10} {totals[0]:10d} {totals[1]:11d} {totals[2]:12d} {sum(totals):6d}")
+
+
 def cart_pic_table(repeat):
     """Time Cart and Pic of each scheme and check them against the closed
     forms; raise ``RuntimeError`` on a difference."""
@@ -198,6 +244,7 @@ def main():
                 )
             print(f"{label:12} {k:5d} {len(box(aff)):8d} {1000 * best:10.2f}"
                   f" {counts['facet_normals']:14d} {counts['snf']:12d} {filled[0]:11d}")
+    workload_chart_table()
     cart_pic_table(args.repeat)
 
 

@@ -79,7 +79,12 @@ def facet_normals(gens, rank, orth=None):
 
     Normals are taken inside the rational span of the generators; every
     generator pairs nonnegatively and some generator pairs positively.
-    ``orth`` is the span's orthogonal complement, when the caller has it.
+    ``orth`` is a basis of the span's orthogonal complement, when the
+    caller has one (``ChartCone`` passes its lattice's ``complement``);
+    without it the complement is computed here as a kernel.  Any basis
+    gives the same normals: another one multiplies each cofactor vector
+    by a nonzero scalar, and the normal is that vector made primitive
+    with its sign fixed by the generators.
 
     A facet holds dim - 1 independent generators, and the normal of their
     span inside the generator span is the cofactor vector of those
@@ -120,28 +125,33 @@ def _span_orthogonal_complement(gens, rank):
 
 class ChartCone:
     """A chart's generator cone and lattice, computed once from its
-    generators: the span's orthogonal complement, the facet normals, the
-    chart lattice, and, as they are asked for, the lattice of each face,
-    the saturation points of the zonotope box and the unit lattice.
+    generators: the chart lattice, whose Smith form also gives the span's
+    orthogonal complement, the facet normals, and, as they are asked
+    for, the lattice of each face, the saturation points of the zonotope
+    box and the unit lattice.  The face cut by no normal is the whole
+    cone, so its lattice is the chart lattice itself.
 
     ``shared`` is the record of a chart with the same cone (a
-    normalization's input); its complement and normals, which depend on
-    the cone alone, are taken over.  The lattice, face lattices, box
-    points and unit lattice always come from ``gens``.
+    normalization's input); its normals, which depend on the cone alone,
+    are taken over, and so is its unit lattice when that is empty: the
+    same cone is pointed for both.  The lattice, face lattices, box
+    points and any other unit lattice always come from ``gens``.
     """
 
     def __init__(self, gens, rank, shared=None):
         self.gens = gens
         self.rank = rank
-        if shared is None:
-            self.complement = _span_orthogonal_complement(gens, rank)
-            self.normals = facet_normals(gens, rank, self.complement)
-        else:
-            self.complement, self.normals = shared.complement, shared.normals
         self.lattice = intlin.Sublattice(gens, rank)
-        self._face_lattices = {}
+        self.complement = self.lattice.complement
+        self._face_lattices = {(): self.lattice}
         self._box = None
         self._units = None
+        if shared is None:
+            self.normals = facet_normals(gens, rank, self.complement)
+        else:
+            self.normals = shared.normals
+            if shared._units == []:
+                self._units = []
 
     def in_span(self, vec):
         """Is vec in the rational span of the generators?"""
@@ -185,12 +195,21 @@ class ChartCone:
 
     def unit_lattice(self):
         """Basis (columns) of the lineality of the cone intersected with
-        the chart lattice, computed once; each caller gets fresh lists."""
+        the chart lattice, computed once; each caller gets fresh lists.
+
+        The lineality is the face on which every normal vanishes, and a
+        face is spanned by the generators on it; so when every nonzero
+        generator pairs nonzero with some normal the cone is pointed and
+        the unit lattice is zero, with no kernel to compute.
+        """
         if self._units is None:
             basis = self.lattice.basis
             k = len(basis)
-            rows = [[_dot(w, col) for col in basis] for w in self.normals]
-            if rows:
+            normals = self.normals
+            if all(any(_dot(w, g) for w in normals) for g in self.gens if any(g)):
+                coeff_kernel = []  # pointed
+            elif normals:
+                rows = [[_dot(w, col) for col in basis] for w in normals]
                 coeff_kernel = intlin.kernel_basis(rows)
             else:  # no facets: every lattice vector is a unit
                 coeff_kernel = [[int(i == j) for i in range(k)] for j in range(k)]
@@ -490,7 +509,10 @@ def _face_of_point(vec, normals):
 
 def seminormal_membership(aff, vec):
     """Exact: vec belongs to the seminormalization iff it lies in the
-    subgroup generated by the chart elements on its own face."""
+    subgroup generated by the chart elements on its own face.  A vector
+    of the wrong length is not a member."""
+    if len(vec) != aff.rank:
+        return False
     cone = chart_cone(aff)
     if not (cone.in_cone(vec) and vec in cone.lattice):
         return False
@@ -567,10 +589,11 @@ class GluedScheme(Record):
                 raise ValidationError("chart rank mismatch")
             if c.is_pc_quotient:
                 raise ValidationError("scheme charts must be cancellative")
-        # charts must share the full lattice as common group completion
+        # charts must share the full lattice as common group completion;
+        # each chart's cone record holds its lattice
         for c in self.charts:
             if c.unit_tags is None:
-                basis = intlin.lattice_basis(c.generators, self.lattice_rank)
+                basis = chart_cone(c).lattice.basis
                 if len(basis) != self.lattice_rank:
                     raise ValidationError(
                         f"chart {c.name} does not span the scheme lattice"
@@ -685,17 +708,19 @@ def class_group(scheme, drop_points=()):
     """Cokernel of the divisor matrix on the height-one points.
 
     The rows are the divisors of a basis of the lattice the charts'
-    generators span, where every valuation is an exact integer.
+    generators span, where every valuation is an exact integer.  On one
+    chart that is the chart lattice its cone record already holds.
     """
     _require_normal_charts(scheme)
     points = [
         p for p in height_one_points(scheme) if p.label not in drop_points
     ]
-    gens = [g for chart in scheme.charts for g in chart.generators]
-    rows = [
-        [p.valuation(b) for p in points]
-        for b in intlin.lattice_basis(gens, scheme.lattice_rank)
-    ]
+    if len(scheme.charts) == 1:
+        basis = chart_cone(scheme.charts[0]).lattice.basis
+    else:
+        gens = [g for chart in scheme.charts for g in chart.generators]
+        basis = intlin.lattice_basis(gens, scheme.lattice_rank)
+    rows = [[p.valuation(b) for p in points] for b in basis]
     pres = GroupPresentation(
         len(points), rows, generator_labels=[p.label for p in points]
     )

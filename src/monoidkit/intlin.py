@@ -1,9 +1,10 @@
 """Exact integer linear algebra on list-of-rows matrices.
 
 Thin layer over the SNF kernel: kernels, preimages, and ``Sublattice``,
-the one lattice type, whose single Smith form gives a basis, membership
-and coordinates.  ``solve`` is kept as the tests' independent membership
-oracle.  Everything here is deterministic and exact.
+the one lattice type, whose single Smith form gives a basis, membership,
+coordinates and the orthogonal complement.  ``solve`` is kept as the
+tests' independent membership oracle.  Everything here is deterministic
+and exact.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import operator
 
 from . import _kernels
+from .errors import ValidationError
 
 
 def matmul(a, b, cols=None):
@@ -107,33 +109,47 @@ class Sublattice:
     Smith form U*M*V = D of the matrix M of its nonzero columns.
 
     ``basis`` is the first r = rank(M) columns of M*V; U sends them to
-    d_1 e_1, ..., d_r e_r.  So v = basis*y iff (U*v)_i = d_i y_i for
-    i < r and (U*v)_i = 0 for i >= r, which gives ``coordinates`` and
-    membership.
+    d_1 e_1, ..., d_r e_r.  ``complement`` is rows r.. of U: those rows
+    of U*M are zero, and U is unimodular, so they are a basis of the
+    integer vectors orthogonal to every column.  So v = basis*y iff
+    (U*v)_i = d_i y_i for i < r and v is orthogonal to ``complement``,
+    which gives ``coordinates`` and membership.  A column or vector whose
+    length is not ``dim`` raises ``ValidationError``.
     """
 
     def __init__(self, cols, dim):
+        for c in cols:
+            if len(c) != dim:
+                raise ValidationError(
+                    f"column {list(c)} has {len(c)} entries, not {dim}"
+                )
+        self.dim = dim
         cols = [c for c in cols if any(c)]
         if not cols:  # L = 0: U is the identity and r = 0
-            identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
-            self.basis, self._rows, self._factors = [], identity, []
+            self.basis, self._rows, self._factors = [], [], []
+            self.complement = [[int(i == j) for j in range(dim)] for i in range(dim)]
             return
         mat = [[c[i] for c in cols] for i in range(dim)]
         U, D, V = snf(mat)
         r = sum(1 for i in range(min(dim, len(cols))) if D[i][i] != 0)
         mv = matmul(mat, V)
         self.basis = [[mv[i][j] for i in range(dim)] for j in range(r)]
-        self._rows, self._factors = U, [D[i][i] for i in range(r)]
+        self._rows, self._factors = U[:r], [D[i][i] for i in range(r)]
+        self.complement = U[r:]
 
     def coordinates(self, vec):
         """y with vec = sum y_j basis_j, or None when vec is not in L."""
+        if len(vec) != self.dim:
+            raise ValidationError(
+                f"vector {list(vec)} has {len(vec)} entries, not {self.dim}"
+            )
         y = []
         for row, d in zip(self._rows, self._factors):
             q, rem = divmod(sum(map(operator.mul, row, vec)), d)
             if rem:
                 return None
             y.append(q)
-        for row in self._rows[len(y):]:
+        for row in self.complement:
             if sum(map(operator.mul, row, vec)):
                 return None
         return y

@@ -121,6 +121,16 @@ def test_seminormal_membership_oracle_agrees():
             assert exact == powers, (aff.name, v)
 
 
+@pytest.mark.parametrize("vec", [(1, 0, 0), (1,), (0, 1, 0), ()])
+def test_seminormal_membership_refuses_vectors_of_the_wrong_length(vec):
+    # the chart holds (1, 0) and (0, 1); a longer or shorter vector is no
+    # element of Z^2, whatever its leading entries
+    aff = numeric([(1, 0), (0, 1)])
+    assert gm.seminormal_membership(aff, vec) is False
+    assert gm.seminormal_membership_powers(aff, vec) is False
+    assert aff.contains(vec) is False
+
+
 def test_seminormalization_check_catches_a_wrong_oracle(monkeypatch):
     exact = gm.seminormal_membership
     monkeypatch.setattr(gm, "seminormal_membership", lambda aff, v: not exact(aff, v))
@@ -888,6 +898,61 @@ def test_cofactor_normals_and_one_smith_lattice_match_the_old_constructions(char
             assert y is None, v
 
 
+def test_sublattice_refuses_columns_and_vectors_of_the_wrong_length():
+    with pytest.raises(ValidationError, match="3 entries, not 2"):
+        intlin.Sublattice([[1, 2, 3]], 2)
+    with pytest.raises(ValidationError, match="1 entries, not 2"):
+        intlin.Sublattice([[1, 0], [4]], 2)
+    with pytest.raises(ValidationError, match="0 entries, not 1"):
+        intlin.Sublattice([[0], []], 1)  # a zero column is checked too
+    lattice = intlin.Sublattice([[1, 0]], 2)
+    for vec in ([1, 0, 5], [1], [1, 0, 0]):
+        with pytest.raises(ValidationError, match=f"{len(vec)} entries, not 2"):
+            vec in lattice
+        with pytest.raises(ValidationError, match=f"{len(vec)} entries, not 2"):
+            lattice.coordinates(vec)
+    assert [1, 0] in lattice and [0, 1] not in lattice
+
+
+@st.composite
+def column_sets(draw):
+    """dim 0-4 and up to 5 columns; the last may be a repeat, a sum of two
+    others or zero."""
+    dim = draw(st.integers(0, 4))
+    cols = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim), max_size=4))
+    if cols:
+        i, j = draw(st.integers(0, len(cols) - 1)), draw(st.integers(0, len(cols) - 1))
+        extra = draw(st.sampled_from(
+            [None, cols[i], [a + b for a, b in zip(cols[i], cols[j])], [0] * dim]
+        ))
+        if extra is not None:
+            cols.append(extra)
+    return dim, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(column_sets())
+@example((0, []))
+@example((0, [[], []]))
+@example((3, []))
+@example((3, [[0, 0, 0]]))
+@example((3, [[1, 2, 3], [2, 4, 6], [0, 0, 0]]))  # one direction
+@example((4, [[2, 0, 0, 0], [0, 3, 0, 0], [1, 1, 1, 1], [3, 4, 1, 1]]))  # dependent, index 6
+def test_lattice_complement_is_the_kernel_of_the_transposed_matrix(case):
+    dim, cols = case
+    lattice = intlin.Sublattice(cols, dim)
+    if cols:
+        oracle = [list(k) for k in intlin.kernel_basis(cols)]
+    else:
+        oracle = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    # every row is orthogonal to every column
+    assert all(sum(a * b for a, b in zip(w, c)) == 0 for w in lattice.complement for c in cols)
+    # the ranks add up to dim
+    assert len(lattice.complement) + len(lattice.basis) == dim
+    # and the rows span the same integer complement as the kernel's
+    assert hermite_rows(lattice.complement, dim) == hermite_rows(oracle, dim)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
@@ -969,3 +1034,39 @@ def test_normalization_shares_the_cone_of_its_chart(aff, monkeypatch):
     # how the saturation was made does not change its own normalization
     again = AffineMonoid(nor.name, nor.rank, nor.generators)
     assert gm.normalize_affine(nor).generators == gm.normalize_affine(again).generators
+
+
+@pytest.mark.parametrize("rank, gens, smith_forms", [
+    # pointed, full lattice; pointed, an index-4 sublattice of Z^2
+    (2, [(1, 0), (1, 1), (1, 2)], (2, 2, 0)),
+    (2, [(2, 0), (2, 2), (2, 4)], (2, 2, 0)),
+    # a unit direction: both unit lattices need a kernel
+    (2, [(1, 0), (-1, 0), (0, 2), (1, 1)], (4, 1, 0)),
+])
+def test_each_chart_lattice_is_one_smith_form(rank, gens, smith_forms, monkeypatch):
+    """normalize_affine: the chart's and the saturation's lattices, plus
+    each one's unit-lattice kernel when the cone has units, since a
+    pointed cone has a zero unit lattice read off its normals and its
+    saturation takes it over.  seminormalize_cancellative: one lattice
+    per facet a box point lies on; the whole-cone face is the chart
+    lattice.  class_group of the normalization: none, as the span check
+    and the divisor rows read the saturation's lattice and the span
+    complement came with it."""
+    calls = []
+    snf = intlin.snf
+    monkeypatch.setattr(intlin, "snf", lambda m: calls.append(m) or snf(m))
+
+    def counted(run):
+        before = len(calls)
+        out = run()
+        return out, len(calls) - before
+
+    aff = AffineMonoid("C", rank, gens)
+    nor, n_nor = counted(lambda: gm.normalize_affine(aff))
+    _, n_sn = counted(lambda: gm.seminormalize_cancellative(aff))
+    _, n_cl = counted(lambda: gm.class_group(gm.affine_scheme(nor)))
+    assert (n_nor, n_sn, n_cl) == smith_forms
+    for chart in (aff, nor):
+        cone = gm.chart_cone(chart)
+        assert cone.face_lattice(()) is cone.lattice
+        assert cone.complement is cone.lattice.complement
