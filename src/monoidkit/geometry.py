@@ -133,9 +133,8 @@ class ChartCone:
 
     ``shared`` is the record of a chart with the same cone (a
     normalization's input); its normals, which depend on the cone alone,
-    are taken over, and so is its unit lattice when that is empty: the
-    same cone is pointed for both.  The lattice, face lattices, box
-    points and any other unit lattice always come from ``gens``.
+    are taken over.  The lattice (with the complement), face lattices,
+    box points and unit lattice always come from ``gens``.
     """
 
     def __init__(self, gens, rank, shared=None):
@@ -150,8 +149,6 @@ class ChartCone:
             self.normals = facet_normals(gens, rank, self.complement)
         else:
             self.normals = shared.normals
-            if shared._units == []:
-                self._units = []
 
     def in_span(self, vec):
         """Is vec in the rational span of the generators?"""
@@ -280,9 +277,10 @@ def is_normal(aff):
 def normalize_affine(aff):
     """Saturation of the generator monoid inside its own lattice.
 
-    The saturation has the chart's cone, so its cone record shares the
-    chart's complement and normals (``ChartCone``'s ``shared``); its
-    ``is_normal`` check scans its own box against them.  A chart with a
+    The saturation has the chart's cone, so its cone record takes over
+    the chart's normals (``ChartCone``'s ``shared``); its lattice and
+    span complement come from its own Smith form, and its ``is_normal``
+    check scans its own box against them.  A chart with a
     monomial ideal raises ``ValidationError``: ``normalize_pc``
     normalizes its components.
 

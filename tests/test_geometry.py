@@ -1046,8 +1046,8 @@ def test_normalization_shares_the_cone_of_its_chart(aff, monkeypatch):
 def test_each_chart_lattice_is_one_smith_form(rank, gens, smith_forms, monkeypatch):
     """normalize_affine: the chart's and the saturation's lattices, plus
     each one's unit-lattice kernel when the cone has units, since a
-    pointed cone has a zero unit lattice read off its normals and its
-    saturation takes it over.  seminormalize_cancellative: one lattice
+    pointed cone, and so its saturation, has a zero unit lattice read
+    off its normals.  seminormalize_cancellative: one lattice
     per facet a box point lies on; the whole-cone face is the chart
     lattice.  class_group of the normalization: none, as the span check
     and the divisor rows read the saturation's lattice and the span
