@@ -9,8 +9,11 @@ plus ``normalize_affine`` on a fresh chart, how many ``facet_normals``
 calls and Smith forms (``intlin.snf``) those two made, and how many level
 sets they filled: the packed sets ``AffineMonoid._packed_level_set``
 builds and caches, one per chart and bound, which every ``contains``
-looks up.  The normalization takes over the chart's normals, so they
-are computed once.  Each lattice is one Smith form, which also gives
+looks up.  Only the seminormalization's verification window fills one,
+and only when some box point is not a member (for the cusp every one
+is, and a generator needs no level set): on these pointed charts ``is_normal`` compares the Hilbert basis with the
+generators and asks no membership.  The normalization takes over the
+chart's normals, so they are computed once.  Each lattice is one Smith form, which also gives
 the span's orthogonal complement: the chart's, the normalization's and
 one per proper face the seminormal membership asks about (the whole
 cone's face is the chart lattice).  A unit lattice costs a kernel only

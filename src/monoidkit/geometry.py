@@ -267,49 +267,56 @@ def saturation_generators(aff):
     return sorted(gens)
 
 
+def _hilbert_basis(aff):
+    """Hilbert basis of a pointed chart's saturation: its irreducible
+    elements, which generate it (Bruns-Gubeladze, ch. 2).  They lie in
+    the zonotope box, so they are the box points g such that no other box
+    point h leaves g - h in cone and lattice.  g - h lies in the span and
+    the lattice, and in the cone iff no facet normal pairs with h more
+    than with g."""
+    cone = chart_cone(aff)
+    cand = cone.box_points()
+    pairs = {g: [_dot(w, g) for w in cone.normals] for g in cand}
+    return [
+        g for g in cand
+        if not any(h != g and all(map(operator.le, pairs[h], pairs[g])) for h in cand)
+    ]
+
+
 def is_normal(aff):
-    """Cancellative chart equals its saturation (bounded verification)."""
+    """Does the cancellative chart equal its saturation?  Exact on a
+    pointed chart: it is normal iff its ``_hilbert_basis`` lies among its
+    generators, since an irreducible element of the saturation that lies
+    in the chart is a generator, and the Hilbert basis generates the
+    saturation.  A chart with units asks bounded membership of each
+    saturation generator."""
     if aff.is_pc_quotient:
         raise ValidationError("normality applies to cancellative charts")
-    return all(aff.contains(v) for v in saturation_generators(aff))
+    if unit_lattice_of_chart(aff):
+        return all(aff.contains(v) for v in saturation_generators(aff))
+    return set(_hilbert_basis(aff)) <= set(aff.generators)
 
 
 def normalize_affine(aff):
-    """Saturation of the generator monoid inside its own lattice.
+    """Saturation of the generator monoid inside its own lattice: on a
+    pointed chart, generated by its ``_hilbert_basis``.  A chart with
+    units has no unique minimal generating set; there the saturation
+    generators are dropped greedily, largest first, whenever bounded
+    membership writes one in the others, and that order fixes the output.
 
     The saturation has the chart's cone, so its cone record takes over
     the chart's normals (``ChartCone``'s ``shared``); its lattice and
     span complement come from its own Smith form, and its ``is_normal``
-    check scans its own box against them.  A chart with a
-    monomial ideal raises ``ValidationError``: ``normalize_pc``
-    normalizes its components.
-
-    On a pointed chart (no units) the minimal generating set of the
-    saturation is its Hilbert basis: the candidates g such that no other
-    candidate h leaves g - h in cone and lattice.  Every Hilbert basis
-    element lies in the zonotope box, so this is exact.  As g and h both
-    lie in the span and the lattice, so does g - h, and it lies in the
-    cone iff every facet normal pairs with h at most as with g.
-
-    A chart with units has no unique minimal generating set.  There the
-    candidates are dropped greedily, largest first, whenever bounded
-    membership writes one in the others; that order fixes the output.
+    check recomputes the Hilbert basis from its own box and lattice.  A
+    chart with a monomial ideal raises ``ValidationError``:
+    ``normalize_pc`` normalizes its components.
     """
     if aff.is_pc_quotient:
         raise ValidationError("normalization applies to cancellative charts")
-    cand = saturation_generators(aff)
     if unit_lattice_of_chart(aff):
-        keep = _greedy_generators(aff, cand)
+        keep = _greedy_generators(aff, saturation_generators(aff))
     else:
-        normals = chart_cone(aff).normals
-        pairs = {g: [_dot(w, g) for w in normals] for g in cand}
-        keep = [
-            g for g in cand
-            if not any(
-                h != g and all(map(operator.le, pairs[h], pairs[g]))
-                for h in cand
-            )
-        ]
+        keep = _hilbert_basis(aff)
     out = AffineMonoid(
         f"{aff.name}_nor",
         aff.rank,
@@ -485,16 +492,11 @@ class IntersectionReport(Record):
 
 def intersect_localizations_check(aff):
     """Bounded window: membership in the chart equals nonnegativity at
-    every facet valuation (the hallmark of normal charts)."""
-    cone = chart_cone(aff)
-    lo, hi = _zonotope_box(aff.generators, aff.rank)
-    witnesses = []
-    for v in _box_points(lo, hi):
-        if not any(v) or v not in cone.lattice or not cone.in_span(v):
-            continue
-        if cone.in_cone(v) != aff.contains(v):
-            witnesses.append(tuple(v))
-    return IntersectionReport(not witnesses, sorted(witnesses))
+    every facet valuation (the hallmark of normal charts).  The chart lies
+    in its cone, so a witness is a point of cone and lattice in the box
+    that bounded membership does not find."""
+    witnesses = [v for v in chart_cone(aff).box_points() if not aff.contains(v)]
+    return IntersectionReport(not witnesses, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -808,27 +810,24 @@ def cartier_and_pic(scheme):
 
 def _tagged_torsion_units(chart, torsion):
     """Generators of the torsion units of a unit-tagged chart: the nonzero
-    tags of nonnegative combinations with zero lattice part, within the
-    degree bound.  The tags need not form a subgroup; Cart and Pic add each
-    torsion order times e_t, so the tags span the same lattice as the
-    subgroup they generate."""
+    tags of nonnegative combinations with zero lattice part.  These use
+    only generators on the cone's lineality, as every other one pairs
+    positively with some facet normal.  Those carry a strictly positive
+    integer dependency, so the combinations generate the whole integer
+    kernel on them, and the tags of a kernel basis generate the same
+    subgroup.  Cart and Pic read only the span of the tags and the
+    torsion orders."""
     gens = chart.generators
-    tags = chart.unit_tags
-    u = len(torsion)
+    normals = chart_cone(chart).normals
+    lin = [i for i, g in enumerate(gens) if not any(_dot(w, g) for w in normals)]
+    # a zero row keeps the column count at rank 0
+    cols = [[gens[i][r] for i in lin] for r in range(chart.rank)] or [[0] * len(lin)]
     found = set()
-    bound = chart.degree_bound
-
-    def rec(idx, vec, tag):
-        if idx == len(gens):
-            if not any(vec):
-                found.add(tuple(t % o for t, o in zip(tag, torsion)))
-            return
-        for coeff in range(bound + 1):
-            nv = [a + coeff * b for a, b in zip(vec, gens[idx])]
-            nt = [a + coeff * b for a, b in zip(tag, tags[idx])]
-            rec(idx + 1, nv, nt)
-
-    rec(0, [0] * chart.rank, [0] * u)
+    for k in intlin.kernel_basis(cols):
+        tag = [0] * len(torsion)
+        for c, i in zip(k, lin):
+            tag = [a + c * b for a, b in zip(tag, chart.unit_tags[i])]
+        found.add(tuple(t % o for t, o in zip(tag, torsion)))
     return sorted(t for t in found if any(t))
 
 

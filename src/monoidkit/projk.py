@@ -446,8 +446,11 @@ class DevissageReport(Record):
         self.identity_holds = identity_holds
 
 
-def devissage_check(m, ideal_elements, x, middle_bound=6):
-    """[X] = sum of the filtration quotients [I^i X / I^{i+1} X] in G0."""
+def devissage_check(m, ideal_elements, x):
+    """[X] = sum of the filtration quotients [I^i X / I^{i+1} X] in G0.
+
+    The seeds are X and its quotients, none larger than X, so G0 is taken
+    with X's count of nonzero points as its bound."""
     if not same_monoid(x.base, m):
         raise ValidationError(
             f"the A-set {x.name} lives over {x.base.name}, not over {m.name}"
@@ -489,7 +492,7 @@ def devissage_check(m, ideal_elements, x, middle_bound=6):
             ok_base_quotient = False
 
     seeds = [x] + quotients
-    res = g0(seeds, middle_bound=max(middle_bound, len(x.carrier)))
+    res = g0(seeds, middle_bound=len(x.carrier) - 1)
     vec = g0_class_vector(res, x)
     for q in quotients:
         qv = g0_class_vector(res, q)

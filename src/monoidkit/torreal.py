@@ -200,8 +200,11 @@ def tor_complex(x, exp, trunc=4):
 
     A/(t^exp) is resolved by the free pair (t^exp, 0): A => A, and A (x) X
     = X, so the model is the inverse construction of X => X with r = t^exp
-    and s = 0.
+    and s = 0.  The truncation must be nonnegative, and the base
+    monogenic with an exponent of at least 1 (``HypothesisViolated``).
     """
+    hm.require_nonnegative(trunc, "truncation")
+    _require_monogenic_power(x, exp)
     r = ak.ASetMorphism(x, x, [x.act(exp, p) for p in range(len(x.carrier))])
     pair = hm.DaComplex(x.base, [x, x], [r], [ak.zero_morphism(x, x)])
     sset = hm.dold_kan_inverse(pair, trunc)
@@ -223,6 +226,7 @@ def tor_complex_direct(x, exp, trunc=4):
     tests; used for the large exhaustive sweeps.
     """
     hm.require_nonnegative(trunc, "truncation")
+    _require_monogenic_power(x, exp)
     nx = len(x.carrier) - 1
     act = [x.act(exp, p) - 1 for p in range(1, nx + 1)]  # -1: sent to the basepoint
     cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {0, 1}
@@ -273,6 +277,16 @@ class TorRankReport(Record):
         return self.formula_rank == self.graph_rank
 
 
+def _require_monogenic_power(x, k):
+    """t^k acts only over the monogenic base, and only for k >= 1: over a
+    finite table ``act`` reads k as an element index, and t^0 or t^-1
+    would act as the identity."""
+    if not isinstance(x.base, MonogenicMonoid):
+        raise HypothesisViolated("monogenic base required")
+    if k < 1:
+        raise HypothesisViolated("the exponent must be positive")
+
+
 def tor1_monogenic(x, k):
     """Rank of the fundamental cycles for the action of t^k on X.
 
@@ -284,10 +298,7 @@ def tor1_monogenic(x, k):
     independent check of the rank is H_1 of the Tor complex
     (``hurewicz_compare``).
     """
-    if not isinstance(x.base, MonogenicMonoid):
-        raise HypothesisViolated("monogenic base required")
-    if k < 1:
-        raise HypothesisViolated("the exponent must be positive")
+    _require_monogenic_power(x, k)
     n = len(x.carrier)
     row = x.action[0]
     power = list(range(n))  # t^k as a carrier self-map

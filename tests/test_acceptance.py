@@ -162,7 +162,7 @@ def criterion_5():
     assert res3.invariants() == AbelianGroup(1)
     ideal = sorted({line3.table[i][line3.index_of("x")] for i in line3.indices()} | {0})
     for x in all_asets:
-        rep = pk.devissage_check(line3, ideal, x, middle_bound=5)
+        rep = pk.devissage_check(line3, ideal, x)
         assert rep.identity_holds, x.name
         assert rep.quotients_are_base_quotient_sets
     return (

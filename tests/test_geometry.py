@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -241,6 +242,80 @@ def test_charts_with_units_keep_the_greedy_generators(gens, want):
     assert greedy_generators(2, gm.saturation_generators(aff), aff.degree_bound) == want
 
 
+def fewest_summands(aff):
+    """The least number of generators of a pointed chart summing to a
+    vector (infinite when none do), as a function with a shared memo.
+
+    Descends from the vector one nonzero generator at a time, staying in
+    the cone, where every sum of generators lies.  The sum of the facet
+    normals is positive on every nonzero point of a pointed cone, so it
+    falls at each step and the descent ends."""
+    normals = gm.chart_cone(aff).normals
+    steps = sorted({g for g in aff.generators if any(g)})
+    fewest = {}
+
+    def summands(v):
+        v = tuple(v)
+        if not any(v):
+            return 0
+        if v not in fewest:
+            rests = [tuple(a - b for a, b in zip(v, g)) for g in steps]
+            fewest[v] = min(
+                (1 + summands(r) for r in rests
+                 if all(sum(map(int.__mul__, w, r)) >= 0 for w in normals)),
+                default=math.inf,
+            )
+        return fewest[v]
+
+    return summands
+
+
+def test_pointed_normality_is_the_hilbert_basis_among_the_generators():
+    # the old bounded check, every box point a sum of at most degree_bound
+    # generators, is the oracle: where it finds them all the chart is
+    # normal, and where the two differ the bound cut the search off
+    rng = random.Random(1)
+    pointed, differ = 0, 0
+    for _ in range(400):
+        rank = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank))
+                for _ in range(rng.randint(1, 5))]
+        aff = AffineMonoid("C", rank, gens)
+        if gm.unit_lattice_of_chart(aff):
+            continue
+        pointed += 1
+        box_pts = gm.saturation_points_in_box(aff)
+        bounded = all(aff.contains(v) for v in box_pts)
+        if gm.is_normal(aff) != bounded:
+            differ += 1
+            assert not bounded, gens
+            summands = fewest_summands(aff)
+            assert all(summands(v) <= 64 for v in box_pts), gens
+    assert (pointed, differ) == (259, 12)
+
+
+def test_pointed_normality_reads_no_bounded_membership(monkeypatch):
+    def refuse(self, vec, bound=None):
+        raise AssertionError("bounded membership asked")
+
+    monkeypatch.setattr(AffineMonoid, "contains", refuse)
+    for gens, normal in (([(1, 0), (1, 2), (1, 1)], True), ([(2,), (3,)], False)):
+        aff = numeric(gens)
+        aff.degree_bound = None
+        assert gm.is_normal(aff) is normal
+
+
+def test_normalization_past_the_degree_bound():
+    # the box point (-3, -1) = 4 (-3, 2) + 9 (1, -1) needs 13 summands, past
+    # the default bound 8; the bounded normality check of the output used
+    # to raise OracleMismatch here
+    aff = AffineMonoid("C", 2, [(2, -2), (-3, -1), (-3, 2)])
+    nor = gm.normalize_affine(aff)
+    assert nor.generators == [(-3, 2), (1, -1)]
+    assert not gm.is_normal(aff) and gm.is_normal(nor)
+    assert fewest_summands(nor)((-3, -1)) == 13
+
+
 def test_each_chart_box_is_scanned_once(monkeypatch):
     aff = numeric([(1, 0), (0, 2), (1, 1)], name="xy2")  # pointed, not normal
     scans, built = [], []
@@ -378,6 +453,27 @@ def test_intersection_of_localizations():
     rep = gm.intersect_localizations_check(numeric([(2,), (3,)]))
     assert not rep.holds
     assert (1,) in rep.witnesses
+
+
+def test_intersection_witnesses_match_a_scan_of_the_whole_box():
+    # the oracle scans box, lattice and span and compares cone membership
+    # with bounded chart membership at each point
+    rng = random.Random(3)
+    charts = [AffineMonoid("C", case.rank, case.gens) for case in benchmark_chart_cases()]
+    for _ in range(60):
+        rank = rng.randint(1, 3)
+        gens = [tuple(rng.randint(-2, 2) for _ in range(rank))
+                for _ in range(rng.randint(1, 4))]
+        charts.append(AffineMonoid("C", rank, gens))
+    for aff in charts:
+        cone = gm.ChartCone(aff.generators, aff.rank)
+        want = sorted(
+            v for v in box(aff.generators, aff.rank)
+            if any(v) and v in cone.lattice and cone.in_span(v)
+            and cone.in_cone(v) != aff.contains(v)
+        )
+        rep = gm.intersect_localizations_check(aff)
+        assert (rep.holds, rep.witnesses) == (not want, want), aff.generators
 
 
 def test_divisors_of_quadric():
@@ -622,6 +718,82 @@ def test_tagged_cart_and_pic_are_pinned():
         "U", 1, [(1,), (-1,)], unit_orders=[4], unit_tags=[(1,), (0,)], degree_bound=1
     )
     assert gm._tagged_torsion_units(chart, [4]) == [(1,)]
+
+
+def bounded_torsion_units(chart, torsion):
+    """Oracle: the nonzero tags of every nonnegative combination with zero
+    lattice part whose coefficients are at most the chart's degree bound."""
+    gens, tags, bound = chart.generators, chart.unit_tags, chart.degree_bound
+    found = set()
+    for coeffs in itertools.product(range(bound + 1), repeat=len(gens)):
+        if not any(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(chart.rank)):
+            tag = [sum(c * t[s] for c, t in zip(coeffs, tags)) for s in range(len(torsion))]
+            found.add(tuple(t % o for t, o in zip(tag, torsion)))
+    return sorted(t for t in found if any(t))
+
+
+def torsion_span(tags, torsion):
+    """The lattice the tags span together with each torsion order times e_t."""
+    u = len(torsion)
+    orders = [[o * (s == t) for s in range(u)] for t, o in enumerate(torsion)]
+    return intlin.Sublattice([list(t) for t in tags] + orders, u)
+
+
+def same_span(tags, other, torsion):
+    a, b = torsion_span(tags, torsion), torsion_span(other, torsion)
+    return all(list(t) in b for t in tags) and all(list(t) in a for t in other)
+
+
+def test_tagged_torsion_units_span_as_the_bounded_search():
+    # the two-generator charts of the pinned family, both signs
+    charts = 0
+    for order in (2, 3, 4, 6):
+        for tags in itertools.product(range(order), repeat=2):
+            for bound in (1, 2, 3):
+                for shape in ((1, -1), (1, 1), (1, 2)):
+                    for sign in (1, -1):
+                        chart = AffineMonoid(
+                            "U", 1, [(sign * g,) for g in shape], unit_orders=[order],
+                            unit_tags=[(t,) for t in tags], degree_bound=bound,
+                        )
+                        want = bounded_torsion_units(chart, [order])
+                        assert same_span(gm._tagged_torsion_units(chart, [order]), want,
+                                         [order]), (order, tags, bound, shape, sign)
+                        charts += 1
+    assert charts == 1170
+    # on rank-2 charts the bounded search finds a part of the units
+    rng = random.Random(2)
+    for _ in range(60):
+        torsion = [rng.choice((2, 3, 4))]
+        gens = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(1, 4))]
+        chart = AffineMonoid("U", 2, gens, unit_orders=torsion, degree_bound=3,
+                             unit_tags=[(rng.randrange(torsion[0]),) for _ in gens])
+        closed = gm._tagged_torsion_units(chart, torsion)
+        lattice = torsion_span(closed, torsion)
+        assert all(list(t) in lattice for t in bounded_torsion_units(chart, torsion)), gens
+
+
+def test_tagged_torsion_units_read_no_degree_bound():
+    chart = AffineMonoid("U", 1, [(2,), (-3,)], unit_orders=[5], unit_tags=[(1,), (0,)])
+    chart.degree_bound = None
+    # the dependency 3 (2) + 2 (-3) = 0 carries the tag 3
+    assert gm._tagged_torsion_units(chart, [5]) == [(3,)]
+    # at rank 0 every generator is zero, so each tag is a unit
+    chart = AffineMonoid("P", 0, [(), ()], unit_orders=[4], unit_tags=[(1,), (2,)])
+    chart.degree_bound = None
+    assert gm._tagged_torsion_units(chart, [4]) == [(1,), (2,)]
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_tagged_pic_does_not_move_with_the_degree_bound(bound):
+    # U's torsion units are the multiples of the tag 3 of (3, 2), all of
+    # Z/5, so Pic = 0 at every bound; the bounded search found none at
+    # bounds 1 and 2 and answered Z/5
+    u = AffineMonoid("U", 1, [(2,), (-3,)], unit_orders=[5], unit_tags=[(1,), (0,)],
+                     degree_bound=bound)
+    v = AffineMonoid("V", 1, [(1,)], unit_orders=[5], unit_tags=[(0,)], degree_bound=bound)
+    x = gm.GluedScheme(1, [u, v], unit_orders=[5], glue="generic")
+    assert gm.cartier_and_pic(x) == (AbelianGroup(1, (5,)), AbelianGroup(0))
 
 
 def test_cartier_of_affine():

@@ -432,6 +432,22 @@ def test_tor_rank_requires_positive_exponent():
         tr.tor1_monogenic(x, 0)
 
 
+@pytest.mark.parametrize("build", [tr.tor_complex, tr.tor_complex_direct])
+def test_tor_builders_refuse_inputs_outside_their_hypothesis(build):
+    # t^0 and t^-1 used to act as the identity (all-zero homology), and a
+    # finite-table base read the exponent as an element index
+    x = ak.aset_from_theta([0, 2, 0])
+    for exp in (0, -1):
+        with pytest.raises(HypothesisViolated, match="the exponent must be positive"):
+            build(x, exp)
+    line2 = mk.build_from_presentation(["x"], [("x^2", "0")], name="line2")
+    with pytest.raises(HypothesisViolated, match="monogenic base required"):
+        build(ak.aset_from_monoid(line2), 1)
+    # the truncation is checked first
+    with pytest.raises(ValidationError, match="must be nonnegative, got -1"):
+        build(x, 0, trunc=-1)
+
+
 def test_displayed_differential_of_the_model():
     # the level-1 differential sends degenerate cells to zero and a
     # nondegenerate cell p to minus (t^k . p)
