@@ -81,10 +81,10 @@ def facet_normals(gens, rank, orth=None):
     generator pairs nonnegatively and some generator pairs positively.
     ``orth`` is a basis of the span's orthogonal complement, when the
     caller has one (``ChartCone`` passes its lattice's ``complement``);
-    without it the complement is computed here as a kernel.  Any basis
-    gives the same normals: another one multiplies each cofactor vector
-    by a nonzero scalar, and the normal is that vector made primitive
-    with its sign fixed by the generators.
+    without it the complement is the ``complement`` of the generators'
+    ``intlin.Sublattice``.  Any basis gives the same normals: another one
+    multiplies each cofactor vector by a nonzero scalar, and the normal is
+    that vector made primitive with its sign fixed by the generators.
 
     A facet holds dim - 1 independent generators, and the normal of their
     span inside the generator span is the cofactor vector of those
@@ -94,7 +94,7 @@ def facet_normals(gens, rank, orth=None):
     """
     gens = [tuple(g) for g in gens]
     if orth is None:
-        orth = _span_orthogonal_complement(gens, rank)
+        orth = intlin.Sublattice(gens, rank).complement
     dim = rank - len(orth)
     if dim == 0:
         return []
@@ -113,28 +113,19 @@ def facet_normals(gens, rank, orth=None):
     return sorted(normals)
 
 
-def _span_orthogonal_complement(gens, rank):
-    """Rows spanning the orthogonal complement of the generator span."""
-    if not gens:
-        return [
-            [1 if i == j else 0 for j in range(rank)] for i in range(rank)
-        ]
-    mat = [list(g) for g in gens]
-    return [list(k) for k in intlin.kernel_basis(mat)]
-
-
 class ChartCone:
     """A chart's generator cone and lattice, computed once from its
     generators: the chart lattice, whose Smith form also gives the span's
-    orthogonal complement, the facet normals, and, as they are asked
-    for, the lattice of each face, the saturation points of the zonotope
-    box and the unit lattice.  The face cut by no normal is the whole
-    cone, so its lattice is the chart lattice itself.
+    orthogonal complement, the facet normals, the generators on the
+    lineality, and, as they are asked for, the lattice of each face, the
+    saturation points of the zonotope box, the Hilbert basis and the unit
+    lattice.  The face cut by no normal is the whole cone, so its lattice
+    is the chart lattice itself.
 
     ``shared`` is the record of a chart with the same cone (a
     normalization's input); its normals, which depend on the cone alone,
-    are taken over.  The lattice (with the complement), face lattices,
-    box points and unit lattice always come from ``gens``.
+    are taken over.  Everything else, the Hilbert basis included, always
+    comes from ``gens``.
     """
 
     def __init__(self, gens, rank, shared=None):
@@ -144,11 +135,17 @@ class ChartCone:
         self.complement = self.lattice.complement
         self._face_lattices = {(): self.lattice}
         self._box = None
+        self._hilbert = None
         self._units = None
         if shared is None:
             self.normals = facet_normals(gens, rank, self.complement)
         else:
             self.normals = shared.normals
+        # the lineality is the face on which every normal vanishes
+        self.lineality = [
+            i for i, g in enumerate(gens)
+            if not any(_dot(w, g) for w in self.normals)
+        ]
 
     def in_span(self, vec):
         """Is vec in the rational span of the generators?"""
@@ -190,20 +187,37 @@ class ChartCone:
             )
         return list(self._box)
 
+    def hilbert_basis(self):
+        """Hilbert basis of a pointed cone's saturation, computed once:
+        its irreducible elements, which generate it (Bruns-Gubeladze,
+        ch. 2).  They lie in the zonotope box, so they are the box points g
+        such that no other box point h leaves g - h in cone and lattice.
+        g - h lies in the span and the lattice, and in the cone iff no
+        facet normal pairs with h more than with g.  Each caller gets its
+        own list."""
+        if self._hilbert is None:
+            cand = self.box_points()
+            pairs = {g: [_dot(w, g) for w in self.normals] for g in cand}
+            self._hilbert = [
+                g for g in cand
+                if not any(h != g and all(map(operator.le, pairs[h], pairs[g]))
+                           for h in cand)
+            ]
+        return list(self._hilbert)
+
     def unit_lattice(self):
         """Basis (columns) of the lineality of the cone intersected with
         the chart lattice, computed once; each caller gets fresh lists.
 
-        The lineality is the face on which every normal vanishes, and a
-        face is spanned by the generators on it; so when every nonzero
-        generator pairs nonzero with some normal the cone is pointed and
-        the unit lattice is zero, with no kernel to compute.
+        A face is spanned by the generators on it; so when every generator
+        on the lineality is zero the cone is pointed and the unit lattice
+        is zero, with no kernel to compute.
         """
         if self._units is None:
             basis = self.lattice.basis
             k = len(basis)
             normals = self.normals
-            if all(any(_dot(w, g) for w in normals) for g in self.gens if any(g)):
+            if not any(any(self.gens[i]) for i in self.lineality):
                 coeff_kernel = []  # pointed
             elif normals:
                 rows = [[_dot(w, col) for col in basis] for w in normals]
@@ -267,56 +281,40 @@ def saturation_generators(aff):
     return sorted(gens)
 
 
-def _hilbert_basis(aff):
-    """Hilbert basis of a pointed chart's saturation: its irreducible
-    elements, which generate it (Bruns-Gubeladze, ch. 2).  They lie in
-    the zonotope box, so they are the box points g such that no other box
-    point h leaves g - h in cone and lattice.  g - h lies in the span and
-    the lattice, and in the cone iff no facet normal pairs with h more
-    than with g."""
-    cone = chart_cone(aff)
-    cand = cone.box_points()
-    pairs = {g: [_dot(w, g) for w in cone.normals] for g in cand}
-    return [
-        g for g in cand
-        if not any(h != g and all(map(operator.le, pairs[h], pairs[g])) for h in cand)
-    ]
-
-
 def is_normal(aff):
     """Does the cancellative chart equal its saturation?  Exact on a
-    pointed chart: it is normal iff its ``_hilbert_basis`` lies among its
-    generators, since an irreducible element of the saturation that lies
-    in the chart is a generator, and the Hilbert basis generates the
-    saturation.  A chart with units asks bounded membership of each
-    saturation generator."""
+    pointed chart: it is normal iff its cone's ``hilbert_basis`` lies
+    among its generators, since an irreducible element of the saturation
+    that lies in the chart is a generator, and the Hilbert basis
+    generates the saturation.  A chart with units asks bounded membership
+    of each saturation generator."""
     if aff.is_pc_quotient:
         raise ValidationError("normality applies to cancellative charts")
     if unit_lattice_of_chart(aff):
         return all(aff.contains(v) for v in saturation_generators(aff))
-    return set(_hilbert_basis(aff)) <= set(aff.generators)
+    return set(chart_cone(aff).hilbert_basis()) <= set(aff.generators)
 
 
 def normalize_affine(aff):
     """Saturation of the generator monoid inside its own lattice: on a
-    pointed chart, generated by its ``_hilbert_basis``.  A chart with
-    units has no unique minimal generating set; there the saturation
+    pointed chart, generated by its cone's ``hilbert_basis``.  A chart
+    with units has no unique minimal generating set; there the saturation
     generators are dropped greedily, largest first, whenever bounded
     membership writes one in the others, and that order fixes the output.
 
     The saturation has the chart's cone, so its cone record takes over
     the chart's normals (``ChartCone``'s ``shared``); its lattice and
     span complement come from its own Smith form, and its ``is_normal``
-    check recomputes the Hilbert basis from its own box and lattice.  A
-    chart with a monomial ideal raises ``ValidationError``:
-    ``normalize_pc`` normalizes its components.
+    check filters its own box for its own Hilbert basis.  A chart with a
+    monomial ideal raises ``ValidationError``: ``normalize_pc``
+    normalizes its components.
     """
     if aff.is_pc_quotient:
         raise ValidationError("normalization applies to cancellative charts")
     if unit_lattice_of_chart(aff):
         keep = _greedy_generators(aff, saturation_generators(aff))
     else:
-        keep = _hilbert_basis(aff)
+        keep = chart_cone(aff).hilbert_basis()
     out = AffineMonoid(
         f"{aff.name}_nor",
         aff.rank,
@@ -436,49 +434,33 @@ class DVReport(Record):
 
 
 def dv_check(aff, normal, scale=1):
-    """Is the localization at the facet a discrete valuation monoid?
+    """Is the localization S_F = S + U_F at the facet F of ``normal`` a
+    discrete valuation monoid?  U_F is the group of the generators on F,
+    the cone's ``face_lattice`` of that facet, and v = <normal, .> /
+    ``scale``.
 
-    Uses bounded membership in the localized monoid S + Z(face of S) and
-    checks the unit-times-power factorization on the saturation box.
+    Closed form: S_F is DV iff some generator has v = 1 and every
+    generator g has g - v(g) pi in U_F, where the uniformizer pi is the
+    least generator with v = 1.  Then every element is a unit plus a
+    multiple of pi.  Conversely, the elements of value 0 are U_F, and
+    S_F / U_F = N forces a generator of value 1 and g = v(g) pi mod U_F.
+    This holds on charts with units too.  The witness is the first
+    generator that fails.  A ``normal`` that is not one of the chart's
+    facet normals raises ``ValidationError``.
     """
-    gens = aff.generators
-    face_gens = [g for g in gens if _dot(normal, g) == 0]
-
-    def loc_contains(vec):
-        # vec = s + z with s in S and z in the group on the face
-        coeffs = range(-aff.degree_bound, aff.degree_bound + 1)
-        if not face_gens:
-            return aff.contains(vec)
-        for combo in itertools.product(coeffs, repeat=len(face_gens)):
-            shift = [
-                vec[i] - sum(c * g[i] for c, g in zip(combo, face_gens))
-                for i in range(aff.rank)
-            ]
-            if aff.contains(shift):
-                return True
-        return False
-
-    def value(vec):
-        return _dot(normal, vec) // scale
-
-    # find a uniformizer: bounded scan over the saturation box
-    box = saturation_points_in_box(aff)
-    uni = None
-    for v in box:
-        if value(v) == 1 and loc_contains(v):
-            uni = v
-            break
-    if uni is None:
+    cone = chart_cone(aff)
+    normal = tuple(normal)
+    if normal not in cone.normals:
+        raise ValidationError(f"{list(normal)} is not a facet normal of {aff.name}")
+    units = cone.face_lattice((cone.normals.index(normal),))
+    value = {g: _dot(normal, g) // scale for g in aff.generators}
+    ones = [g for g, k in value.items() if k == 1]
+    if not ones:
         return DVReport(False, None, None)
-    # bounded factorization: every localized element is unit * power
-    for v in box:
-        if not loc_contains(v):
-            continue
-        k = value(v)
-        u = tuple(a - k * b for a, b in zip(v, uni))
-        neg_u = tuple(-a for a in u)
-        if not (loc_contains(u) and loc_contains(neg_u)):
-            return DVReport(False, uni, v)
+    uni = min(ones)
+    for g in aff.generators:
+        if tuple(a - value[g] * b for a, b in zip(g, uni)) not in units:
+            return DVReport(False, uni, g)
     return DVReport(True, uni, None)
 
 
@@ -491,11 +473,23 @@ class IntersectionReport(Record):
 
 
 def intersect_localizations_check(aff):
-    """Bounded window: membership in the chart equals nonnegativity at
-    every facet valuation (the hallmark of normal charts).  The chart lies
-    in its cone, so a witness is a point of cone and lattice in the box
-    that bounded membership does not find."""
-    witnesses = [v for v in chart_cone(aff).box_points() if not aff.contains(v)]
+    """Is the chart the intersection of its localizations, that is, is
+    membership in the chart nonnegativity at every facet valuation (the
+    hallmark of normal charts)?  The chart lies in its cone, so the
+    points of cone and lattice the chart misses are the witnesses.
+
+    Closed form on a pointed chart: the witnesses are the Hilbert-basis
+    elements that are not generators, and it holds iff ``is_normal``.
+    Each is irreducible in the saturation, so it lies in the chart only
+    if it is a generator, and every saturation point outside the chart
+    is a sum that uses one of them.  A chart with units keeps the bounded
+    window: a witness is a box point that bounded membership misses."""
+    cone = chart_cone(aff)
+    if cone.unit_lattice():
+        witnesses = [v for v in cone.box_points() if not aff.contains(v)]
+    else:
+        gens = set(aff.generators)
+        witnesses = [h for h in cone.hilbert_basis() if h not in gens]
     return IntersectionReport(not witnesses, witnesses)
 
 
@@ -811,15 +805,14 @@ def cartier_and_pic(scheme):
 def _tagged_torsion_units(chart, torsion):
     """Generators of the torsion units of a unit-tagged chart: the nonzero
     tags of nonnegative combinations with zero lattice part.  These use
-    only generators on the cone's lineality, as every other one pairs
-    positively with some facet normal.  Those carry a strictly positive
+    only the generators on the cone's ``lineality``, as every other one
+    pairs positively with some facet normal.  Those carry a strictly positive
     integer dependency, so the combinations generate the whole integer
     kernel on them, and the tags of a kernel basis generate the same
     subgroup.  Cart and Pic read only the span of the tags and the
     torsion orders."""
     gens = chart.generators
-    normals = chart_cone(chart).normals
-    lin = [i for i, g in enumerate(gens) if not any(_dot(w, g) for w in normals)]
+    lin = chart_cone(chart).lineality
     # a zero row keeps the column count at rank 0
     cols = [[gens[i][r] for i in lin] for r in range(chart.rank)] or [[0] * len(lin)]
     found = set()
