@@ -433,11 +433,11 @@ class DVReport(Record):
         self.witness = witness
 
 
-def dv_check(aff, normal, scale=1):
+def dv_check(aff, normal):
     """Is the localization S_F = S + U_F at the facet F of ``normal`` a
     discrete valuation monoid?  U_F is the group of the generators on F,
     the cone's ``face_lattice`` of that facet, and v = <normal, .> /
-    ``scale``.
+    scale, the facet's scale from ``chart_valuations``.
 
     Closed form: S_F is DV iff some generator has v = 1 and every
     generator g has g - v(g) pi in U_F, where the uniformizer pi is the
@@ -450,10 +450,11 @@ def dv_check(aff, normal, scale=1):
     """
     cone = chart_cone(aff)
     normal = tuple(normal)
-    if normal not in cone.normals:
+    scales = dict(chart_valuations(aff))
+    if normal not in scales:
         raise ValidationError(f"{list(normal)} is not a facet normal of {aff.name}")
     units = cone.face_lattice((cone.normals.index(normal),))
-    value = {g: _dot(normal, g) // scale for g in aff.generators}
+    value = {g: _dot(normal, g) // scales[normal] for g in aff.generators}
     ones = [g for g, k in value.items() if k == 1]
     if not ones:
         return DVReport(False, None, None)

@@ -5,7 +5,9 @@ A double-arrow complex carries paired boundaries (r, s) with rr = rs and
 sr = ss; homology at n is the joint kernel of the induced maps out of
 the coequalizer of (r_{n+1}, s_{n+1}).  The simplicial side stores split
 levels; degenerate cells are indexed by monotone surjections in normal
-form and faces are computed through epi-monic factorization.
+form and faces are computed through epi-monic factorization.  This
+module alone decides those faces: other modules read them as mappings
+from ``dold_kan_faces`` or as morphisms from ``dold_kan_inverse``.
 """
 
 from __future__ import annotations
@@ -750,29 +752,27 @@ def _dold_kan_layout(trunc, sizes):
     )
 
 
-def dold_kan_inverse(c, trunc):
-    """Split simplicial object whose nondegenerate cells are the complex
-    entries.
+def dold_kan_faces(c, trunc):
+    """Face mappings of the inverse construction of the reduced complex
+    ``c``, level by level: ``faces[k - 1][i]`` is the carrier mapping of
+    d_i from level k to level k - 1 of ``dold_kan_inverse(c, trunc)``.
 
     Level k holds the cells (eta, m, p): eta: [k] ->> [m] a monotone
     surjection with m <= the complex bound, p a nonzero point of C_m.
     The cells of one (eta, m) form a block, listed m = 0 first and within
     each m in the order of ``surjection_rules(k, m)``, so cell (eta, m, p)
-    is carrier index ``block_starts[k][(eta, m)] + p``.  Faces and
-    degeneracies act on eta through the (k, m) rule table
-    ``surjection_rules``, shared with ``torreal.tor_complex_direct``, and
-    on p only where eta . delta_i misses a value j: there the face is the
-    complex face d_j of p, which is 0 for j <= m - 2, s_m for j = m - 1
-    and r_m for j = m (the epi-mono factorization of the simplicial
-    identities: May 1967, section 22; Goerss-Jardine III.2).  So every map
-    is one run per block: a shifted identity, a shifted copy of r_m or
-    s_m, or zeros.
+    is carrier index ``block_starts[k][(eta, m)] + p``.  Faces act on eta
+    through the (k, m) rule table ``surjection_rules``, and on p only
+    where eta . delta_i misses a value j: there the face is the complex
+    face d_j of p, which is 0 for j <= m - 2, s_m for j = m - 1 and r_m
+    for j = m (the epi-mono factorization of the simplicial identities:
+    May 1967, section 22; Goerss-Jardine III.2).  So every face is one run
+    per block: a shifted identity, a shifted copy of r_m or s_m, or zeros.
 
     All of that but the copies of r_m and s_m depends only on the shape
     (trunc, nonzero sizes of the levels): ``_dold_kan_layout`` builds it
-    once per shape, and each call fills in the cell names, the action rows
-    and the r_m / s_m runs, read off ``c.r`` and ``c.s``.
-    ``block_starts`` is the layout's read-only view.
+    once per shape, and each call fills the r_m / s_m runs of the layout's
+    templates, read off ``c.r`` and ``c.s``.  Each mapping is a new list.
     """
     if isinstance(c, FreeComplex):
         raise ValidationError(
@@ -783,6 +783,27 @@ def dold_kan_inverse(c, trunc):
         raise NotReduced("the inverse construction requires a reduced complex")
     if c.min_degree != 0:
         raise ValidationError("complex must start at degree 0")
+    sizes = tuple(len(lvl.carrier) - 1 for lvl in c.levels[: trunc + 1])
+    faces = []
+    for level_faces in _dold_kan_layout(trunc, sizes).faces:
+        maps = []
+        for template, patches in level_faces:
+            mapping = list(template)
+            for at, t0, m, is_r in patches:
+                d = (c.r if is_r else c.s)[m - 1].mapping
+                mapping[at:at + len(d) - 1] = [t0 + v if v else 0 for v in d[1:]]
+            maps.append(mapping)
+        faces.append(maps)
+    return faces
+
+
+def dold_kan_inverse(c, trunc):
+    """Split simplicial object whose nondegenerate cells are the complex
+    entries: the cells and faces of ``dold_kan_faces``, which checks
+    ``c``, with the cached layout's degeneracies, and the cell names and
+    action rows filled in.  ``block_starts`` is the layout's read-only view.
+    """
+    face_maps = dold_kan_faces(c, trunc)
     lvls = c.levels
     sizes = tuple(len(lvl.carrier) - 1 for lvl in lvls[: trunc + 1])
     layout = _dold_kan_layout(trunc, sizes)
@@ -799,16 +820,10 @@ def dold_kan_inverse(c, trunc):
                 row.extend([s0 + q if q else 0 for q in src[1:]])
         levels.append(ak.ASet(c.base, names, action, name=f"K{k}"))
 
-    faces = []
-    for k, level_faces in enumerate(layout.faces, start=1):
-        maps = []
-        for template, patches in level_faces:
-            mapping = list(template)
-            for at, t0, m, is_r in patches:
-                d = (c.r if is_r else c.s)[m - 1].mapping
-                mapping[at:at + len(d) - 1] = [t0 + v if v else 0 for v in d[1:]]
-            maps.append(ak.ASetMorphism(levels[k], levels[k - 1], mapping))
-        faces.append(maps)
+    faces = [
+        [ak.ASetMorphism(levels[k], levels[k - 1], mapping) for mapping in level_maps]
+        for k, level_maps in enumerate(face_maps, start=1)
+    ]
     degeneracies = [
         [ak.ASetMorphism(levels[k], levels[k + 1], mapping) for mapping in level_degens]
         for k, level_degens in enumerate(layout.degeneracies)

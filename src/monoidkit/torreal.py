@@ -3,7 +3,9 @@
 An A-set realizes to the free module on its nonzero elements; monoid
 elements act by 0/1 matrices.  A truncated simplicial object realizes to
 an integer chain complex with alternating-sum differentials, whose
-homology is read off the Smith normal form.  The first derived tensor
+homology is read off the Smith normal form; the derived-tensor model
+sums the face mappings that ``homological.dold_kan_faces`` decides, with
+or without the simplicial A-set around them.  The first derived tensor
 functor over the monogenic base is computed in closed form; the cycle
 rank of its realization graph equals that formula by a counting
 identity, so it is reported, not computed.  The independent check of
@@ -134,8 +136,9 @@ class IntegerChainComplex:
         return self._factors[n]
 
 
-def chain_of_simplicial(sset):
-    """Realized chain complex with d = alternating sum of the faces.
+def _alternating_sum(ranks, faces):
+    """Realized chain complex whose d_n is the alternating sum of the face
+    mappings ``faces[n - 1]`` of level n, ``ranks`` the nonzero sizes.
 
     Face i of level n sends basis cell c to cell ``mapping[c + 1]`` or to
     the basepoint, so it adds (-1)^i at column c of row mapping[c + 1] - 1
@@ -143,13 +146,12 @@ def chain_of_simplicial(sset):
     are summed in place and an entry is deleted when it cancels to zero;
     no face matrix and no dense d_n is built.
     """
-    ranks = [len(l.carrier) - 1 for l in sset.levels]
     diffs = []
-    for n in range(1, len(sset.levels)):
+    for n, level_faces in enumerate(faces, start=1):
         rows = [{} for _ in range(ranks[n - 1])]
-        for i in range(n + 1):
+        for i, mapping in enumerate(level_faces):
             sign = 1 if i % 2 == 0 else -1
-            for c, v in enumerate(sset.face(n, i).mapping[1:]):
+            for c, v in enumerate(mapping[1:]):
                 if v:
                     r = rows[v - 1]
                     e = r.get(c, 0) + sign
@@ -159,6 +161,13 @@ def chain_of_simplicial(sset):
                         del r[c]
         diffs.append(rows)
     return IntegerChainComplex._from_rows(ranks, diffs)
+
+
+def chain_of_simplicial(sset):
+    """Realized chain complex with d = alternating sum of the faces."""
+    return _alternating_sum(
+        [len(l.carrier) - 1 for l in sset.levels],
+        [[f.mapping for f in level_faces] for level_faces in sset.faces])
 
 
 class HomologyGroup(Record):
@@ -194,6 +203,15 @@ def smith_homology(c, n):
 # the derived-tensor model over the monogenic base
 
 
+def _tor_pair(x, exp, trunc):
+    """The free pair (t^exp, 0): X => X, after checking the truncation
+    and then the base and exponent."""
+    hm.require_nonnegative(trunc, "truncation")
+    _require_monogenic_power(x, exp)
+    r = ak.ASetMorphism(x, x, [x.act(exp, p) for p in range(len(x.carrier))])
+    return hm.DaComplex(x.base, [x, x], [r], [ak.zero_morphism(x, x)])
+
+
 def tor_complex(x, exp, trunc=4):
     """Chain complex of the standard simplicial model for the derived
     tensor of A/(t^exp) against X, over the monogenic base.
@@ -203,62 +221,20 @@ def tor_complex(x, exp, trunc=4):
     and s = 0.  The truncation must be nonnegative, and the base
     monogenic with an exponent of at least 1 (``HypothesisViolated``).
     """
-    hm.require_nonnegative(trunc, "truncation")
-    _require_monogenic_power(x, exp)
-    r = ak.ASetMorphism(x, x, [x.act(exp, p) for p in range(len(x.carrier))])
-    pair = hm.DaComplex(x.base, [x, x], [r], [ak.zero_morphism(x, x)])
-    sset = hm.dold_kan_inverse(pair, trunc)
+    sset = hm.dold_kan_inverse(_tor_pair(x, exp, trunc), trunc)
     return chain_of_simplicial(sset), sset
 
 
 def tor_complex_direct(x, exp, trunc=4):
-    """The same chain complex assembled directly from blocks.
-
-    Level k of the inverse construction has one block per surjection
-    [k] ->> [m], m <= 1, listed m = 0 first as ``hm.dold_kan_inverse``
-    lists its cells, so the matrices are those of ``tor_complex``; by the
-    face rules of ``hm.surjection_rules`` each face contributes an
-    identity block, a single action-matrix block, or nothing.  The signs
-    are summed per target block first, so each entry of the sparse rows is
-    written once: the column of point p in a block meets the identity
-    block at row p and the action block at row t^exp . p, which are one
-    entry when p is fixed.  Validated against ``tor_complex`` in the
-    tests; used for the large exhaustive sweeps.
+    """The same chain complex, summed from the face mappings of
+    ``hm.dold_kan_faces`` without building the simplicial A-set: no cell
+    names, action rows or degeneracies.  Level 0 of the construction is
+    X.  Validated against ``tor_complex`` in the tests; used for the large
+    exhaustive sweeps.
     """
-    hm.require_nonnegative(trunc, "truncation")
-    _require_monogenic_power(x, exp)
-    nx = len(x.carrier) - 1
-    act = [x.act(exp, p) - 1 for p in range(1, nx + 1)]  # -1: sent to the basepoint
-    cells = []  # per level: (rule of eta, m) for every eta: [k] ->> [m], m in {0, 1}
-    for k in range(trunc + 1):
-        cells.append([(rule, m) for m in (0, 1) for rule in hm.surjection_rules(k, m)])
-    ranks = [len(level) * nx for level in cells]
-    diffs = []
-    for k in range(1, trunc + 1):
-        rows = [{} for _ in range(ranks[k - 1])]
-        pos_prev = {(rule.eta, m): b for b, (rule, m) in enumerate(cells[k - 1])}
-        for b, (rule, m) in enumerate(cells[k]):
-            blocks = {}  # target block -> [identity sign, action sign]
-            for i, (eta2, j) in enumerate(rule.faces):
-                sign = 1 if i % 2 == 0 else -1
-                if j is None:
-                    blocks.setdefault(pos_prev[(eta2, m)], [0, 0])[0] += sign
-                elif j == 1:  # d_1 = r_1 = t^exp; d_0 = s_1 is zero
-                    blocks.setdefault(pos_prev[(eta2, 0)], [0, 0])[1] += sign
-            for tb, (ident, action) in blocks.items():
-                base = tb * nx
-                for p in range(nx):
-                    col = b * nx + p
-                    if act[p] == p:
-                        if ident + action:
-                            rows[base + p][col] = ident + action
-                        continue
-                    if ident:
-                        rows[base + p][col] = ident
-                    if action and act[p] >= 0:
-                        rows[base + act[p]][col] = action
-        diffs.append(rows)
-    return IntegerChainComplex._from_rows(ranks, diffs)
+    faces = hm.dold_kan_faces(_tor_pair(x, exp, trunc), trunc)
+    ranks = [len(x.carrier) - 1] + [len(level_faces[0]) - 1 for level_faces in faces]
+    return _alternating_sum(ranks, faces)
 
 
 # ---------------------------------------------------------------------------

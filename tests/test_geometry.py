@@ -311,8 +311,8 @@ def test_pointed_normality_reads_no_bounded_membership(monkeypatch):
     for gens in [g for g, _ in pointed] + [[(1, 0), (-1, 0), (1, 2)]]:
         aff = numeric(gens)
         aff.degree_bound = None
-        for w, scale in gm.chart_valuations(aff):
-            gm.dv_check(aff, w, scale)
+        for w, _ in gm.chart_valuations(aff):
+            gm.dv_check(aff, w)
 
 
 def test_normalization_past_the_degree_bound():
@@ -332,7 +332,7 @@ def test_localization_checks_past_the_degree_bound():
     # localizations and not DV at the facet (-1, -1)
     nor = gm.normalize_affine(AffineMonoid("C", 2, [(2, -2), (-3, -1), (-3, 2)]))
     assert gm.intersect_localizations_check(nor) == gm.IntersectionReport(True, [])
-    reports = {w: gm.dv_check(nor, w, scale) for w, scale in gm.chart_valuations(nor)}
+    reports = {w: gm.dv_check(nor, w) for w, _ in gm.chart_valuations(nor)}
     assert reports == {
         (-2, -3): gm.DVReport(True, (1, -1), None),
         (-1, -1): gm.DVReport(True, (-3, 2), None),
@@ -354,8 +354,8 @@ def test_each_chart_box_is_scanned_once(monkeypatch):
     nor = gm.normalize_affine(aff)
     assert built == [("xy2_nor", 2, [(0, 1), (1, 0)])]  # the output, no trial charts
     gm.seminormalize_cancellative(aff)
-    for w, scale in gm.chart_valuations(aff):
-        gm.dv_check(aff, w, scale)
+    for w, _ in gm.chart_valuations(aff):
+        gm.dv_check(aff, w)
     gm.class_group(gm.affine_scheme(nor))
     assert sorted(scans) == [((0, 0), (1, 1)), ((0, 0), (2, 3))]  # nor, aff
 
@@ -479,22 +479,22 @@ def test_seminormalization_of_a_group_chart_builds_no_level_set():
 
 def test_dv_check_line():
     aff = numeric([(1,)])
-    (w, scale), = gm.chart_valuations(aff)
-    rep = gm.dv_check(aff, w, scale)
+    (w, _), = gm.chart_valuations(aff)
+    rep = gm.dv_check(aff, w)
     assert rep.is_dv and rep.uniformizer == (1,)
 
 
 def test_dv_check_quadric_facet():
     aff = cone_xy_z2()
-    for w, scale in gm.chart_valuations(aff):
-        rep = gm.dv_check(aff, w, scale)
+    for w, _ in gm.chart_valuations(aff):
+        rep = gm.dv_check(aff, w)
         assert rep.is_dv, (w, rep)
 
 
 def test_dv_check_fails_non_normal():
     aff = numeric([(2,), (3,)])
-    (w, scale), = gm.chart_valuations(aff)
-    rep = gm.dv_check(aff, w, scale)
+    (w, _), = gm.chart_valuations(aff)
+    rep = gm.dv_check(aff, w)
     assert not rep.is_dv
 
 
@@ -566,7 +566,7 @@ def test_closed_form_dv_check_against_the_bounded_search():
             def unit_part(g, pi):
                 return [a - gm._dot(w, g) // scale * b for a, b in zip(g, pi)]
 
-            closed, bounded = gm.dv_check(aff, w, scale), bounded_dv_check(aff, w, scale)
+            closed, bounded = gm.dv_check(aff, w), bounded_dv_check(aff, w, scale)
             # the oracle's DV answers are exact, so the closed form agrees
             assert closed.is_dv or not bounded.is_dv, (gens, w)
             pi = closed.uniformizer
@@ -598,8 +598,20 @@ def test_dv_check_on_charts_with_units(gens, want):
     # the facet holds the lineality, and the facet's group takes the units in
     aff = numeric(gens)
     (w, scale), = gm.chart_valuations(aff)
-    assert gm.dv_check(aff, w, scale) == want
+    assert gm.dv_check(aff, w) == want
     assert bounded_dv_check(aff, w, scale).is_dv is want.is_dv
+
+
+@pytest.mark.parametrize("gens, normal, pi", [
+    ([(2, 0), (0, 2)], (1, 0), (2, 0)),
+    ([(1, 0), (-1, 0), (1, 2)], (0, 1), (1, 2)),
+])
+def test_dv_check_reads_the_facet_scale(gens, normal, pi):
+    # the lattice pairs with the normal in multiples of 2; a scale that
+    # defaulted to 1 found no generator of value 1 and answered "not DV"
+    aff = numeric(gens)
+    assert gm.dv_check(aff, normal) == gm.DVReport(True, pi, None)
+    assert bounded_dv_check(aff, normal, 2).is_dv
 
 
 def test_intersection_of_localizations():
@@ -1015,19 +1027,23 @@ def _det(m):
 
 
 class DirectChart:
-    """Membership answered without the cached cone: span by a rank
-    comparison, lattice by one solve per vector, cone by Caratheodory
-    (v is a nonnegative combination of some basis of the span chosen
-    among the generators, with coefficients from Cramer's rule).
+    """Membership answered without the cached cone: span by the integer
+    kernel of the generator rows (v is in the span iff it is orthogonal
+    to that complement), lattice by the Smith-free ``HermiteSublattice``,
+    cone by Caratheodory (v is a nonnegative combination of some basis of
+    the span chosen among the generators, with coefficients from Cramer's
+    rule).  The complement and the Hermite rows are built once per chart,
+    so each vector is answered with dot products.
 
     Each simplex keeps its cofactor columns: the determinant of its square
     with column j replaced by x is <cofactors[j], x>, so Cramer's
     coefficients of a vector are dot products."""
 
     def __init__(self, gens, rank):
-        self.gens = [list(g) for g in gens]
-        self.rank = rank
-        self.dim = intlin.rank(self.gens) if gens else 0
+        self.orth = (intlin.kernel_basis([list(g) for g in gens]) if gens
+                     else [[int(i == j) for j in range(rank)] for i in range(rank)])
+        self.lattice = HermiteSublattice(gens, rank)
+        self.dim = rank - len(self.orth)
         self.simplices = []
         for basis in itertools.combinations(gens, self.dim):
             for rows in itertools.combinations(range(rank), self.dim):
@@ -1048,15 +1064,10 @@ class DirectChart:
                     break
 
     def in_span(self, v):
-        if not self.gens:
-            return not any(v)
-        return intlin.rank(self.gens + [list(v)]) == self.dim
+        return not any(sum(a * b for a, b in zip(w, v)) for w in self.orth)
 
     def in_lattice(self, v):
-        if not self.gens:
-            return not any(v)
-        mat = [[g[i] for g in self.gens] for i in range(self.rank)]
-        return intlin.solve(mat, list(v)) is not None
+        return v in self.lattice
 
     def in_cone(self, v):
         if not self.in_span(v):

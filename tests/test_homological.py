@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import itertools
 import os
@@ -70,6 +71,31 @@ def test_surjection_rules_by_definition():
                 assert len(degeneracies) == k + 1
                 for i, up in enumerate(degeneracies):
                     assert up == tuple(eta[x if x <= i else x - 1] for x in range(k + 2))
+
+
+def test_only_homological_decides_the_dold_kan_faces():
+    # the face rule of the inverse construction lives in one module; any
+    # other reaches the rule table, the surjections or the cached layout
+    # only by an attribute (hm.surjection_rules) or an import from
+    # homological, so a parameter that happens to be called
+    # ``surjections`` does not count
+    rule_names = {"surjection_rules", "surjections", "SurjectionRule", "_dold_kan_layout"}
+    src = os.path.dirname(hm.__file__)
+    naming = []
+    for fname in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, fname)) as fh:
+            tree = ast.parse(fh.read())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+        if names & rule_names:
+            naming.append(fname[:-3])
+    assert naming == ["homological"]
 
 
 def test_zero_complex_valid():

@@ -472,18 +472,23 @@ def test_displayed_differential_of_the_model():
 
 
 def test_direct_and_generic_tor_complexes_match():
-    # every monogenic table of carrier <= 4; both builders list the cells
-    # of a level m = 0 first, so their matrices agree entry by entry
-    for n in range(1, 5):
-        for theta_tail in itertools.product(range(n), repeat=n - 1):
-            x = ak.aset_from_theta([0] + list(theta_tail))
-            for k in (1, 2, 3):
-                generic, _ = tr.tor_complex(x, k, trunc=4)
-                direct = tr.tor_complex_direct(x, k, trunc=4)
-                assert generic.ranks == direct.ranks, (theta_tail, k)
+    # every monogenic table of carrier <= 4 and the 45 classes of carrier
+    # 5, at truncations 0 (no faces) to 5; both builders list the cells of
+    # a level m = 0 first, so their matrices agree entry by entry
+    tables = [ak.aset_from_theta([0] + list(theta_tail))
+              for n in range(1, 5) for theta_tail in itertools.product(range(n), repeat=n - 1)]
+    classes = ak.enumerate_asets(mk.MonogenicMonoid(), 5)
+    assert len(classes) == 45
+    for x in tables + classes:
+        for k in (1, 2, 3):
+            for trunc in range(6):
+                case = (x.action[0], k, trunc)
+                generic, _ = tr.tor_complex(x, k, trunc=trunc)
+                direct = tr.tor_complex_direct(x, k, trunc=trunc)
+                assert generic.ranks == direct.ranks, case
                 for n in range(len(generic.ranks) + 1):
-                    assert generic.differential(n) == direct.differential(n), (theta_tail, k)
-                assert generic.rows == direct.rows, (theta_tail, k)
+                    assert generic.differential(n) == direct.differential(n), case
+                assert generic.rows == direct.rows, case
 
 
 def test_hurewicz_small_cases():
